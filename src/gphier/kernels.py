@@ -185,15 +185,31 @@ def factorized_sequence(phi, grid: GridSpec, K: int, xi: float, dense_up_to: int
 
 # -- symmetry operations ----------------------------------------------------
 
+_TILE = 64  # side of the square blocks the adjoint is copied in
+
+
 def adjoint(kernel: MarginalKernel) -> MarginalKernel:
-    """Hermitian adjoint: conj and swap of unprimed/primed variable groups."""
-    half = kernel.k * kernel.grid.n
-    axes = list(range(half, 2 * half)) + list(range(half))
-    return MarginalKernel(kernel.grid, kernel.k, np.conj(kernel.data.transpose(axes)))
+    """Hermitian adjoint: conj and swap of unprimed/primed variable groups.
+
+    In matrix form (unprimed rows, primed columns) this is the conjugate
+    transpose, copied tile by tile so that reads and writes both stay
+    within a few pages; a plain transposed copy strides across the whole
+    array on one side.
+    """
+    rows = kernel.grid.M ** (kernel.k * kernel.grid.n)
+    mat = kernel.data.reshape(rows, rows)
+    out = np.empty_like(mat)
+    for i in range(0, rows, _TILE):
+        for j in range(0, rows, _TILE):
+            np.conjugate(mat[j:j + _TILE, i:i + _TILE].T, out=out[i:i + _TILE, j:j + _TILE])
+    return MarginalKernel(kernel.grid, kernel.k, out.reshape(kernel.data.shape))
 
 
 def hermitize(kernel: MarginalKernel) -> MarginalKernel:
-    data = 0.5 * (kernel.data + adjoint(kernel).data)
+    """(gamma + gamma^*) / 2, built in the adjoint's array."""
+    data = adjoint(kernel).data
+    data += kernel.data
+    data *= 0.5
     return MarginalKernel(kernel.grid, kernel.k, data)
 
 
@@ -231,12 +247,16 @@ def symmetrize(kernel: MarginalKernel) -> MarginalKernel:
         raise ResourceBudgetError("symmetrize supports k <= 6")
     out = kernel.data
     for i in range(1, k):
-        acc = out.copy()
+        views = []
         for j in range(i):
             sigma = list(range(k))
             sigma[j], sigma[i] = sigma[i], sigma[j]
-            acc += out.transpose(_sigma_axes(sigma, k, n))
-        out = acc / (i + 1)
+            views.append(out.transpose(_sigma_axes(sigma, k, n)))
+        acc = out + views[0]
+        for view in views[1:]:
+            acc += view
+        acc /= i + 1
+        out = acc
     return MarginalKernel(kernel.grid, kernel.k, out)
 
 
@@ -313,15 +333,6 @@ def partial_trace_last(kernel) -> "MarginalKernel | FactorizedKernel":
 
 # -- random test kernels ------------------------------------------------------
 
-def damping_envelope(grid: GridSpec, k: int, exponent: float) -> np.ndarray:
-    """prod over all 2k variables of <p>^exponent, full kernel shape."""
-    w = variable_bracket(grid) ** exponent
-    out = np.array(1.0)
-    for _ in range(2 * k):
-        out = np.multiply.outer(out, w)
-    return out
-
-
 def random_test_kernel(grid: GridSpec, k: int, alpha: float, seed: int,
                        s: float = 1.0, budget=None) -> MarginalKernel:
     """Seeded random kernel with enough momentum decay to have finite H^alpha norms.
@@ -358,11 +369,24 @@ def save_momentum_array(path, arr: np.ndarray, grid: GridSpec, k: int):
 def load_momentum_array(path, budget=None):
     """Inverse of save_momentum_array; returns (grid, k, array)."""
     with open(path, "rb") as fh:
-        n, L, M, k = _HEADER.unpack(fh.read(_HEADER.size))
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ValueError("truncated kernel file header")
+        n, L, M, k = _HEADER.unpack(header)
+        if n < 1 or M < 1 or k < 0:
+            raise ValueError(f"invalid kernel file header (n={n}, M={M}, k={k})")
         grid = GridSpec(n, L, M)
-        shape = (M,) * n if k == 0 else grid.kernel_shape(k)
-        count = int(np.prod(shape, dtype=np.int64))
-        check_budget(16 * count, budget, what="deserialized array")
+        ndim = n if k == 0 else 2 * k * n
+        limit = kernel_budget(budget)
+        count = 1
+        for _ in range(ndim):  # stops at the budget, so absurd headers cost nothing
+            count *= M
+            if 16 * count > limit:
+                raise ResourceBudgetError(
+                    f"deserialized array of {ndim} axes of length {M} is over "
+                    f"the budget of {limit} bytes; raise it via {BUDGET_ENV_VAR}"
+                )
+        shape = (M,) * ndim
         payload = np.frombuffer(fh.read(16 * count), dtype="<c16")
         if payload.size != count:
             raise ValueError("truncated kernel file")

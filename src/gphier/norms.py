@@ -67,14 +67,32 @@ def profile_inner(phi_hat: np.ndarray, psi_hat: np.ndarray, grid: GridSpec,
 
 
 def _weighted_abs_sq(kernel: MarginalKernel, alpha: float) -> np.ndarray:
+    """|gamma_hat|^2 times the bracket weights of all 2k variables.
+
+    Built block by block over leading axes, so that the 2k weight passes run
+    on cache-sized pieces instead of each sweeping the whole array.
+    """
     grid, k, n = kernel.grid, kernel.k, kernel.grid.n
-    acc = np.abs(kernel.data) ** 2
-    if alpha != 0:
-        wb = variable_bracket(grid) ** (2.0 * alpha)
-        for var in range(2 * k):
-            shape = [1] * (2 * k * n)
-            shape[var * n: (var + 1) * n] = wb.shape
-            acc *= wb.reshape(shape)
+    data = kernel.data
+    if alpha == 0:
+        return np.abs(data) ** 2
+    wb = variable_bracket(grid) ** (2.0 * alpha)
+    weights = []
+    for var in range(2 * k):
+        shape = [1] * (2 * k * n)
+        shape[var * n: (var + 1) * n] = wb.shape
+        weights.append(wb.reshape(shape))
+    lead, block_size = 0, data.size
+    while block_size > _CHUNK and lead < data.ndim - 1:
+        block_size //= data.shape[lead]
+        lead += 1
+    acc = np.empty(data.shape)
+    for idx in np.ndindex(data.shape[:lead]):
+        block = acc[idx]
+        np.abs(data[idx], out=block)
+        np.square(block, out=block)
+        for w in weights:
+            block *= w[tuple(i if w.shape[a] > 1 else 0 for a, i in enumerate(idx))]
     return acc
 
 
@@ -87,19 +105,56 @@ def sobolev_norm(kernel, alpha: float = 1.0) -> float:
     return math.sqrt(total * scale)
 
 
+def _lagrange_gap(phi: np.ndarray, delta: np.ndarray, w: np.ndarray) -> float:
+    """<phi,phi><delta,delta> - |<phi,delta>|^2 with weights w, as the sum of
+    squares 1/2 sum_ij w_i w_j |phi_i delta_j - phi_j delta_i|^2 (row blocks)."""
+    phi, delta = phi.reshape(-1), delta.reshape(-1)
+    w = np.broadcast_to(w, phi.shape).reshape(-1)
+    rows = max(1, _CHUNK // phi.size)
+    parts = []
+    for s in range(0, phi.size, rows):
+        block = np.outer(phi[s:s + rows], delta) - np.outer(delta[s:s + rows], phi)
+        parts.append(accurate_sum(w[s:s + rows, None] * w * np.abs(block) ** 2))
+    return 0.5 * math.fsum(parts)
+
+
+def _factorized_diff_norm(a: FactorizedKernel, b: FactorizedKernel,
+                          alpha: float) -> float:
+    """||F(phi,k) - F(psi,k)|| without the cancellation of na^2k + nb^2k - 2|z|^2k.
+
+    With na = ||phi||^2, nb = ||psi||^2, X = na nb and Y = |<phi,psi>|^2 the
+    squared distance is (na^k - nb^k)^2 + 2 (X^k - Y^k).  Both differences
+    are formed from phi - psi: na - nb = sum w Re((phi-psi) conj(phi+psi)),
+    and X - Y by the Lagrange identity (phi_i psi_j - phi_j psi_i =
+    phi_i d_j - phi_j d_i with d = psi - phi), then factored with
+    x^k - y^k = (x - y) sum_i x^i y^(k-1-i).
+    """
+    k, grid = a.k, a.grid
+    w = grid.measure_weight * (
+        variable_bracket(grid) ** (2.0 * alpha) if alpha != 0 else 1.0
+    )
+    phi, psi = a.phi_hat, b.phi_hat
+    na = profile_norm_sq(phi, grid, alpha)
+    nb = profile_norm_sq(psi, grid, alpha)
+    y = abs(profile_inner(phi, psi, grid, alpha)) ** 2
+    x = na * nb
+    dn = accurate_sum(w * ((phi - psi) * np.conj(phi + psi)).real)
+    dxy = _lagrange_gap(phi, psi - phi, w)
+    norms_gap = dn * math.fsum(na**i * nb**(k - 1 - i) for i in range(k))
+    inner_gap = dxy * math.fsum(x**i * y**(k - 1 - i) for i in range(k))
+    return math.sqrt(norms_gap**2 + 2.0 * inner_gap)
+
+
 def level_diff_norm(a, b, alpha: float = 1.0) -> float:
     """||a - b||_{H^alpha} for any mix of dense and factorized kernels."""
+    if a is b:
+        return 0.0
     if a.grid != b.grid or a.k != b.k:
         raise ValueError("kernels live on different grids or levels")
     if isinstance(a, FactorizedKernel) and isinstance(b, FactorizedKernel):
-        if a is b or np.array_equal(a.phi_hat, b.phi_hat):
+        if np.array_equal(a.phi_hat, b.phi_hat):
             return 0.0
-        k, grid = a.k, a.grid
-        na = profile_norm_sq(a.phi_hat, grid, alpha)
-        nb = profile_norm_sq(b.phi_hat, grid, alpha)
-        z = abs(profile_inner(a.phi_hat, b.phi_hat, grid, alpha))
-        val = na**(2 * k) + nb**(2 * k) - 2.0 * z**(2 * k)
-        return math.sqrt(max(val, 0.0))
+        return _factorized_diff_norm(a, b, alpha)
     if isinstance(a, FactorizedKernel):
         a = a.materialize()
     if isinstance(b, FactorizedKernel):

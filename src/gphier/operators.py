@@ -117,6 +117,15 @@ def _cubic_contractions(kernel: MarginalKernel):
         yield c, _trace_last_pair(kernel.data, kp * n, c)
 
 
+def cubic_contractions(kernel: MarginalKernel) -> list:
+    """All (c, C_c) of a dense kernel, for several collapse terms to share.
+
+    The contractions are the expensive part of a dense cubic collapse; they
+    take about 2/M of the kernel's memory.
+    """
+    return list(_cubic_contractions(kernel))
+
+
 def _shift_add(out: np.ndarray, src: np.ndarray, block: int, n: int, M: int, c, sign: int,
                direction: int, scale=1.0):
     """out[block idx] += scale * sign * src[idx - direction*c], truncated."""
@@ -143,12 +152,14 @@ def _validate_collapse_args(kernel, j: int, offset: int):
     return k
 
 
-def _collapse_cubic_dense(kernel: MarginalKernel, terms) -> MarginalKernel:
+def _collapse_cubic_dense(kernel: MarginalKernel, terms, contractions=None) -> MarginalKernel:
     """Shared driver: terms is a list of (j, side, sign), side 1 unprimed, 2 primed."""
     grid = kernel.grid
     k, n, M = kernel.k - 1, grid.n, grid.M
     out = np.zeros(grid.kernel_shape(k), dtype=np.complex128)
-    for c, C in _cubic_contractions(kernel):
+    if contractions is None:
+        contractions = _cubic_contractions(kernel)
+    for c, C in contractions:
         for j, side, sign in terms:
             block = (j - 1) if side == 1 else (k + j - 1)
             direction = 1 if side == 1 else -1
@@ -157,20 +168,23 @@ def _collapse_cubic_dense(kernel: MarginalKernel, terms) -> MarginalKernel:
     return MarginalKernel(grid, k, out)
 
 
-def collapse_b1(j: int, kernel) -> MarginalKernel:
-    """B1_{j,k} term applied to a (k+1)-particle kernel."""
+def collapse_b1(j: int, kernel, contractions=None) -> MarginalKernel:
+    """B1_{j,k} term applied to a (k+1)-particle kernel.
+
+    contractions, if given, is cubic_contractions(kernel) for a dense kernel.
+    """
     _validate_collapse_args(kernel, j, 1)
     if isinstance(kernel, FactorizedKernel):
         return _collapse_factorized(kernel, [(j, 1, 1)], cubic_collapse_profile)
-    return _collapse_cubic_dense(kernel, [(j, 1, 1)])
+    return _collapse_cubic_dense(kernel, [(j, 1, 1)], contractions)
 
 
-def collapse_b2(j: int, kernel) -> MarginalKernel:
-    """B2_{j,k} term (primed-side mirror)."""
+def collapse_b2(j: int, kernel, contractions=None) -> MarginalKernel:
+    """B2_{j,k} term (primed-side mirror); contractions as in collapse_b1."""
     _validate_collapse_args(kernel, j, 1)
     if isinstance(kernel, FactorizedKernel):
         return _collapse_factorized(kernel, [(j, 2, 1)], cubic_collapse_profile)
-    return _collapse_cubic_dense(kernel, [(j, 2, 1)])
+    return _collapse_cubic_dense(kernel, [(j, 2, 1)], contractions)
 
 
 def collapse_sum_cubic(kernel) -> MarginalKernel:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .kernels import MarginalKernel, permute_particles, random_test_kernel
 from .norms import sobolev_norm
-from .operators import collapse_b1, collapse_b2
+from .operators import collapse_b1, collapse_b2, cubic_contractions
 from .spectral import GridSpec, variable_bracket
 
 
@@ -221,24 +221,30 @@ def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
     acc = {a: {k: {"full": [], "term": []} for k in k_range} for a in alphas}
     for ki, k in enumerate(k_range):
         halves = {a: _half_envelope(grid, k + 1, -a) for a in alphas}
+        data = None  # reweighting buffer, allocated once the first draw passed its budget check
         for trial in range(trials):
             base = random_test_kernel(
                 grid, k + 1, alpha=0.0,
                 seed=int(draw_seeds[ki * trials + trial]),
                 budget=budget,
             )
+            if data is None:
+                data = np.empty_like(base.data)
             for a in alphas:
                 half = halves[a]
-                data = base.data * half.reshape(
-                    half.shape + (1,) * ((k + 1) * grid.n)
+                np.multiply(
+                    base.data, half.reshape(half.shape + (1,) * ((k + 1) * grid.n)),
+                    out=data,
                 )
                 data *= half
                 gamma = MarginalKernel(grid, k + 1, data)
                 denom = sobolev_norm(gamma, a)
                 if denom == 0.0:
                     continue
-                term1 = collapse_b1(1, gamma)
-                term2 = collapse_b2(1, gamma)
+                shared = cubic_contractions(gamma)
+                term1 = collapse_b1(1, gamma, shared)
+                term2 = collapse_b2(1, gamma, shared)
+                del shared
                 acc[a][k]["term"].append(sobolev_norm(term1, a) / denom)
                 acc[a][k]["term"].append(sobolev_norm(term2, a) / denom)
                 diff = MarginalKernel(grid, k, term1.data - term2.data)

@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
+import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from gphier.kernels import (
 from gphier.spectral import GridSpec
 
 TWO_PI = 2.0 * math.pi
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -196,6 +200,24 @@ class TestSolveCommand:
         assert rc == 1
         assert "missing level 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw, message", [
+        (b"", "truncated kernel file header"),
+        (b"\x01\x00\x00\x00\x00", "truncated kernel file header"),
+        (struct.pack("<idii", 1, TWO_PI, 4, 2**30), "budget"),
+    ], ids=["empty", "five_bytes", "absurd_k"])
+    def test_malformed_level_file_is_diagnosed(self, tmp_path, capsys, raw, message):
+        path = tmp_path / "level1.bin"
+        path.write_bytes(raw)
+        cfg = solve_cfg(grid={"n": 1, "L": TWO_PI, "M": 4},
+                        initial_data={"kind": "levels",
+                                      "paths": {"1": str(path)}})
+        rc = main(["solve", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+
 
 class TestErrorHandling:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -224,9 +246,11 @@ class TestErrorHandling:
         assert "'K'" in capsys.readouterr().err
 
     def test_module_entry_point(self, tmp_path):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "gphier.cli", "solve"],
             capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 1
         assert "--config" in proc.stderr

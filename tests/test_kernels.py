@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,16 @@ class TestSymmetryOps:
     def test_adjoint_involution(self):
         kern = random_kernel_raw(GRID, 2, 0)
         np.testing.assert_allclose(adjoint(adjoint(kern)).data, kern.data, rtol=1e-15)
+
+    def test_tiled_adjoint_is_conjugate_transpose(self):
+        # 6^3 = 216 rows: several adjoint tiles, including ragged edge tiles
+        for grid, k in ((GridSpec(1, 2 * np.pi, 6), 3), (GridSpec(2, 2 * np.pi, 4), 2)):
+            kern = random_kernel_raw(grid, k, 4)
+            half = k * grid.n
+            axes = list(range(half, 2 * half)) + list(range(half))
+            expect = np.conj(kern.data.transpose(axes))
+            assert np.array_equal(adjoint(kern).data, expect)
+            assert np.array_equal(hermitize(kern).data, 0.5 * (kern.data + expect))
 
     def test_hermitize_projects(self):
         kern = random_kernel_raw(GRID, 2, 1)
@@ -176,6 +188,19 @@ class TestSerialization:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(ValueError):
+            load_kernel(path)
+
+    @pytest.mark.parametrize("n, M, k", [(0, 4, 1), (1, 0, 1), (1, 4, -1)])
+    def test_invalid_header_fields_rejected(self, tmp_path, n, M, k):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(struct.pack("<idii", n, 2 * np.pi, M, k))
+        with pytest.raises(ValueError, match="invalid kernel file header"):
+            load_kernel(path)
+
+    def test_oversized_header_refused_before_reading(self, tmp_path):
+        path = tmp_path / "huge.bin"
+        path.write_bytes(struct.pack("<idii", 2**30, 2 * np.pi, 4, 2**30))
+        with pytest.raises(ResourceBudgetError):
             load_kernel(path)
 
 

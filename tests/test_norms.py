@@ -23,7 +23,7 @@ from gphier.norms import (
     weighted_norm,
 )
 from gphier.operators import free_evolve
-from gphier.spectral import GridSpec, bracket
+from gphier.spectral import GridSpec, bracket, variable_bracket
 
 GRID = GridSpec(n=1, L=2 * np.pi, M=6)
 
@@ -79,6 +79,20 @@ class TestSobolevNorm:
             np.testing.assert_allclose(
                 sobolev_norm(gamma, alpha), explicit_norm(gamma, alpha), rtol=1e-13
             )
+
+    def test_blocked_weights_match_whole_array_passes(self):
+        # 8^6 entries: the weight passes run over many leading-axis blocks
+        grid = GridSpec(n=1, L=2 * np.pi, M=8)
+        gamma = random_dense(grid, 3, seed=6)
+        for alpha in (0.5, 1.0, 2.0):
+            acc = np.abs(gamma.data) ** 2
+            w = variable_bracket(grid) ** (2.0 * alpha)
+            for var in range(6):
+                shape = [1] * 6
+                shape[var] = grid.M
+                acc *= w.reshape(shape)
+            expect = math.sqrt(accurate_sum(acc) * grid.measure_weight ** 6)
+            assert sobolev_norm(gamma, alpha) == expect
 
     def test_alpha_zero_is_scaled_frobenius(self):
         gamma = random_dense(GRID, 2, seed=2)
@@ -148,6 +162,28 @@ class TestDiffNorm:
         a, b = FactorizedKernel(GRID, 2, phi), FactorizedKernel(GRID, 2, psi)
         expect = level_diff_norm(a.materialize(), b.materialize(), 1.0)
         np.testing.assert_allclose(level_diff_norm(a, b, 1.0), expect, rtol=1e-10)
+
+    @pytest.mark.parametrize("eps, rtol", [(1e-9, 1e-6), (1e-12, 1e-3)])
+    def test_factorized_pair_close_states(self, eps, rtol):
+        # na^2k + nb^2k - 2|z|^2k cancels to nothing here; the difference
+        # of the materialized kernels is the reference
+        grid = GridSpec(n=1, L=2 * np.pi, M=8)
+        rng = np.random.default_rng(3)
+        phi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        phi *= np.exp(-0.1 * grid.modes**2)
+        direction = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        psi = phi + eps * np.linalg.norm(phi) / np.linalg.norm(direction) * direction
+        a, b = FactorizedKernel(grid, 2, phi), FactorizedKernel(grid, 2, psi)
+        dense = MarginalKernel(grid, 2, a.materialize().data - b.materialize().data)
+        expect = sobolev_norm(dense, 1.0)
+        np.testing.assert_allclose(level_diff_norm(a, b, 1.0), expect, rtol=rtol)
+
+    def test_factorized_phase_rotation_is_zero_distance(self):
+        rng = np.random.default_rng(4)
+        phi = rng.standard_normal(GRID.M) + 1j * rng.standard_normal(GRID.M)
+        a = FactorizedKernel(GRID, 3, phi)
+        b = FactorizedKernel(GRID, 3, np.exp(0.7j) * phi)
+        assert level_diff_norm(a, b, 1.0) <= 1e-14 * sobolev_norm(a, 1.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

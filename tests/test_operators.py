@@ -27,6 +27,7 @@ from gphier.operators import (
     collapse_sum_cubic,
     collapse_sum_quintic,
     cubic_collapse_profile,
+    cubic_contractions,
     free_evolve,
     quintic_collapse_profile,
 )
@@ -199,6 +200,13 @@ class TestCubicCollapse:
         np.testing.assert_allclose(
             collapse_b2(1, gamma).data, brute_b2(gamma.data, grid), rtol=1e-13
         )
+
+    def test_shared_contractions_give_identical_terms(self):
+        gamma = random_dense(GRID, 3, seed=15)
+        shared = cubic_contractions(gamma)
+        for j in (1, 2):
+            assert np.array_equal(collapse_b1(j, gamma, shared).data, collapse_b1(j, gamma).data)
+            assert np.array_equal(collapse_b2(j, gamma, shared).data, collapse_b2(j, gamma).data)
 
     def test_b2_is_adjoint_conjugate_of_b1(self):
         from gphier.kernels import adjoint

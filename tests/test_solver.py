@@ -15,7 +15,14 @@ from gphier.kernels import (
     as_dense,
     random_test_kernel,
 )
-from gphier.norms import NormParams, level_diff_norm, sobolev_norm
+from gphier import solver as solver_module
+from gphier.norms import (
+    NormParams,
+    level_diff_norm,
+    sobolev_norm,
+    weighted_distance,
+    weighted_norm,
+)
 from gphier.operators import Interaction, apply_btilde, free_evolve
 from gphier.solver import (
     ClosureRule,
@@ -32,7 +39,7 @@ from gphier.solver import (
     plan_memory,
     solve,
 )
-from gphier.spectral import GridSpec
+from gphier.spectral import GridSpec, inverse_transform
 
 GRID = GridSpec(n=1, L=2 * np.pi, M=6)
 PARAMS = NormParams(alpha=1.0, xi=0.5)
@@ -347,8 +354,6 @@ class TestSolve:
 
     def test_factorized_top_closure_runs(self):
         phi = band_profile(GRID, seed=55)
-        from gphier.spectral import inverse_transform
-
         phi_x = inverse_transform(phi, GRID)
         gamma0 = factorized_sequence(GRID, 3, seed=55)
         config = config_for(
@@ -392,6 +397,110 @@ class TestSolve:
         np.testing.assert_allclose(
             traj.states[-1].level(1).data, want, rtol=1e-11, atol=1e-13
         )
+
+
+def reference_solve(gamma0, config):
+    """solve() spelled out with full Duhamel steps: every sourced level is
+    re-integrated at every step, including the residual step."""
+    params = config.params
+    traj = convention_trajectory(gamma0, config)
+    distances = []
+    for _ in range(config.m_max):
+        new = picard_step(traj, gamma0, config)
+        d = max(weighted_distance(a, b, params)
+                for a, b in zip(new.states, traj.states))
+        distances.append(d)
+        traj = new
+        if d <= config.tol_cauchy * max(1.0, weighted_norm(new.states[-1], params)):
+            break
+    extra = picard_step(traj, gamma0, config)
+    residuals = {}
+    for k in config.sourced_levels:
+        denom = max(sobolev_norm(s.level(k), params.alpha) for s in traj.states)
+        gap = max(level_diff_norm(a.level(k), b.level(k), params.alpha)
+                  for a, b in zip(traj.states, extra.states))
+        residuals[k] = gap / denom if denom > 0 else gap
+    return traj, distances, residuals
+
+
+def schedule_case(name):
+    grid4 = GridSpec(n=1, L=2 * np.pi, M=4)
+    quintic = Interaction("quintic", 1)
+    if name == "cubic_free":
+        return factorized_sequence(GRID, 4, seed=70), config_for(K=4)
+    if name == "cubic_simpson":
+        return factorized_sequence(GRID, 4, seed=71), config_for(
+            K=4, quadrature="simpson")
+    if name == "cubic_zero_top":
+        return factorized_sequence(GRID, 4, seed=72), config_for(
+            K=4, closure=ClosureRule("zero_top"))
+    if name == "cubic_factorized_top":
+        phi_x = inverse_transform(band_profile(GRID, seed=73), GRID)
+        return factorized_sequence(GRID, 3, seed=73), config_for(
+            K=3, closure=ClosureRule("factorized_top", phi0=phi_x, substeps=8))
+    if name == "cubic_dense":
+        return random_sequence(GRID, 3, seed=74), config_for(K=3)
+    if name == "cubic_m_max":
+        return factorized_sequence(GRID, 4, seed=75), config_for(K=4, m_max=2)
+    phi = band_profile(grid4, seed=76)
+    gamma0 = HierarchySequence(
+        5, 0.5, tuple(FactorizedKernel(grid4, k, phi) for k in range(1, 6))
+    )
+    quadrature = "simpson" if name == "quintic_simpson" else "trapezoid"
+    return gamma0, SolverConfig(
+        grid=grid4, interaction=quintic, params=PARAMS, K=5, T=0.1, N_t=4,
+        quadrature=quadrature,
+    )
+
+
+class TestFrozenLevelSchedule:
+    @pytest.mark.parametrize("name", [
+        "cubic_free", "cubic_simpson", "cubic_zero_top", "cubic_factorized_top",
+        "cubic_dense", "cubic_m_max", "quintic_free", "quintic_simpson",
+    ])
+    def test_bitwise_equal_to_full_picard_steps(self, name):
+        gamma0, config = schedule_case(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            traj, report = solve(gamma0, config)
+        ref, distances, residuals = reference_solve(gamma0, config)
+        assert report.iterations == len(distances)
+        assert report.converged == (name != "cubic_m_max")
+        assert report.cauchy_distances == distances
+        assert report.residuals == residuals
+        for got, want in zip(traj.states, ref.states):
+            for k in range(1, config.K + 1):
+                a, b = got.level(k), want.level(k)
+                assert type(a) is type(b)
+                if isinstance(a, FactorizedKernel):
+                    assert np.array_equal(a.phi_hat, b.phi_hat)
+                else:
+                    assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("kind, K, expected", [
+        ("cubic", 4, 57), ("quintic", 5, 39), ("cubic", 3, 29),
+    ])
+    def test_collapse_count(self, monkeypatch, kind, K, expected):
+        grid = GridSpec(n=1, L=2 * np.pi, M=8)
+        phi = band_profile(grid, seed=77)
+        gamma0 = HierarchySequence(
+            K, 0.5, tuple(FactorizedKernel(grid, k, phi) for k in range(1, K + 1))
+        )
+        config = SolverConfig(
+            grid=grid, interaction=Interaction(kind, 1), params=PARAMS, K=K,
+            T=0.05, N_t=8,
+        )
+        calls = []
+        original = solver_module.apply_btilde
+
+        def counting(kernel, interaction):
+            calls.append(kernel.k)
+            return original(kernel, interaction)
+
+        monkeypatch.setattr(solver_module, "apply_btilde", counting)
+        _, report = solve(gamma0, config)
+        assert report.converged
+        assert len(calls) == expected
 
 
 class TestMemoryPlanning:
