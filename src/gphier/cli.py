@@ -42,6 +42,7 @@ from .solver import (
     ClosureRule,
     SolverConfig,
     duhamel_bound_rows,
+    planned_collapses,
     solve,
 )
 from .spectral import GridSpec
@@ -317,24 +318,25 @@ def preflight_budget() -> int:
         raise CliError(f"environment variable {BUDGET_ENV_VAR} is not a number") from exc
 
 
-def preflight(grid: GridSpec, K: int, N_t: int, m_max: int,
-              override: bool) -> dict:
+def preflight(config: SolverConfig, override: bool) -> dict:
     """Trajectory-storage estimate; refuses oversize configs without override.
 
     The estimate counts N_t stored nodes of all K dense levels, which is
-    deliberately pessimistic for runs that keep top levels factorized.
+    deliberately pessimistic for runs that keep top levels factorized.  The
+    collapse count is the solver's own schedule bound, planned_collapses.
     """
+    grid, N_t = config.grid, config.N_t
     per_level = [(k, grid.kernel_entries(k), grid.kernel_bytes(k))
-                 for k in range(1, K + 1)]
+                 for k in range(1, config.K + 1)]
     total = N_t * sum(b for _, _, b in per_level)
-    collapse_ops = m_max * (N_t + 1) * sum(2 * k for k in range(1, K + 1))
+    collapse_ops = planned_collapses(config)
     budget = preflight_budget()
     print("preflight: per-level kernel sizes")
     for k, entries, nbytes in per_level:
         print(f"  level {k}: {entries} complex entries, {nbytes:.3e} bytes")
     print(f"preflight: trajectory storage {total:.3e} bytes "
           f"({N_t} nodes x all levels), budget {budget:.3e} bytes")
-    print(f"preflight: ~{collapse_ops} collapse applications planned")
+    print(f"preflight: at most {collapse_ops} collapse applications")
     if total > budget:
         if not override:
             raise CliError(
@@ -363,8 +365,7 @@ def cmd_solve(args) -> int:
     interaction = build_interaction(cfg)
     config = build_solver_config(cfg, args, grid, interaction)
     out = prepare_output(args, cfg, "solve")
-    plan = preflight(grid, config.K, config.N_t, config.m_max,
-                     args.override_budget)
+    plan = preflight(config, args.override_budget)
 
     seed = args.seed if args.seed is not None else _typed(cfg, "seed", int, 0)
     gamma0 = build_initial_sequence(cfg, grid, config.K, config.params.xi,
@@ -483,7 +484,7 @@ def cmd_compare_nls(args) -> int:
     interaction = build_interaction(cfg)
     config = build_solver_config(cfg, args, grid, interaction)
     out = prepare_output(args, cfg, "compare-nls")
-    preflight(grid, config.K, config.N_t, config.m_max, args.override_budget)
+    preflight(config, args.override_budget)
 
     data = _field(cfg, "initial_data", required=True)
     if _field(data, "kind", "factorized") != "factorized":

@@ -13,6 +13,7 @@ it, which is what makes deep hierarchy levels affordable.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -269,26 +270,49 @@ def symmetrize_bruteforce(kernel: MarginalKernel) -> MarginalKernel:
     return MarginalKernel(kernel.grid, kernel.k, acc / factorial(k))
 
 
-def _rel_defect(a: np.ndarray, b: np.ndarray) -> float:
-    scale = np.linalg.norm(a.ravel())
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm((a - b).ravel()) / scale)
+def _sq_norm(a: np.ndarray) -> float:
+    """sum |a|^2 of a block."""
+    return float(np.vdot(a, a).real)
 
 
 def symmetry_defect(kernel: MarginalKernel) -> float:
-    """Largest relative deviation from Theta_sigma invariance over swaps."""
+    """Largest relative deviation from Theta_sigma invariance over swaps.
+
+    Each swap difference is formed one leading-axis slice at a time.
+    """
     k, n = kernel.k, kernel.grid.n
+    data = kernel.data
+    scale = float(np.linalg.norm(data.ravel()))
+    if scale == 0.0:
+        return 0.0
     worst = 0.0
     for i in range(1, k):
         sigma = list(range(k))
         sigma[0], sigma[i] = sigma[i], sigma[0]
-        worst = max(worst, _rel_defect(kernel.data, kernel.data.transpose(_sigma_axes(sigma, k, n))))
+        swapped = data.transpose(_sigma_axes(sigma, k, n))
+        total = sum(_sq_norm(data[a] - swapped[a]) for a in range(data.shape[0]))
+        worst = max(worst, math.sqrt(total) / scale)
     return worst
 
 
 def hermiticity_defect(kernel: MarginalKernel) -> float:
-    return _rel_defect(kernel.data, adjoint(kernel).data)
+    """||gamma - gamma^*|| / ||gamma||, without forming the adjoint.
+
+    The squared difference is summed over _TILE x _TILE tiles of the
+    (unprimed, primed) matrix; tile (j, i) of gamma - gamma^* is minus the
+    conjugate transpose of tile (i, j), so only tiles with j >= i are formed.
+    """
+    rows = kernel.grid.M ** (kernel.k * kernel.grid.n)
+    mat = kernel.data.reshape(rows, rows)
+    scale = float(np.linalg.norm(mat.ravel()))
+    if scale == 0.0:
+        return 0.0
+    total = 0.0
+    for i in range(0, rows, _TILE):
+        for j in range(i, rows, _TILE):
+            diff = mat[i:i + _TILE, j:j + _TILE] - np.conj(mat[j:j + _TILE, i:i + _TILE].T)
+            total += _sq_norm(diff) * (1.0 if i == j else 2.0)
+    return math.sqrt(total) / scale
 
 
 def is_symmetric(kernel, tol: float = 1e-10) -> bool:

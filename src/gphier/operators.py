@@ -15,10 +15,17 @@ position-space product |phi(x)|^2 phi(x) conj(phi(x')).  The quintic
 operators contract two particle pairs and shift by -(q_1+q_2-q'_1-q'_2),
 weight 1/L^4n.
 
-Factorized kernels take a fast path: the collapse of prod phi phi' is again
-an outer product whose modified one-particle factor is a truncated
-convolution of profiles; it matches the dense path to rounding and never
-materializes the input level.
+Factorized kernels take a fast path that never materializes the input
+level.  Each collapse term of prod phi phi' replaces one factor by a
+modified one-particle profile h, a truncated convolution of profiles.
+Summing the terms of one side over j gives the one-level vector
+S = sum_j sign_j phi x .. h (slot j) .. x phi of size M^(kn), built from the
+prefix products P_i = phi^(x i); the output is then the two outer products
+S_1 x conj(P_k) + P_k x conj(S_2).  It matches the dense path to rounding.
+
+Full-size passes (the free phase, the second outer product) run over the
+(unprimed x primed) matrix view of a kernel in row blocks of about
+_BLOCK entries, so that no temporary grows with the kernel.
 """
 
 from __future__ import annotations
@@ -30,10 +37,12 @@ import numpy as np
 from scipy.signal import convolve as _nd_convolve
 
 from .kernels import FactorizedKernel, MarginalKernel, check_budget
-from .spectral import GridSpec
+from .spectral import GridSpec, variable_psq
 
 CUBIC = "cubic"
 QUINTIC = "quintic"
+
+_BLOCK = 1 << 16  # entries per row block of a full-size pass
 
 
 @dataclass(frozen=True)
@@ -57,22 +66,35 @@ class Interaction:
 
 # -- free evolution -----------------------------------------------------------
 
-def _phase_1d(grid: GridSpec, t: float) -> np.ndarray:
-    q = grid.momenta
-    return np.exp(-1j * t * q * q)
+def _prefix_products(v: np.ndarray, k: int) -> list:
+    """[P_0, .., P_k] with P_i the flat i-fold outer power of v (P_0 = [1])."""
+    out = [np.ones(1, dtype=np.complex128)]
+    for _ in range(k):
+        out.append(np.multiply.outer(out[-1], v).reshape(-1))
+    return out
+
+
+def _row_step(rows: int) -> int:
+    return max(1, _BLOCK // rows)
 
 
 def apply_free_phase(data: np.ndarray, grid: GridSpec, k: int, t: float) -> np.ndarray:
-    """In-place free-evolution phase on a raw kernel array; returns data."""
+    """In-place free-evolution phase on a C-contiguous raw kernel array; returns data.
+
+    One pass over the (unprimed x primed) matrix view: row block r is
+    multiplied by P[r, None] * conj(P) with P the phase vector of k
+    particle variables.
+    """
     if t == 0.0:
         return data
-    ph = _phase_1d(grid, t)
+    one = np.exp(-1j * t * variable_psq(grid)).reshape(-1)
+    ph = _prefix_products(one, k)[k]
     ph_conj = np.conj(ph)
-    n = grid.n
-    for axis in range(2 * k * n):
-        shape = [1] * (2 * k * n)
-        shape[axis] = grid.M
-        data *= (ph if axis < k * n else ph_conj).reshape(shape)
+    rows = ph.size
+    mat = data.reshape(rows, rows, copy=False)
+    step = _row_step(rows)
+    for r in range(0, rows, step):
+        mat[r:r + step] *= np.multiply.outer(ph[r:r + step], ph_conj)
     return data
 
 
@@ -87,8 +109,6 @@ def free_evolve(kernel, t: float):
 
 def free_evolve_wavefunction(phi_hat: np.ndarray, grid: GridSpec, t: float) -> np.ndarray:
     """exp(it Lap) on a one-particle momentum profile."""
-    from .spectral import variable_psq
-
     return phi_hat * np.exp(-1j * t * variable_psq(grid))
 
 
@@ -317,31 +337,32 @@ def quintic_collapse_profile(phi_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
     return h * grid.measure_weight ** 4
 
 
-def _outer(blocks) -> np.ndarray:
-    out = np.array(1.0 + 0.0j)
-    for b in blocks:
-        out = np.multiply.outer(out, b)
-    return out
-
-
 def _collapse_factorized(kernel: FactorizedKernel, terms, profile_fn, offset: int = 1,
                          budget=None) -> MarginalKernel:
     grid = kernel.grid
     k = kernel.k - offset
     check_budget(grid.kernel_bytes(k), budget, what=f"k={k} collapse output")
-    phi = kernel.phi_hat
-    h = profile_fn(phi, grid)
-    base = [phi] * k + [np.conj(phi)] * k
-    out = np.zeros(grid.kernel_shape(k), dtype=np.complex128)
+    phi = kernel.phi_hat.reshape(-1)
+    h = profile_fn(kernel.phi_hat, grid).reshape(-1)
+    prefix = _prefix_products(phi, k)
+    sums = {}  # side -> sum_j sign_j phi x .. h (slot j) .. x phi
     for j, side, sign in terms:
-        blocks = list(base)
-        if side == 1:
-            blocks[j - 1] = h
+        term = np.multiply.outer(np.multiply.outer(prefix[j - 1], h), prefix[k - j])
+        term = term.reshape(-1)
+        if side not in sums:
+            sums[side] = term if sign > 0 else -term
+        elif sign > 0:
+            sums[side] += term
         else:
-            blocks[k + j - 1] = np.conj(h)
-        term = _outer(blocks)
-        if sign > 0:
-            out += term
-        else:
-            out -= term
-    return MarginalKernel(grid, k, out)
+            sums[side] -= term
+    p = prefix[k]
+    rows = p.size
+    out = np.zeros((rows, rows), dtype=np.complex128)
+    if 1 in sums:
+        np.multiply.outer(sums[1], np.conj(p), out=out)
+    if 2 in sums:
+        s2_conj = np.conj(sums[2])
+        step = _row_step(rows)
+        for r in range(0, rows, step):
+            out[r:r + step] += np.multiply.outer(p[r:r + step], s2_conj)
+    return MarginalKernel(grid, k, out.reshape(grid.kernel_shape(k)))

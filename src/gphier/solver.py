@@ -13,7 +13,9 @@ the initial data, identically zero, or the factorized NLS trajectory.
 The integral is evaluated by composite quadrature over the stored nodes.
 Writing g(s) = U0(-s) Btilde gamma^(k+off)(s), the prefix integrals of g
 accumulate in O(N_t) array passes and each node needs only a short window
-of g values, so a Picard step never holds a whole level's source list.  A
+of g values, so a Picard step never holds a whole level's source list.  The
+prefix is updated in place (bitwise the out-of-place trapezoid and Simpson
+formulas), so a push allocates no level-sized array.  A
 source that is the same object at every node (the convention start, a
 zero_top closure, the remainder's R_0) is collapsed once and its collapse
 copied per node; any other source is collapsed node by node.
@@ -215,6 +217,36 @@ class RunReport:
 
 # -- quadrature ---------------------------------------------------------------
 
+_BLOCK = 1 << 16  # entries per block of a quadrature update
+
+
+def _trapezoid_panel(out, tmp, dt, prefix, g1, g0):
+    """out = prefix + (dt / 2) * (g1 + g0)"""
+    np.add(g1, g0, out=tmp)
+    np.multiply(dt / 2.0, tmp, out=tmp)
+    np.add(prefix, tmp, out=out)
+
+
+def _simpson_panel(out, tmp, dt, even, g2, g1, g0):
+    """out = even + (dt / 3) * (g2 + 4 g1 + g0)"""
+    np.multiply(4.0, g1, out=tmp)
+    np.add(g2, tmp, out=tmp)
+    np.add(tmp, g0, out=tmp)
+    np.multiply(dt / 3.0, tmp, out=tmp)
+    np.add(even, tmp, out=out)
+
+
+def _three_eighths_panel(out, tmp, dt, even, g3, g2, g1, g0):
+    """out = even + (3 dt / 8) * (g3 + 3 g2 + 3 g1 + g0); out must not be even"""
+    np.multiply(3.0, g2, out=tmp)
+    np.add(g3, tmp, out=tmp)
+    np.multiply(3.0, g1, out=out)
+    np.add(tmp, out, out=tmp)
+    np.add(tmp, g0, out=tmp)
+    np.multiply(3.0 * dt / 8.0, tmp, out=tmp)
+    np.add(even, tmp, out=out)
+
+
 class _PrefixIntegrator:
     """Running prefix integrals of a streamed integrand on uniform nodes.
 
@@ -222,6 +254,12 @@ class _PrefixIntegrator:
     composite Simpson with a 3/8 closing rule at odd prefixes (plain
     trapezoid for the very first interval, which the even chain never
     propagates).
+
+    The prefix is updated in place, block by block, with the same
+    operations in the same order as the out-of-place formulas, so the
+    values are bitwise theirs and no temporary grows with g.  The returned
+    array is one of the integrator's buffers: it is valid until the next
+    push, and callers must not modify it.  Pushed arrays are only read.
     """
 
     def __init__(self, rule: str, dt: float):
@@ -229,9 +267,19 @@ class _PrefixIntegrator:
         self.dt = dt
         self.i = -1
         self.window = []
-        self.prefix = None
-        self.even = None
+        self.prefix = None  # the trapezoid prefix, or Simpson's even chain
         self.even_prev = None
+        self.out = None
+        self.tmp = None
+
+    def _update(self, panel, out, *arrays):
+        """panel(out, tmp, dt, *arrays) over aligned blocks of the flat arrays."""
+        flat = [a.reshape(-1) for a in arrays]
+        dest = out.reshape(-1)
+        for s in range(0, dest.size, _BLOCK):
+            e = min(s + _BLOCK, dest.size)
+            panel(dest[s:e], self.tmp[:e - s], self.dt, *(a[s:e] for a in flat))
+        return out
 
     def push(self, g: np.ndarray) -> np.ndarray:
         self.i += 1
@@ -240,21 +288,26 @@ class _PrefixIntegrator:
         if len(self.window) > 4:
             self.window.pop(0)
         if i == 0:
-            self.prefix = np.zeros_like(g)
-            self.even = self.prefix
+            self.prefix = np.zeros(g.shape, dtype=g.dtype)
+            self.tmp = np.empty(min(g.size, _BLOCK), dtype=g.dtype)
             return self.prefix
         if self.rule == TRAPEZOID:
-            self.prefix = self.prefix + (dt / 2.0) * (self.window[-2] + self.window[-1])
-            return self.prefix
+            return self._update(_trapezoid_panel, self.prefix, self.prefix,
+                                *self.window[-2:])
+        if self.out is None:
+            self.out = np.empty_like(self.prefix)
         if i == 1:
-            return (dt / 2.0) * (self.window[-2] + self.window[-1])
+            np.add(self.window[-2], self.window[-1], out=self.out)
+            return np.multiply(dt / 2.0, self.out, out=self.out)
         if i % 2 == 0:
-            g2, g1, g0 = self.window[-3], self.window[-2], self.window[-1]
-            new_even = self.even + (dt / 3.0) * (g2 + 4.0 * g1 + g0)
-            self.even_prev, self.even = self.even, new_even
-            return new_even
-        g3, g2, g1, g0 = self.window[-4:]
-        return self.even_prev + (3.0 * dt / 8.0) * (g3 + 3.0 * g2 + 3.0 * g1 + g0)
+            # the new chain value overwrites the one two even nodes back,
+            # which no later prefix needs
+            dest = self.even_prev if self.even_prev is not None else np.empty_like(self.prefix)
+            self._update(_simpson_panel, dest, self.prefix, *self.window[-3:])
+            self.even_prev, self.prefix = self.prefix, dest
+            return dest
+        return self._update(_three_eighths_panel, self.out, self.even_prev,
+                            *self.window[-4:])
 
 
 def _integrate_duhamel(sources, times, rule, gamma0_data, grid, k, interaction):
@@ -342,6 +395,35 @@ def plan_memory(config: SolverConfig) -> dict:
         "total_bytes": total,
         "budget_bytes": budget,
     }
+
+
+def planned_collapses(config: SolverConfig) -> int:
+    """Upper bound on the collapses solve() makes, from its schedule alone.
+
+    Walks the frozen-level schedule without building arrays: at step 1 every
+    sourced level integrates the constant convention start (one collapse);
+    later a level is re-integrated when its source level changed, at one
+    collapse for a zero_top closure source (the same kernel at every node)
+    and N_t+1 otherwise.  The walk ends at the first step that re-integrates
+    nothing, or after m_max steps, and then adds the residual step.  solve()
+    makes exactly this many unless it converges before the schedule runs out.
+    """
+    off, nodes = config.offset, config.N_t + 1
+    closure = set(config.closure_levels)
+    constant = closure if config.closure.kind == ZERO_TOP else set()
+
+    def step(changed):
+        redone = {k for k in config.sourced_levels if k + off in changed}
+        return redone, sum(1 if k + off in constant else nodes for k in redone)
+
+    total = len(config.sourced_levels)
+    changed = set(config.sourced_levels) | closure
+    for _ in range(config.m_max - 1):
+        if not changed:
+            break
+        changed, cost = step(changed)
+        total += cost
+    return total + step(changed)[1]
 
 
 def _frozen_step(times: np.ndarray, levels: dict, changed: set, gamma0_data: dict,
@@ -505,6 +587,7 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
     distances = []
     converged = False
     iterations = 0
+    last_norms = {}  # level -> norm of its last-node kernel, for the stop scale
     for _ in range(config.m_max):
         levels, changed = _frozen_step(
             prev.times, levels, changed, gamma0_data, closure, config
@@ -518,7 +601,11 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
             )
         distances.append(d)
         prev = new
-        scale = max(1.0, weighted_norm(new.states[-1], stop_params))
+        for k in changed:
+            last_norms[k] = sobolev_norm(levels[k][-1], alpha)
+        scale = max(1.0, math.fsum(
+            stop_weight**k * last_norms[k] for k in range(1, config.K + 1)
+        ))
         if d <= config.tol_cauchy * scale:
             converged = True
             break
@@ -533,11 +620,12 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
 
     # self-consistency residual: one more Duhamel step, level by level
     extra, _ = _frozen_step(final.times, levels, changed, gamma0_data, closure, config)
+    # every final kernel normed once, for the residuals and the trajectory norm
+    norms = {k: [sobolev_norm(kern, alpha) for kern in levels[k]]
+             for k in range(1, config.K + 1)}
     residuals = {}
     for k in config.sourced_levels:
-        denom = max(
-            (sobolev_norm(s.level(k), alpha) for s in final.states), default=0.0
-        )
+        denom = max(norms[k], default=0.0)
         gap = max(
             level_diff_norm(a, b, alpha) for a, b in zip(levels[k], extra[k])
         )
@@ -563,7 +651,8 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
         hermiticity_defects=hermiticity,
         symmetry_defects=symmetry,
         trajectory_norm=max(
-            weighted_norm(s, stop_params) for s in final.states
+            math.fsum(stop_weight**k * norms[k][i] for k in range(1, config.K + 1))
+            for i in range(len(final.times))
         ),
         initial_norm=weighted_norm(gamma0, config.params),
         c_hat=c_hat,

@@ -77,6 +77,10 @@ class TestPreflight:
         assert rc == 0
         assert "2.130e+07" in captured.out
         assert (out / "report.json").exists()
+        # the solver's schedule bound, which this run reaches exactly
+        assert "at most 20 collapse applications" in captured.out
+        report = json.loads((out / "report.json").read_text())
+        assert report["preflight"]["collapse_ops"] == 20
 
     def test_override_flag_accepts_oversize(self, tmp_path):
         cfg = solve_cfg(grid={"n": 1, "L": TWO_PI, "M": 8}, K=4, N_t=5,

@@ -119,6 +119,45 @@ class TestSymmetryOps:
         assert not np.allclose(swapped.data, kern.data)
 
 
+def reference_defects(kern):
+    """(hermiticity, symmetry) defects from whole-array differences."""
+    data, k, n = kern.data, kern.k, kern.grid.n
+    half = k * n
+    scale = np.linalg.norm(data)
+    if scale == 0.0:
+        return 0.0, 0.0
+    adj = np.conj(data.transpose(list(range(half, 2 * half)) + list(range(half))))
+    herm = np.linalg.norm(data - adj) / scale
+    symm = 0.0
+    for i in range(1, k):
+        sigma = list(range(k))
+        sigma[0], sigma[i] = sigma[i], sigma[0]
+        axes = [a for j in sigma for a in range(j * n, (j + 1) * n)]
+        axes += [a + half for a in axes]
+        symm = max(symm, np.linalg.norm(data - data.transpose(axes)) / scale)
+    return herm, symm
+
+
+class TestDefects:
+    @pytest.mark.parametrize("grid, k", [
+        # 1000 rows: ragged edge tiles, and 10 leading-axis slices per swap
+        (GridSpec(1, 2 * np.pi, 10), 3),
+        (GridSpec(1, 2 * np.pi, 10), 1),
+        (GridSpec(2, 2 * np.pi, 4), 2),
+    ])
+    def test_match_whole_array_differences(self, grid, k):
+        kern = random_kernel_raw(grid, k, 12)
+        herm, symm = reference_defects(kern)
+        assert herm > 0.1 and (k == 1 or symm > 0.1)
+        assert hermiticity_defect(kern) == pytest.approx(herm, rel=1e-12)
+        assert symmetry_defect(kern) == pytest.approx(symm, rel=1e-12, abs=0.0)
+
+    def test_zero_kernel(self):
+        kern = MarginalKernel.zeros(GridSpec(1, 2 * np.pi, 10), 3)
+        assert hermiticity_defect(kern) == 0.0
+        assert symmetry_defect(kern) == 0.0
+
+
 class TestTraces:
     def test_partial_trace_factorized(self):
         phi = gaussian_phi(GRID)

@@ -18,6 +18,7 @@ from gphier.kernels import (
 from gphier.operators import (
     Interaction,
     apply_btilde,
+    apply_free_phase,
     collapse_b1,
     collapse_b2,
     collapse_cubic,
@@ -398,3 +399,81 @@ class TestDispatch:
         expected = np.zeros_like(phi)
         expected[GRID.M // 2] = abs(amp) ** 4 * amp * GRID.measure_weight**4
         np.testing.assert_allclose(h, expected, atol=1e-14)
+
+
+# -- the one-pass kernels against the formulas they replaced -----------------------
+
+def max_rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def chained_outer_collapse(kernel, terms, profile_fn, offset):
+    """The factorized collapse as 2k chained outer products per term."""
+    grid, k = kernel.grid, kernel.k - offset
+    phi = kernel.phi_hat
+    h = profile_fn(phi, grid)
+    base = [phi] * k + [np.conj(phi)] * k
+    out = np.zeros(grid.kernel_shape(k), dtype=np.complex128)
+    for j, side, sign in terms:
+        blocks = list(base)
+        if side == 1:
+            blocks[j - 1] = h
+        else:
+            blocks[k + j - 1] = np.conj(h)
+        term = np.array(1.0 + 0.0j)
+        for b in blocks:
+            term = np.multiply.outer(term, b)
+        out += sign * term
+    return out
+
+
+def per_axis_phase(data, grid, k, t):
+    """The free phase as 2kn broadcast passes, one per axis."""
+    ph = np.exp(-1j * t * grid.momenta * grid.momenta)
+    out = data.copy()
+    for axis in range(2 * k * grid.n):
+        shape = [1] * (2 * k * grid.n)
+        shape[axis] = grid.M
+        out *= (ph if axis < k * grid.n else np.conj(ph)).reshape(shape)
+    return out
+
+
+class TestOnePassKernels:
+    @pytest.mark.parametrize("grid, kind, K", [
+        (GridSpec(n=1, L=4.0, M=6), "cubic", 4),
+        (GridSpec(n=2, L=3.0, M=4), "cubic", 3),
+        (GridSpec(n=1, L=4.0, M=6), "quintic", 5),
+        (GridSpec(n=2, L=3.0, M=4), "quintic", 4),
+    ])
+    def test_factorized_collapse_matches_chained_outer_products(self, grid, kind, K):
+        lazy = FactorizedKernel(grid, K, random_profile(grid, seed=40 + K))
+        if kind == "cubic":
+            offset, profile = 1, cubic_collapse_profile
+            unprimed, primed, total = collapse_b1, collapse_b2, collapse_sum_cubic
+        else:
+            offset, profile = 2, quintic_collapse_profile
+            unprimed, primed, total = collapse_q1, collapse_q2, collapse_sum_quintic
+        k = K - offset
+        for j in range(1, k + 1):
+            for op, side in ((unprimed, 1), (primed, 2)):
+                want = chained_outer_collapse(lazy, [(j, side, 1)], profile, offset)
+                assert max_rel(op(j, lazy).data, want) <= 1e-14
+        terms = [(j, 1, 1) for j in range(1, k + 1)] + [(j, 2, -1) for j in range(1, k + 1)]
+        want = chained_outer_collapse(lazy, terms, profile, offset)
+        assert max_rel(total(lazy).data, want) <= 1e-14
+
+    @pytest.mark.parametrize("grid, k", [
+        # M=10, k=3: 1000 rows, not a multiple of the row block
+        (GridSpec(n=1, L=2 * np.pi, M=10), 1),
+        (GridSpec(n=1, L=2 * np.pi, M=10), 2),
+        (GridSpec(n=1, L=2 * np.pi, M=10), 3),
+        (GridSpec(n=2, L=3.0, M=4), 1),
+        (GridSpec(n=2, L=3.0, M=4), 2),
+    ])
+    @pytest.mark.parametrize("t", [0.37, -0.21])
+    def test_free_phase_matches_per_axis_passes(self, grid, k, t):
+        gamma = random_dense(grid, k, seed=50 + k)
+        want = per_axis_phase(gamma.data, grid, k, t)
+        data = gamma.data.copy()
+        assert apply_free_phase(data, grid, k, t) is data
+        assert max_rel(data, want) <= 1e-14

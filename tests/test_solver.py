@@ -37,6 +37,7 @@ from gphier.solver import (
     duhamel_term,
     picard_step,
     plan_memory,
+    planned_collapses,
     solve,
 )
 from gphier.spectral import GridSpec, inverse_transform
@@ -138,6 +139,45 @@ class TestPrefixIntegrator:
             got, want = self.poly_prefix("trapezoid", N, 4)
             errs.append(abs(got[-1] - want[-1]))
         assert 3.5 <= errs[0] / errs[1] <= 4.5
+
+    @staticmethod
+    def out_of_place_prefixes(rule, gs, dt):
+        """The composite rules with a new array per prefix."""
+        out, prefix, even, even_prev = [], None, None, None
+        for i in range(len(gs)):
+            w = gs[max(0, i - 3): i + 1]
+            if i == 0:
+                prefix = even = np.zeros_like(gs[0])
+                out.append(prefix)
+            elif rule == "trapezoid":
+                prefix = prefix + (dt / 2.0) * (w[-2] + w[-1])
+                out.append(prefix)
+            elif i == 1:
+                out.append((dt / 2.0) * (w[-2] + w[-1]))
+            elif i % 2 == 0:
+                g2, g1, g0 = w[-3:]
+                even_prev, even = even, even + (dt / 3.0) * (g2 + 4.0 * g1 + g0)
+                out.append(even)
+            else:
+                g3, g2, g1, g0 = w
+                out.append(even_prev
+                           + (3.0 * dt / 8.0) * (g3 + 3.0 * g2 + 3.0 * g1 + g0))
+        return out
+
+    @pytest.mark.parametrize("rule", ["trapezoid", "simpson"])
+    def test_in_place_prefix_is_bitwise_out_of_place(self, rule):
+        # 90000 entries: more than one update block
+        rng = np.random.default_rng(5)
+        shape = (3, 30000)
+        for N in range(1, 10):
+            gs = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                  for _ in range(N + 1)]
+            pushed = [g.copy() for g in gs]
+            integ = _PrefixIntegrator(rule, 0.3 / N)
+            got = [integ.push(g).copy() for g in pushed]
+            want = self.out_of_place_prefixes(rule, gs, 0.3 / N)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert all(np.array_equal(a, b) for a, b in zip(pushed, gs))
 
 
 def direct_duhamel_at_node(gamma0_k, sources, times, i, interaction):
@@ -453,6 +493,19 @@ def schedule_case(name):
     )
 
 
+def count_collapses(monkeypatch) -> list:
+    """Record the level of every kernel the solver collapses."""
+    calls = []
+    original = solver_module.apply_btilde
+
+    def counting(kernel, interaction):
+        calls.append(kernel.k)
+        return original(kernel, interaction)
+
+    monkeypatch.setattr(solver_module, "apply_btilde", counting)
+    return calls
+
+
 class TestFrozenLevelSchedule:
     @pytest.mark.parametrize("name", [
         "cubic_free", "cubic_simpson", "cubic_zero_top", "cubic_factorized_top",
@@ -490,17 +543,33 @@ class TestFrozenLevelSchedule:
             grid=grid, interaction=Interaction(kind, 1), params=PARAMS, K=K,
             T=0.05, N_t=8,
         )
-        calls = []
-        original = solver_module.apply_btilde
-
-        def counting(kernel, interaction):
-            calls.append(kernel.k)
-            return original(kernel, interaction)
-
-        monkeypatch.setattr(solver_module, "apply_btilde", counting)
+        calls = count_collapses(monkeypatch)
         _, report = solve(gamma0, config)
         assert report.converged
         assert len(calls) == expected
+        assert planned_collapses(config) == expected
+
+    @pytest.mark.parametrize("closure, m_max, expected", [
+        ("free_top", 2, 48), ("zero_top", 10, 49),
+    ])
+    def test_planned_collapses_equal_executed(self, monkeypatch, closure, m_max,
+                                              expected):
+        # m_max=2 stops inside the schedule, so the residual step re-integrates
+        # levels 1 and 2; a zero_top source is collapsed once
+        grid = GridSpec(n=1, L=2 * np.pi, M=6)
+        phi = band_profile(grid, seed=78)
+        gamma0 = HierarchySequence(
+            4, 0.5, tuple(FactorizedKernel(grid, k, phi) for k in range(1, 5))
+        )
+        config = SolverConfig(
+            grid=grid, interaction=Interaction("cubic", 1), params=PARAMS, K=4,
+            T=0.05, N_t=8, m_max=m_max, closure=ClosureRule(closure),
+        )
+        calls = count_collapses(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            solve(gamma0, config)
+        assert len(calls) == planned_collapses(config) == expected
 
 
 class TestMemoryPlanning:
