@@ -22,6 +22,7 @@ from math import factorial
 
 import numpy as np
 
+from . import blocks
 from .spectral import GridSpec, forward_transform, variable_bracket
 
 DEFAULT_KERNEL_BUDGET = 2_000_000_000
@@ -126,6 +127,14 @@ class FactorizedKernel:
 
 
 Kernel = (MarginalKernel, FactorizedKernel)
+
+
+def prefix_products(v: np.ndarray, k: int) -> list:
+    """[P_0, .., P_k] with P_i the flat i-fold outer power of v (P_0 = [1])."""
+    out = [np.ones(1, dtype=np.complex128)]
+    for _ in range(k):
+        out.append(np.multiply.outer(out[-1], v).reshape(-1))
+    return out
 
 
 def as_dense(kernel, budget=None) -> MarginalKernel:
@@ -278,7 +287,9 @@ def _sq_norm(a: np.ndarray) -> float:
 def symmetry_defect(kernel: MarginalKernel) -> float:
     """Largest relative deviation from Theta_sigma invariance over swaps.
 
-    Each swap difference is formed one leading-axis slice at a time.
+    Each swap difference is formed one leading-axis slice at a time, in a
+    buffer per run of slices, the runs spread over the block pool; the
+    slice sums are added in slice order.
     """
     k, n = kernel.k, kernel.grid.n
     data = kernel.data
@@ -290,7 +301,12 @@ def symmetry_defect(kernel: MarginalKernel) -> float:
         sigma = list(range(k))
         sigma[0], sigma[i] = sigma[i], sigma[0]
         swapped = data.transpose(_sigma_axes(sigma, k, n))
-        total = sum(_sq_norm(data[a] - swapped[a]) for a in range(data.shape[0]))
+
+        def slice_sum(a, diff):
+            return _sq_norm(np.subtract(data[a], swapped[a], out=diff))
+
+        total = sum(blocks.map_items(slice_sum, range(data.shape[0]), data.size,
+                                     lambda: np.empty(data.shape[1:], dtype=data.dtype)))
         worst = max(worst, math.sqrt(total) / scale)
     return worst
 
@@ -301,17 +317,40 @@ def hermiticity_defect(kernel: MarginalKernel) -> float:
     The squared difference is summed over _TILE x _TILE tiles of the
     (unprimed, primed) matrix; tile (j, i) of gamma - gamma^* is minus the
     conjugate transpose of tile (i, j), so only tiles with j >= i are formed.
+    A row of full tiles is differenced in two passes into a buffer that
+    holds each tile contiguously; ragged edge tiles go one at a time.  Tile
+    rows go to the block pool, each run with one strip buffer, and the tile
+    sums are added in row-major tile order.
     """
     rows = kernel.grid.M ** (kernel.k * kernel.grid.n)
     mat = kernel.data.reshape(rows, rows)
     scale = float(np.linalg.norm(mat.ravel()))
     if scale == 0.0:
         return 0.0
+
+    def tile_row_sums(i, buf):
+        full = (rows - i) // _TILE if i + _TILE <= rows else 0
+        diffs = buf[:full * _TILE * _TILE].reshape(full, _TILE, _TILE)
+        if full:
+            strip = slice(i, i + full * _TILE)
+            below = mat[strip, i:i + _TILE].reshape(full, _TILE, _TILE)
+            right = mat[i:i + _TILE, strip].reshape(_TILE, full, _TILE)
+            np.conjugate(below.transpose(0, 2, 1), out=diffs)
+            np.subtract(right.transpose(1, 0, 2), diffs, out=diffs)
+        sums = [_sq_norm(diff) for diff in diffs]
+        for j in range(i + full * _TILE, rows, _TILE):
+            tile = mat[i:i + _TILE, j:j + _TILE]
+            diff = buf[:tile.size].reshape(tile.shape)
+            np.conjugate(mat[j:j + _TILE, i:i + _TILE].T, out=diff)
+            np.subtract(tile, diff, out=diff)
+            sums.append(_sq_norm(diff))
+        return [s * (1.0 if t == 0 else 2.0) for t, s in enumerate(sums)]
+
     total = 0.0
-    for i in range(0, rows, _TILE):
-        for j in range(i, rows, _TILE):
-            diff = mat[i:i + _TILE, j:j + _TILE] - np.conj(mat[j:j + _TILE, i:i + _TILE].T)
-            total += _sq_norm(diff) * (1.0 if i == j else 2.0)
+    for sums in blocks.map_items(tile_row_sums, range(0, rows, _TILE), mat.size,
+                                 lambda: np.empty(_TILE * rows, dtype=mat.dtype)):
+        for x in sums:
+            total += x
     return math.sqrt(total) / scale
 
 

@@ -10,6 +10,13 @@ variable.  A factorized kernel never needs materializing:
 ||F(phi, k)||_{H^alpha} equals ||phi||_{H^alpha}^(2k), and differences of two
 factorized kernels reduce to one-particle inner products.
 
+A dense norm or a distance with a dense side is one streamed reduction: the
+weighted |a - b|^2 is formed part by part (the parts accurate_sum splits a
+whole array into), a factorized side included; the parts are spread over
+the block pool and their sums fsum'ed in order.  No level-sized temporary
+is built, and the total is bitwise that of the whole-array formula on any
+worker count.
+
 Hierarchy sequences are measured by sum_k xi^k ||gamma^(k)||, trajectories
 by the maximum of that over time nodes.
 """
@@ -21,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import FactorizedKernel, HierarchySequence, MarginalKernel
+from . import blocks
+from .kernels import FactorizedKernel, HierarchySequence, prefix_products
 from .spectral import GridSpec, variable_bracket
 
 _CHUNK = 1 << 16
@@ -66,41 +74,113 @@ def profile_inner(phi_hat: np.ndarray, psi_hat: np.ndarray, grid: GridSpec,
     )
 
 
-def _weighted_abs_sq(kernel: MarginalKernel, alpha: float) -> np.ndarray:
-    """|gamma_hat|^2 times the bracket weights of all 2k variables.
+def _parts(size: int) -> list:
+    """(start, stop) of the parts accurate_sum splits a flat array of this size into."""
+    nparts = max(1, -(-size // _CHUNK))
+    q, extra = divmod(size, nparts)
+    starts = [i * q + min(i, extra) for i in range(nparts + 1)]
+    return list(zip(starts[:-1], starts[1:]))
 
-    Built block by block over leading axes, so that the 2k weight passes run
-    on cache-sized pieces instead of each sweeping the whole array.
+
+def _pieces(s: int, e: int, R: int) -> list:
+    """Flat range [s, e) of an (R x R) matrix as (start, row, nrows, col, ncols)
+    pieces: whole rows, or a run of columns within one row."""
+    out = []
+    while s < e:
+        r, c = divmod(s, R)
+        if c or e - s < R:
+            w = min(R - c, e - s)
+            out.append((s, r, 1, c, w))
+            s += w
+        else:
+            nr = (e - s) // R
+            out.append((s, r, nr, 0, R))
+            s += nr * R
+    return out
+
+
+def _factorized_rows(lead: np.ndarray, phi_conj: np.ndarray, k: int, out: np.ndarray):
+    """out[r] = lead[r] x conj(phi) x .. x conj(phi) (k factors), the rows of a
+    factorized kernel's matrix multiplied in materialize()'s order."""
+    rows = lead
+    for _ in range(k - 1):
+        rows = np.multiply.outer(rows, phi_conj).reshape(lead.size, -1)
+    np.multiply.outer(rows, phi_conj, out=out.reshape(rows.shape + phi_conj.shape))
+
+
+def _weighted_sq_total(a, b, alpha: float) -> float:
+    """sum of |a - b|^2 (|a|^2 if b is None) times the bracket weights of all 2k
+    variables; a and b are dense or factorized kernels of one level, not both
+    factorized.
+
+    One streamed reduction over exactly the parts accurate_sum would split the
+    whole weighted array into.  Each part's difference goes into a buffer and
+    gets np.abs, np.square and the 2k weights in variable order (unprimed ones
+    per row, primed ones per column of the (unprimed x primed) matrix), then
+    np.sum; the part sums are fsum'ed in order.  These are the whole-array
+    formula's operations on the same values, so the total is bitwise its.  A
+    factorized side is formed part by part (prefix product of phi, then the
+    conj(phi) factors), never materialized.
     """
-    grid, k, n = kernel.grid, kernel.k, kernel.grid.n
-    data = kernel.data
-    if alpha == 0:
-        return np.abs(data) ** 2
-    wb = variable_bracket(grid) ** (2.0 * alpha)
+    grid, k = a.grid, a.k
+    R = grid.M ** (k * grid.n)
     weights = []
-    for var in range(2 * k):
-        shape = [1] * (2 * k * n)
-        shape[var * n: (var + 1) * n] = wb.shape
-        weights.append(wb.reshape(shape))
-    lead, block_size = 0, data.size
-    while block_size > _CHUNK and lead < data.ndim - 1:
-        block_size //= data.shape[lead]
-        lead += 1
-    acc = np.empty(data.shape)
-    for idx in np.ndindex(data.shape[:lead]):
-        block = acc[idx]
-        np.abs(data[idx], out=block)
-        np.square(block, out=block)
-        for w in weights:
-            block *= w[tuple(i if w.shape[a] > 1 else 0 for a, i in enumerate(idx))]
-    return acc
+    if alpha != 0:
+        wb = (variable_bracket(grid) ** (2.0 * alpha)).reshape(-1)
+        m = wb.size
+        weights = [np.tile(np.repeat(wb, m ** (k - 1 - j)), m ** j) for j in range(k)]
+    # per side: its flat data, or the prefix product P_k of a factorized kernel
+    sides = [
+        (kern, prefix_products(kern.phi_hat.reshape(-1), k)[k]
+         if isinstance(kern, FactorizedKernel) else kern.data.reshape(-1))
+        for kern in (a, b) if kern is not None
+    ]
+    parts = _parts(R * R)
+    width = parts[0][1] - parts[0][0]
+
+    def entries(side, s, e, pieces, vals, row):
+        kern, src = side
+        if not isinstance(kern, FactorizedKernel):
+            return src[s:e]
+        phi_conj = np.conj(kern.phi_hat).reshape(-1)
+        for start, r, nr, c, w in pieces:
+            dest = vals[start - s:start - s + nr * w]
+            if w == R:
+                _factorized_rows(src[r:r + nr], phi_conj, k, dest)
+            else:
+                _factorized_rows(src[r:r + nr], phi_conj, k, row)
+                dest[:] = row[c:c + w]
+        return vals[:e - s]
+
+    def part_sum(part, buffers):
+        (s, e), (vals, row, sq) = part, buffers
+        pieces = _pieces(s, e, R)
+        x = entries(sides[0], s, e, pieces, vals, row)
+        if len(sides) > 1:
+            x = np.subtract(x, entries(sides[1], s, e, pieces, vals, row),
+                            out=vals[:e - s])
+        y = np.abs(x, out=sq[:e - s])
+        np.square(y, out=y)
+        for start, r, nr, c, w in pieces:
+            block = y[start - s:start - s + nr * w].reshape(nr, w)
+            for v in weights:
+                block *= v[r:r + nr, None]
+            for v in weights:
+                block *= v[c:c + w]
+        return float(np.sum(y))
+
+    def scratch():
+        return (np.empty(width, dtype=np.complex128), np.empty(R, dtype=np.complex128),
+                np.empty(width))
+
+    return math.fsum(blocks.map_items(part_sum, parts, R * R, scratch))
 
 
 def sobolev_norm(kernel, alpha: float = 1.0) -> float:
     """H^alpha norm of a dense or factorized kernel."""
     if isinstance(kernel, FactorizedKernel):
         return profile_norm_sq(kernel.phi_hat, kernel.grid, alpha) ** kernel.k
-    total = accurate_sum(_weighted_abs_sq(kernel, alpha))
+    total = _weighted_sq_total(kernel, None, alpha)
     scale = kernel.grid.measure_weight ** (2 * kernel.k)
     return math.sqrt(total * scale)
 
@@ -108,8 +188,8 @@ def sobolev_norm(kernel, alpha: float = 1.0) -> float:
 def _lagrange_gap(phi: np.ndarray, delta: np.ndarray, w: np.ndarray) -> float:
     """<phi,phi><delta,delta> - |<phi,delta>|^2 with weights w, as the sum of
     squares 1/2 sum_ij w_i w_j |phi_i delta_j - phi_j delta_i|^2 (row blocks)."""
-    phi, delta = phi.reshape(-1), delta.reshape(-1)
     w = np.broadcast_to(w, phi.shape).reshape(-1)
+    phi, delta = phi.reshape(-1), delta.reshape(-1)
     rows = max(1, _CHUNK // phi.size)
     parts = []
     for s in range(0, phi.size, rows):
@@ -155,11 +235,8 @@ def level_diff_norm(a, b, alpha: float = 1.0) -> float:
         if np.array_equal(a.phi_hat, b.phi_hat):
             return 0.0
         return _factorized_diff_norm(a, b, alpha)
-    if isinstance(a, FactorizedKernel):
-        a = a.materialize()
-    if isinstance(b, FactorizedKernel):
-        b = b.materialize()
-    return sobolev_norm(MarginalKernel(a.grid, a.k, a.data - b.data), alpha)
+    total = _weighted_sq_total(a, b, alpha)
+    return math.sqrt(total * a.grid.measure_weight ** (2 * a.k))
 
 
 def weighted_norm(seq: HierarchySequence, params: NormParams) -> float:

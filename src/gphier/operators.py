@@ -23,9 +23,14 @@ S = sum_j sign_j phi x .. h (slot j) .. x phi of size M^(kn), built from the
 prefix products P_i = phi^(x i); the output is then the two outer products
 S_1 x conj(P_k) + P_k x conj(S_2).  It matches the dense path to rounding.
 
-Full-size passes (the free phase, the second outer product) run over the
+Full-size passes (the free phase, both outer products) run over the
 (unprimed x primed) matrix view of a kernel in row blocks of about
-_BLOCK entries, so that no temporary grows with the kernel.
+_BLOCK entries, so that no temporary grows with the kernel, and the row
+blocks are spread over the block pool.  The dense collapse builds each
+contraction C_c plane by plane, adding t[.., p, .., p - c] over ascending
+p (the order np.trace adds in), with the shifts spread over the pool and
+the shift-adds into the output made serially in shift order.  Every output
+is bitwise that of one worker.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ from itertools import product
 import numpy as np
 from scipy.signal import convolve as _nd_convolve
 
-from .kernels import FactorizedKernel, MarginalKernel, check_budget
+from . import blocks
+from .kernels import FactorizedKernel, MarginalKernel, check_budget, prefix_products
 from .spectral import GridSpec, variable_psq
 
 CUBIC = "cubic"
@@ -66,14 +72,6 @@ class Interaction:
 
 # -- free evolution -----------------------------------------------------------
 
-def _prefix_products(v: np.ndarray, k: int) -> list:
-    """[P_0, .., P_k] with P_i the flat i-fold outer power of v (P_0 = [1])."""
-    out = [np.ones(1, dtype=np.complex128)]
-    for _ in range(k):
-        out.append(np.multiply.outer(out[-1], v).reshape(-1))
-    return out
-
-
 def _row_step(rows: int) -> int:
     return max(1, _BLOCK // rows)
 
@@ -88,13 +86,18 @@ def apply_free_phase(data: np.ndarray, grid: GridSpec, k: int, t: float) -> np.n
     if t == 0.0:
         return data
     one = np.exp(-1j * t * variable_psq(grid)).reshape(-1)
-    ph = _prefix_products(one, k)[k]
+    ph = prefix_products(one, k)[k]
     ph_conj = np.conj(ph)
     rows = ph.size
     mat = data.reshape(rows, rows, copy=False)
     step = _row_step(rows)
-    for r in range(0, rows, step):
-        mat[r:r + step] *= np.multiply.outer(ph[r:r + step], ph_conj)
+
+    def phase_block(r, phase):
+        block = mat[r:r + step]
+        block *= np.multiply.outer(ph[r:r + step], ph_conj, out=phase[:len(block)])
+
+    blocks.map_items(phase_block, range(0, rows, step), data.size,
+                     lambda: np.empty((min(step, rows), rows), dtype=np.complex128))
     return data
 
 
@@ -119,31 +122,81 @@ def _offset_ranges(M: int, c: int):
     return slice(max(0, c), M + min(0, c)), slice(max(0, -c), M + min(0, -c))
 
 
-def _trace_last_pair(data: np.ndarray, u_end: int, c) -> np.ndarray:
-    """Offset trace of the last primed variable against the variable whose
-    axes end at u_end (exclusive), component offsets c (length n)."""
-    n = len(c)
-    t = data
-    for i in range(n):
-        t = np.trace(t, offset=-c[n - 1 - i], axis1=u_end - 1 - i, axis2=t.ndim - 1)
-    return t
+def _offset_traces(t: np.ndarray, axis: int, offsets, outs) -> None:
+    """outs[i] = np.trace(t, offset=-offsets[i], axis1=axis, axis2=-1), every i.
+
+    Summed plane by plane: outs[i] accumulates t[.., p, .., p - offsets[i]]
+    over ascending p, the order np.trace adds in whenever axes are left
+    over.  The planes of all offsets at one p are taken together, so t is
+    read once for all of them.
+    """
+    M = t.shape[-1]
+    lead = (slice(None),) * axis
+    started = [False] * len(offsets)
+    for p in range(M):
+        slab = t[lead + (p,)]
+        for i, c in enumerate(offsets):
+            if 0 <= p - c < M:
+                if started[i]:
+                    outs[i] += slab[..., p - c]
+                else:
+                    np.copyto(outs[i], slab[..., p - c])
+                    started[i] = True
 
 
-def _cubic_contractions(kernel: MarginalKernel):
-    """Yield (c, C_c) over all shift vectors for the last-pair contraction."""
-    grid = kernel.grid
-    kp, n, M = kernel.k, grid.n, grid.M
-    for c in product(range(-(M - 1), M), repeat=n):
-        yield c, _trace_last_pair(kernel.data, kp * n, c)
+def _trace_last_pairs(t: np.ndarray, u_end: int, shifts, outs) -> None:
+    """outs[i] = offset trace of the last primed variable against the
+    variable whose axes end at u_end (exclusive), component offsets
+    shifts[i] (length n).  Components are traced last first; shifts that
+    share a last component share its trace."""
+    if len(shifts[0]) == 1:
+        _offset_traces(t, u_end - 1, [c[0] for c in shifts], outs)
+        return
+    lasts = sorted({c[-1] for c in shifts})
+    partial = [np.empty(t.shape[:u_end - 1] + t.shape[u_end:-1], dtype=t.dtype)
+               for _ in lasts]
+    _offset_traces(t, u_end - 1, lasts, partial)
+    for last, part in zip(lasts, partial):
+        idx = [i for i, c in enumerate(shifts) if c[-1] == last]
+        _trace_last_pairs(part, u_end - 1, [shifts[i][:-1] for i in idx],
+                          [outs[i] for i in idx])
+
+
+def _shifts(M: int, n: int) -> list:
+    return list(product(range(-(M - 1), M), repeat=n))
+
+
+def _by_last_component(shifts, entries: int) -> list:
+    """Shift indices in runs for the block pool (blocks.deal over a kernel
+    of that many entries), each last component in one run."""
+    runs = blocks.deal(sorted({c[-1] for c in shifts}), entries)
+    return [[i for i, c in enumerate(shifts) if c[-1] in run] for run in runs]
+
+
+def _contracted(shape: tuple, pairs: int, n: int) -> np.ndarray:
+    """Output array of a contraction removing `pairs` variable pairs."""
+    return np.empty(shape[:len(shape) - 2 * pairs * n], dtype=np.complex128)
 
 
 def cubic_contractions(kernel: MarginalKernel) -> list:
-    """All (c, C_c) of a dense kernel, for several collapse terms to share.
+    """[(c, C_c)] over all shift vectors for the last-pair contraction of a
+    dense kernel, for several collapse terms to share.
 
     The contractions are the expensive part of a dense cubic collapse; they
-    take about 2/M of the kernel's memory.
+    take about 2/M of the kernel's memory.  The shifts are spread over the
+    block pool; the outputs are allocated here, on the calling thread.
     """
-    return list(_cubic_contractions(kernel))
+    grid = kernel.grid
+    kp, n, M = kernel.k, grid.n, grid.M
+    shifts = _shifts(M, n)
+    outs = [_contracted(kernel.data.shape, 1, n) for _ in shifts]
+
+    def run(idx):
+        _trace_last_pairs(kernel.data, kp * n, [shifts[i] for i in idx],
+                          [outs[i] for i in idx])
+
+    blocks.map_blocks(run, _by_last_component(shifts, kernel.data.size))
+    return list(zip(shifts, outs))
 
 
 def _shift_add(out: np.ndarray, src: np.ndarray, block: int, n: int, M: int, c, sign: int,
@@ -178,7 +231,7 @@ def _collapse_cubic_dense(kernel: MarginalKernel, terms, contractions=None) -> M
     k, n, M = kernel.k - 1, grid.n, grid.M
     out = np.zeros(grid.kernel_shape(k), dtype=np.complex128)
     if contractions is None:
-        contractions = _cubic_contractions(kernel)
+        contractions = cubic_contractions(kernel)
     for c, C in contractions:
         for j, side, sign in terms:
             block = (j - 1) if side == 1 else (k + j - 1)
@@ -229,19 +282,32 @@ def collapse_cubic(kernel, interaction: Interaction) -> MarginalKernel:
 
 # -- quintic collapse -----------------------------------------------------------
 
-def _quintic_contractions(kernel: MarginalKernel):
-    """Yield (c_total, C) over shift vectors for the double-pair contraction.
+def _quintic_contractions(kernel: MarginalKernel) -> list:
+    """[(c_total, C)] over shift vectors for the double-pair contraction.
 
     The two (q_i, q'_i) pairs are traced one after the other; the shift in
-    the j-th slot only sees the sum of the two per-pair offsets.
+    the j-th slot only sees the sum of the two per-pair offsets, and totals
+    with a component of size >= M (which every shift-add drops) are skipped.
+    The first pair's shifts are spread over the block pool; outputs and the
+    one-pair traces are allocated here, on the calling thread.
     """
     grid = kernel.grid
     kp, n, M = kernel.k, grid.n, grid.M
-    for c2 in product(range(-(M - 1), M), repeat=n):
-        t2 = _trace_last_pair(kernel.data, kp * n, c2)
-        for c1 in product(range(-(M - 1), M), repeat=n):
-            C = _trace_last_pair(t2, (kp - 1) * n, c1)
-            yield tuple(a + b for a, b in zip(c1, c2)), C
+    shifts = _shifts(M, n)
+    first = [_contracted(kernel.data.shape, 1, n) for _ in shifts]
+    second = [[c1 for c1 in shifts if all(abs(a + b) < M for a, b in zip(c1, c2))]
+              for c2 in shifts]
+    outs = [[_contracted(kernel.data.shape, 2, n) for _ in c1s] for c1s in second]
+
+    def run(idx):
+        _trace_last_pairs(kernel.data, kp * n, [shifts[i] for i in idx],
+                          [first[i] for i in idx])
+        for i in idx:
+            _trace_last_pairs(first[i], (kp - 1) * n, second[i], outs[i])
+
+    blocks.map_blocks(run, _by_last_component(shifts, kernel.data.size))
+    return [(tuple(a + b for a, b in zip(c1, c2)), C)
+            for c2, c1s, Cs in zip(shifts, second, outs) for c1, C in zip(c1s, Cs)]
 
 
 def _collapse_quintic_dense(kernel: MarginalKernel, terms) -> MarginalKernel:
@@ -249,8 +315,6 @@ def _collapse_quintic_dense(kernel: MarginalKernel, terms) -> MarginalKernel:
     k, n, M = kernel.k - 2, grid.n, grid.M
     out = np.zeros(grid.kernel_shape(k), dtype=np.complex128)
     for c, C in _quintic_contractions(kernel):
-        if any(abs(ca) >= M for ca in c):
-            continue
         for j, side, sign in terms:
             block = (j - 1) if side == 1 else (k + j - 1)
             direction = 1 if side == 1 else -1
@@ -344,7 +408,7 @@ def _collapse_factorized(kernel: FactorizedKernel, terms, profile_fn, offset: in
     check_budget(grid.kernel_bytes(k), budget, what=f"k={k} collapse output")
     phi = kernel.phi_hat.reshape(-1)
     h = profile_fn(kernel.phi_hat, grid).reshape(-1)
-    prefix = _prefix_products(phi, k)
+    prefix = prefix_products(phi, k)
     sums = {}  # side -> sum_j sign_j phi x .. h (slot j) .. x phi
     for j, side, sign in terms:
         term = np.multiply.outer(np.multiply.outer(prefix[j - 1], h), prefix[k - j])
@@ -358,11 +422,17 @@ def _collapse_factorized(kernel: FactorizedKernel, terms, profile_fn, offset: in
     p = prefix[k]
     rows = p.size
     out = np.zeros((rows, rows), dtype=np.complex128)
-    if 1 in sums:
-        np.multiply.outer(sums[1], np.conj(p), out=out)
-    if 2 in sums:
-        s2_conj = np.conj(sums[2])
-        step = _row_step(rows)
-        for r in range(0, rows, step):
-            out[r:r + step] += np.multiply.outer(p[r:r + step], s2_conj)
+    p_conj = np.conj(p)
+    s2_conj = np.conj(sums[2]) if 2 in sums else None
+    step = _row_step(rows)
+
+    def outer_block(r, term):
+        block = out[r:r + step]
+        if 1 in sums:
+            np.multiply.outer(sums[1][r:r + step], p_conj, out=block)
+        if s2_conj is not None:
+            block += np.multiply.outer(p[r:r + step], s2_conj, out=term[:len(block)])
+
+    blocks.map_items(outer_block, range(0, rows, step), out.size,
+                     lambda: np.empty((min(step, rows), rows), dtype=np.complex128))
     return MarginalKernel(grid, k, out.reshape(grid.kernel_shape(k)))

@@ -15,7 +15,10 @@ Writing g(s) = U0(-s) Btilde gamma^(k+off)(s), the prefix integrals of g
 accumulate in O(N_t) array passes and each node needs only a short window
 of g values, so a Picard step never holds a whole level's source list.  The
 prefix is updated in place (bitwise the out-of-place trapezoid and Simpson
-formulas), so a push allocates no level-sized array.  A
+formulas), so a push allocates no level-sized array, and the integrator
+keeps only the integrands its rule reads (2 for trapezoid, 4 for Simpson).
+Quadrature updates and the per-node copies and sums run in blocks on the
+block pool (gphier.blocks), bitwise as on one worker.  A
 source that is the same object at every node (the convention start, a
 zero_top closure, the remainder's R_0) is collapsed once and its collapse
 copied per node; any other source is collapsed node by node.
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nls
+from . import blocks, nls
 from .kernels import (
     FactorizedKernel,
     HierarchySequence,
@@ -217,7 +220,30 @@ class RunReport:
 
 # -- quadrature ---------------------------------------------------------------
 
-_BLOCK = 1 << 16  # entries per block of a quadrature update
+_BLOCK = 1 << 16  # entries per block of a quadrature update or node copy
+
+
+def _blockwise(panel, out: np.ndarray, *arrays) -> np.ndarray:
+    """panel(out_block, tmp, *blocks) over aligned _BLOCK-entry blocks of the
+    flat arrays, spread over the block pool; tmp is per-run scratch."""
+    flat = [a.reshape(-1) for a in arrays]
+    dest = out.reshape(-1)
+
+    def block(s, tmp):
+        e = min(s + _BLOCK, dest.size)
+        panel(dest[s:e], tmp[:e - s], *(a[s:e] for a in flat))
+
+    blocks.map_items(block, range(0, dest.size, _BLOCK), dest.size,
+                     lambda: np.empty(min(dest.size, _BLOCK), dtype=dest.dtype))
+    return out
+
+
+def _copy_panel(out, tmp, src):
+    np.copyto(out, src)
+
+
+def _add_panel(out, tmp, a, b):
+    np.add(a, b, out=out)
 
 
 def _trapezoid_panel(out, tmp, dt, prefix, g1, g0):
@@ -255,11 +281,13 @@ class _PrefixIntegrator:
     trapezoid for the very first interval, which the even chain never
     propagates).
 
-    The prefix is updated in place, block by block, with the same
-    operations in the same order as the out-of-place formulas, so the
-    values are bitwise theirs and no temporary grows with g.  The returned
-    array is one of the integrator's buffers: it is valid until the next
-    push, and callers must not modify it.  Pushed arrays are only read.
+    The prefix is updated in place, block by block (the blocks spread over
+    the block pool), with the same operations in the same order as the
+    out-of-place formulas, so the values are bitwise theirs and no temporary
+    grows with g.  The returned array is one of the integrator's buffers: it
+    is valid until the next push, and callers must not modify it.  Pushed
+    arrays are only read, and only the last 2 (trapezoid) or 4 (Simpson)
+    are kept.
     """
 
     def __init__(self, rule: str, dt: float):
@@ -267,29 +295,24 @@ class _PrefixIntegrator:
         self.dt = dt
         self.i = -1
         self.window = []
+        self.keep = 2 if rule == TRAPEZOID else 4
         self.prefix = None  # the trapezoid prefix, or Simpson's even chain
         self.even_prev = None
         self.out = None
-        self.tmp = None
 
     def _update(self, panel, out, *arrays):
         """panel(out, tmp, dt, *arrays) over aligned blocks of the flat arrays."""
-        flat = [a.reshape(-1) for a in arrays]
-        dest = out.reshape(-1)
-        for s in range(0, dest.size, _BLOCK):
-            e = min(s + _BLOCK, dest.size)
-            panel(dest[s:e], self.tmp[:e - s], self.dt, *(a[s:e] for a in flat))
-        return out
+        dt = self.dt
+        return _blockwise(lambda o, tmp, *a: panel(o, tmp, dt, *a), out, *arrays)
 
     def push(self, g: np.ndarray) -> np.ndarray:
         self.i += 1
         i, dt = self.i, self.dt
         self.window.append(g)
-        if len(self.window) > 4:
+        if len(self.window) > self.keep:
             self.window.pop(0)
         if i == 0:
             self.prefix = np.zeros(g.shape, dtype=g.dtype)
-            self.tmp = np.empty(min(g.size, _BLOCK), dtype=g.dtype)
             return self.prefix
         if self.rule == TRAPEZOID:
             return self._update(_trapezoid_panel, self.prefix, self.prefix,
@@ -326,10 +349,14 @@ def _integrate_duhamel(sources, times, rule, gamma0_data, grid, k, interaction):
         if constant is None:
             g = apply_btilde(src, interaction).data
         else:
-            g = constant.copy()
+            g = _blockwise(_copy_panel, np.empty_like(constant), constant)
         apply_free_phase(g, grid, k, -times[i])
         prefix = integ.push(g)
-        new = prefix.copy() if gamma0_data is None else gamma0_data + prefix
+        new = np.empty_like(prefix)
+        if gamma0_data is None:
+            _blockwise(_copy_panel, new, prefix)
+        else:
+            _blockwise(_add_panel, new, gamma0_data, prefix)
         apply_free_phase(new, grid, k, times[i])
         out.append(MarginalKernel(grid, k, new))
     return out

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gphier import blocks
 from gphier.kernels import (
     FactorizedKernel,
     HierarchySequence,
@@ -178,6 +179,15 @@ class TestDiffNorm:
         expect = sobolev_norm(dense, 1.0)
         np.testing.assert_allclose(level_diff_norm(a, b, 1.0), expect, rtol=rtol)
 
+    def test_factorized_pair_two_dimensions(self):
+        grid = GridSpec(n=2, L=2 * np.pi, M=4)
+        rng = np.random.default_rng(12)
+        phi = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        psi = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        a, b = FactorizedKernel(grid, 2, phi), FactorizedKernel(grid, 2, psi)
+        expect = level_diff_norm(a.materialize(), b.materialize(), 1.5)
+        np.testing.assert_allclose(level_diff_norm(a, b, 1.5), expect, rtol=1e-10)
+
     def test_factorized_phase_rotation_is_zero_distance(self):
         rng = np.random.default_rng(4)
         phi = rng.standard_normal(GRID.M) + 1j * rng.standard_normal(GRID.M)
@@ -188,6 +198,45 @@ class TestDiffNorm:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             level_diff_norm(random_dense(GRID, 1, 11), random_dense(GRID, 2, 12))
+
+
+def whole_array_norm(data, grid, k, alpha):
+    """The H^alpha norm as a whole-array formula: |data|^2, the 2k weight
+    passes in variable order, accurate_sum."""
+    acc = np.abs(data) ** 2
+    if alpha != 0:
+        w = variable_bracket(grid) ** (2.0 * alpha)
+        for var in range(2 * k):
+            shape = [1] * (2 * k * grid.n)
+            shape[var * grid.n:(var + 1) * grid.n] = w.shape
+            acc *= w.reshape(shape)
+    return math.sqrt(accurate_sum(acc) * grid.measure_weight ** (2 * k))
+
+
+class TestStreamedReduction:
+    """Norms and distances streamed part by part equal the whole-array
+    formulas exactly, on one worker or several."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n, M, k", [(1, 10, 3), (2, 4, 2)])
+    def test_bitwise_whole_array_formulas(self, monkeypatch, workers, n, M, k):
+        monkeypatch.setattr(blocks, "WORKERS", workers)
+        monkeypatch.setattr(blocks, "MIN_POOLED", 0)
+        grid = GridSpec(n=n, L=2 * np.pi, M=M)
+        a = random_dense(grid, k, seed=20)
+        b = random_dense(grid, k, seed=21)
+        rng = np.random.default_rng(22)
+        lazy = FactorizedKernel(
+            grid, k, rng.standard_normal((M,) * n) + 1j * rng.standard_normal((M,) * n))
+        dense_lazy = lazy.materialize().data
+        for alpha in (0.0, 0.6, 1.0, 2.0):
+            assert sobolev_norm(a, alpha) == whole_array_norm(a.data, grid, k, alpha)
+            assert level_diff_norm(a, b, alpha) == whole_array_norm(
+                a.data - b.data, grid, k, alpha)
+            assert level_diff_norm(lazy, a, alpha) == whole_array_norm(
+                dense_lazy - a.data, grid, k, alpha)
+            assert level_diff_norm(a, lazy, alpha) == whole_array_norm(
+                a.data - dense_lazy, grid, k, alpha)
 
 
 class TestWeightedNorms:

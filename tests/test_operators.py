@@ -1,8 +1,11 @@
 """Free evolution and collapse operators against brute-force and closed-form oracles."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
+from gphier import blocks
 from gphier.kernels import (
     FactorizedKernel,
     MarginalKernel,
@@ -17,6 +20,8 @@ from gphier.kernels import (
 )
 from gphier.operators import (
     Interaction,
+    _quintic_contractions,
+    _trace_last_pairs,
     apply_btilde,
     apply_free_phase,
     collapse_b1,
@@ -415,13 +420,13 @@ def chained_outer_collapse(kernel, terms, profile_fn, offset):
     base = [phi] * k + [np.conj(phi)] * k
     out = np.zeros(grid.kernel_shape(k), dtype=np.complex128)
     for j, side, sign in terms:
-        blocks = list(base)
+        factors = list(base)
         if side == 1:
-            blocks[j - 1] = h
+            factors[j - 1] = h
         else:
-            blocks[k + j - 1] = np.conj(h)
+            factors[k + j - 1] = np.conj(h)
         term = np.array(1.0 + 0.0j)
-        for b in blocks:
+        for b in factors:
             term = np.multiply.outer(term, b)
         out += sign * term
     return out
@@ -477,3 +482,71 @@ class TestOnePassKernels:
         data = gamma.data.copy()
         assert apply_free_phase(data, grid, k, t) is data
         assert max_rel(data, want) <= 1e-14
+
+
+# -- plane-wise contractions against nested np.trace -------------------------------
+
+def np_trace_last_pair(data, u_end, c):
+    """The last-pair contraction as nested np.trace calls, one per component."""
+    n = len(c)
+    t = data
+    for i in range(n):
+        t = np.trace(t, offset=-c[n - 1 - i], axis1=u_end - 1 - i, axis2=t.ndim - 1)
+    return t
+
+
+def all_shifts(grid):
+    return list(product(range(-(grid.M - 1), grid.M), repeat=grid.n))
+
+
+class TestPlaneWiseContractions:
+    @pytest.fixture(autouse=True)
+    def pool_every_plane(self, monkeypatch):
+        # small test kernels would otherwise stay on the calling thread
+        monkeypatch.setattr(blocks, "MIN_POOLED", 0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("grid, kp", [
+        (GridSpec(n=1, L=2 * np.pi, M=8), 3),
+        (GridSpec(n=2, L=3.0, M=4), 2),
+    ])
+    def test_cubic_bitwise_np_trace_for_every_shift(self, monkeypatch, workers, grid, kp):
+        monkeypatch.setattr(blocks, "WORKERS", workers)
+        kernel = random_dense(grid, kp, seed=60)
+        got = cubic_contractions(kernel)
+        assert [c for c, _ in got] == all_shifts(grid)
+        for c, C in got:
+            assert np.array_equal(C, np_trace_last_pair(kernel.data, kp * grid.n, c))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_quintic_bitwise_np_trace_for_every_shift(self, monkeypatch, workers):
+        monkeypatch.setattr(blocks, "WORKERS", workers)
+        grid, kp = GridSpec(n=1, L=2 * np.pi, M=6), 4
+        kernel = random_dense(grid, kp, seed=61)
+        want = []
+        for c2 in all_shifts(grid):
+            t2 = np_trace_last_pair(kernel.data, kp, c2)
+            for c1 in all_shifts(grid):
+                c = (c1[0] + c2[0],)
+                if abs(c[0]) < grid.M:
+                    want.append((c, np_trace_last_pair(t2, kp - 1, c1)))
+        got = _quintic_contractions(kernel)
+        assert [c for c, _ in got] == [c for c, _ in want]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+
+    def test_two_component_double_pair_trace(self):
+        # the quintic nesting at n=2 on a 3-particle array; side 3 keeps it
+        # small while every diagonal still has up to three terms
+        n, kp, M = 2, 3, 3
+        rng = np.random.default_rng(62)
+        shape = (M,) * (2 * kp * n)
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        shifts = list(product(range(-(M - 1), M), repeat=n))
+        first = [np.empty(shape[:-2 * n], dtype=complex) for _ in shifts]
+        _trace_last_pairs(data, kp * n, shifts, first)
+        for c2, t2 in zip(shifts, first):
+            assert np.array_equal(t2, np_trace_last_pair(data, kp * n, c2))
+            second = [np.empty(shape[:-4 * n], dtype=complex) for _ in shifts]
+            _trace_last_pairs(t2, (kp - 1) * n, shifts, second)
+            for c1, C in zip(shifts, second):
+                assert np.array_equal(C, np_trace_last_pair(t2, (kp - 1) * n, c1))

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -178,6 +179,19 @@ class TestPrefixIntegrator:
             want = self.out_of_place_prefixes(rule, gs, 0.3 / N)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
             assert all(np.array_equal(a, b) for a, b in zip(pushed, gs))
+
+    @pytest.mark.parametrize("rule, kept", [("trapezoid", 2), ("simpson", 4)])
+    def test_window_keeps_only_what_the_rule_reads(self, rule, kept):
+        integ = _PrefixIntegrator(rule, 0.1)
+        first = np.ones(10, dtype=np.complex128)
+        ref = weakref.ref(first)
+        integ.push(first)
+        del first
+        for _ in range(kept - 1):
+            integ.push(np.ones(10, dtype=np.complex128))
+            assert ref() is not None
+        integ.push(np.ones(10, dtype=np.complex128))
+        assert ref() is None
 
 
 def direct_duhamel_at_node(gamma0_k, sources, times, i, interaction):
