@@ -4,205 +4,9 @@ Marginal kernels live in the momentum representation on a periodic box;
 the package provides the free propagator, cubic and quintic collapse
 operators, weighted Sobolev norms, a Picard/Duhamel solver for the
 truncated hierarchy, a split-step NLS oracle, and standalone checks of
-the estimates the solver's stopping rules rely on.
+the estimates the solver's stopping rules rely on.  Import the submodules
+(gphier.kernels, gphier.operators, gphier.solver, ...) directly; the
+package root holds only the version.
 """
 
-from .spectral import (
-    GridSpec,
-    bracket,
-    bracket_nd,
-    forward_transform,
-    inverse_transform,
-    kernel_to_momentum,
-    kernel_to_position,
-    variable_bracket,
-)
-from .kernels import (
-    BUDGET_ENV_VAR,
-    DEFAULT_KERNEL_BUDGET,
-    FactorizedKernel,
-    HierarchySequence,
-    MarginalKernel,
-    ResourceBudgetError,
-    adjoint,
-    as_dense,
-    factorized,
-    factorized_sequence,
-    hermiticity_defect,
-    hermitize,
-    is_hermitian,
-    is_symmetric,
-    kernel_budget,
-    load_kernel,
-    load_wavefunction,
-    partial_trace_last,
-    permute_particles,
-    random_test_kernel,
-    save_kernel,
-    save_wavefunction,
-    symmetrize,
-    symmetry_defect,
-    trace,
-)
-from .operators import (
-    CUBIC,
-    QUINTIC,
-    Interaction,
-    apply_btilde,
-    collapse_b1,
-    collapse_b2,
-    collapse_cubic,
-    collapse_q1,
-    collapse_q2,
-    collapse_quintic,
-    collapse_sum_cubic,
-    collapse_sum_quintic,
-    cubic_collapse_profile,
-    free_evolve,
-    free_evolve_wavefunction,
-    quintic_collapse_profile,
-)
-from .norms import (
-    NormParams,
-    accurate_sum,
-    level_diff_norm,
-    profile_inner,
-    profile_norm_sq,
-    sobolev_norm,
-    trajectory_norm,
-    weighted_distance,
-    weighted_norm,
-)
-from .solver import (
-    BoundReport,
-    ClosureRule,
-    RunReport,
-    SolverConfig,
-    Trajectory,
-    apriori_bound_check,
-    contraction_factor_check,
-    convention_trajectory,
-    duhamel_bound_rows,
-    duhamel_remainder,
-    duhamel_term,
-    picard_step,
-    plan_memory,
-    solve,
-)
-from .nls import (
-    compare_marginals,
-    energy,
-    evolve,
-    factorized_trajectory,
-    mass,
-    solve_nodes,
-    split_step,
-)
-from .verify import (
-    BinomialGrowthReport,
-    ConstantEstimate,
-    DivergenceReport,
-    SupCheckReport,
-    binomial_growth_check,
-    estimate_collapse_battery,
-    estimate_collapse_constant,
-    lemma31_cutoff_ladder,
-    lemma31_divergence_check,
-    lemma31_integral,
-    lemma31_sup_check,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BUDGET_ENV_VAR",
-    "BinomialGrowthReport",
-    "BoundReport",
-    "CUBIC",
-    "ClosureRule",
-    "ConstantEstimate",
-    "DEFAULT_KERNEL_BUDGET",
-    "DivergenceReport",
-    "FactorizedKernel",
-    "GridSpec",
-    "HierarchySequence",
-    "Interaction",
-    "MarginalKernel",
-    "NormParams",
-    "QUINTIC",
-    "ResourceBudgetError",
-    "RunReport",
-    "SolverConfig",
-    "SupCheckReport",
-    "Trajectory",
-    "accurate_sum",
-    "adjoint",
-    "apply_btilde",
-    "apriori_bound_check",
-    "as_dense",
-    "binomial_growth_check",
-    "bracket",
-    "bracket_nd",
-    "collapse_b1",
-    "collapse_b2",
-    "collapse_cubic",
-    "collapse_q1",
-    "collapse_q2",
-    "collapse_quintic",
-    "collapse_sum_cubic",
-    "collapse_sum_quintic",
-    "compare_marginals",
-    "contraction_factor_check",
-    "convention_trajectory",
-    "cubic_collapse_profile",
-    "duhamel_bound_rows",
-    "duhamel_remainder",
-    "duhamel_term",
-    "energy",
-    "estimate_collapse_battery",
-    "estimate_collapse_constant",
-    "evolve",
-    "factorized",
-    "factorized_sequence",
-    "factorized_trajectory",
-    "forward_transform",
-    "free_evolve",
-    "free_evolve_wavefunction",
-    "hermiticity_defect",
-    "hermitize",
-    "inverse_transform",
-    "is_hermitian",
-    "is_symmetric",
-    "kernel_budget",
-    "kernel_to_momentum",
-    "kernel_to_position",
-    "lemma31_cutoff_ladder",
-    "lemma31_divergence_check",
-    "lemma31_integral",
-    "lemma31_sup_check",
-    "level_diff_norm",
-    "load_kernel",
-    "load_wavefunction",
-    "mass",
-    "partial_trace_last",
-    "permute_particles",
-    "picard_step",
-    "plan_memory",
-    "profile_inner",
-    "profile_norm_sq",
-    "quintic_collapse_profile",
-    "random_test_kernel",
-    "save_kernel",
-    "save_wavefunction",
-    "sobolev_norm",
-    "solve",
-    "solve_nodes",
-    "split_step",
-    "symmetrize",
-    "symmetry_defect",
-    "trace",
-    "trajectory_norm",
-    "variable_bracket",
-    "weighted_distance",
-    "weighted_norm",
-]

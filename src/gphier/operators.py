@@ -15,6 +15,15 @@ position-space product |phi(x)|^2 phi(x) conj(phi(x')).  The quintic
 operators contract two particle pairs and shift by -(q_1+q_2-q'_1-q'_2),
 weight 1/L^4n.
 
+One driver, collapse(kernel, interaction, terms), computes every sum of
+(j, side, sign) terms for both arities; its default is the un-prefixed
+B^(k) = sum_j (T1_j - T2_j).  collapse_b1, collapse_b2 and apply_btilde
+(which multiplies by -i mu) are one-line calls into it.  On a dense kernel
+it traces the last pair (cubic) or the last two pairs (quintic) once per
+total shift c, shift-adds each contraction C_c into the output for every
+term (contraction order first, then term order) and scales by the measure
+weight once at the end.
+
 Factorized kernels take a fast path that never materializes the input
 level.  Each collapse term of prod phi phi' replaces one factor by a
 modified one-particle profile h, a truncated convolution of profiles.
@@ -110,11 +119,6 @@ def free_evolve(kernel, t: float):
     return MarginalKernel(kernel.grid, kernel.k, out)
 
 
-def free_evolve_wavefunction(phi_hat: np.ndarray, grid: GridSpec, t: float) -> np.ndarray:
-    """exp(it Lap) on a one-particle momentum profile."""
-    return phi_hat * np.exp(-1j * t * variable_psq(grid))
-
-
 # -- dense collapse machinery ---------------------------------------------------
 
 def _offset_ranges(M: int, c: int):
@@ -200,10 +204,8 @@ def cubic_contractions(kernel: MarginalKernel) -> list:
 
 
 def _shift_add(out: np.ndarray, src: np.ndarray, block: int, n: int, M: int, c, sign: int,
-               direction: int, scale=1.0):
-    """out[block idx] += scale * sign * src[idx - direction*c], truncated."""
-    if any(abs(direction * ca) >= M for ca in c):
-        return
+               direction: int):
+    """out[block idx] += sign * src[idx - direction*c], truncated; every |c_a| < M."""
     sl_out = [slice(None)] * out.ndim
     sl_src = [slice(None)] * src.ndim
     for a in range(n):
@@ -211,85 +213,20 @@ def _shift_add(out: np.ndarray, src: np.ndarray, block: int, n: int, M: int, c, 
         sl_out[block * n + a] = o
         sl_src[block * n + a] = s
     if sign > 0:
-        out[tuple(sl_out)] += scale * src[tuple(sl_src)]
+        out[tuple(sl_out)] += src[tuple(sl_src)]
     else:
-        out[tuple(sl_out)] -= scale * src[tuple(sl_src)]
+        out[tuple(sl_out)] -= src[tuple(sl_src)]
 
-
-def _validate_collapse_args(kernel, j: int, offset: int):
-    k = kernel.k - offset
-    if k < 1:
-        raise ValueError(f"collapse needs at least {offset + 1} particles, got k={kernel.k}")
-    if not 1 <= j <= k:
-        raise ValueError(f"term index j={j} outside 1..{k}")
-    return k
-
-
-def _collapse_cubic_dense(kernel: MarginalKernel, terms, contractions=None) -> MarginalKernel:
-    """Shared driver: terms is a list of (j, side, sign), side 1 unprimed, 2 primed."""
-    grid = kernel.grid
-    k, n, M = kernel.k - 1, grid.n, grid.M
-    out = np.zeros(grid.kernel_shape(k), dtype=np.complex128)
-    if contractions is None:
-        contractions = cubic_contractions(kernel)
-    for c, C in contractions:
-        for j, side, sign in terms:
-            block = (j - 1) if side == 1 else (k + j - 1)
-            direction = 1 if side == 1 else -1
-            _shift_add(out, C, block, n, M, c, sign, direction)
-    out *= grid.measure_weight ** 2
-    return MarginalKernel(grid, k, out)
-
-
-def collapse_b1(j: int, kernel, contractions=None) -> MarginalKernel:
-    """B1_{j,k} term applied to a (k+1)-particle kernel.
-
-    contractions, if given, is cubic_contractions(kernel) for a dense kernel.
-    """
-    _validate_collapse_args(kernel, j, 1)
-    if isinstance(kernel, FactorizedKernel):
-        return _collapse_factorized(kernel, [(j, 1, 1)], cubic_collapse_profile)
-    return _collapse_cubic_dense(kernel, [(j, 1, 1)], contractions)
-
-
-def collapse_b2(j: int, kernel, contractions=None) -> MarginalKernel:
-    """B2_{j,k} term (primed-side mirror); contractions as in collapse_b1."""
-    _validate_collapse_args(kernel, j, 1)
-    if isinstance(kernel, FactorizedKernel):
-        return _collapse_factorized(kernel, [(j, 2, 1)], cubic_collapse_profile)
-    return _collapse_cubic_dense(kernel, [(j, 2, 1)], contractions)
-
-
-def collapse_sum_cubic(kernel) -> MarginalKernel:
-    """Un-prefixed B^(k) = sum_j (B1_j - B2_j)."""
-    k = kernel.k - 1
-    if k < 1:
-        raise ValueError("collapse needs at least 2 particles")
-    terms = [(j, 1, 1) for j in range(1, k + 1)] + [(j, 2, -1) for j in range(1, k + 1)]
-    if isinstance(kernel, FactorizedKernel):
-        return _collapse_factorized(kernel, terms, cubic_collapse_profile)
-    return _collapse_cubic_dense(kernel, terms)
-
-
-def collapse_cubic(kernel, interaction: Interaction) -> MarginalKernel:
-    """Btilde^(k) = -i mu B^(k), the source operator of the cubic hierarchy."""
-    if interaction.kind != CUBIC:
-        raise ValueError("collapse_cubic needs a cubic interaction")
-    out = collapse_sum_cubic(kernel)
-    np.multiply(out.data, -1j * interaction.mu, out=out.data)
-    return out
-
-
-# -- quintic collapse -----------------------------------------------------------
 
 def _quintic_contractions(kernel: MarginalKernel) -> list:
     """[(c_total, C)] over shift vectors for the double-pair contraction.
 
     The two (q_i, q'_i) pairs are traced one after the other; the shift in
     the j-th slot only sees the sum of the two per-pair offsets, and totals
-    with a component of size >= M (which every shift-add drops) are skipped.
-    The first pair's shifts are spread over the block pool; outputs and the
-    one-pair traces are allocated here, on the calling thread.
+    with a component of size >= M (which would shift every entry off the
+    lattice) are skipped.  The first pair's shifts are spread over the block
+    pool; outputs and the one-pair traces are allocated here, on the calling
+    thread.
     """
     grid = kernel.grid
     kp, n, M = kernel.k, grid.n, grid.M
@@ -310,59 +247,57 @@ def _quintic_contractions(kernel: MarginalKernel) -> list:
             for c2, c1s, Cs in zip(shifts, second, outs) for c1, C in zip(c1s, Cs)]
 
 
-def _collapse_quintic_dense(kernel: MarginalKernel, terms) -> MarginalKernel:
+# -- the collapse -------------------------------------------------------------------
+
+def collapse(kernel, interaction: Interaction, terms=None, contractions=None) -> MarginalKernel:
+    """Un-prefixed sum of collapse terms on a (k + offset)-particle kernel.
+
+    terms is a list of (j, side, sign): side 1 is the unprimed term (B1_j,
+    or its quintic analogue), side 2 the primed one, and sign +1 or -1.  The
+    default is B^(k) = sum_j (T1_j - T2_j).  contractions, if given, is
+    cubic_contractions(kernel) for a dense kernel and a cubic interaction.
+    """
+    offset = interaction.source_offset
+    k = kernel.k - offset
+    if k < 1:
+        raise ValueError(f"collapse needs at least {offset + 1} particles, got k={kernel.k}")
+    if terms is None:
+        terms = [(j, 1, 1) for j in range(1, k + 1)] + [(j, 2, -1) for j in range(1, k + 1)]
+    for j, _, _ in terms:
+        if not 1 <= j <= k:
+            raise ValueError(f"term index j={j} outside 1..{k}")
+    if isinstance(kernel, FactorizedKernel):
+        return _collapse_factorized(kernel, terms, offset)
     grid = kernel.grid
-    k, n, M = kernel.k - 2, grid.n, grid.M
+    n, M = grid.n, grid.M
+    # the output is allocated below the contractions on the heap, so that
+    # freeing them can shrink the heap again
     out = np.zeros(grid.kernel_shape(k), dtype=np.complex128)
-    for c, C in _quintic_contractions(kernel):
+    if contractions is None:
+        contractions = (cubic_contractions if offset == 1 else _quintic_contractions)(kernel)
+    for c, C in contractions:
         for j, side, sign in terms:
             block = (j - 1) if side == 1 else (k + j - 1)
-            direction = 1 if side == 1 else -1
-            _shift_add(out, C, block, n, M, c, sign, direction)
-    out *= grid.measure_weight ** 4
+            _shift_add(out, C, block, n, M, c, sign, 1 if side == 1 else -1)
+    out *= grid.measure_weight ** (2 * offset)
     return MarginalKernel(grid, k, out)
 
 
-def collapse_q1(j: int, kernel) -> MarginalKernel:
-    """Unprimed quintic term on a (k+2)-particle kernel."""
-    _validate_collapse_args(kernel, j, 2)
-    if isinstance(kernel, FactorizedKernel):
-        return _collapse_factorized(kernel, [(j, 1, 1)], quintic_collapse_profile, offset=2)
-    return _collapse_quintic_dense(kernel, [(j, 1, 1)])
+def collapse_b1(j: int, kernel, contractions=None) -> MarginalKernel:
+    """B1_{j,k} term applied to a (k+1)-particle kernel; contractions as in collapse."""
+    return collapse(kernel, Interaction(), [(j, 1, 1)], contractions)
 
 
-def collapse_q2(j: int, kernel) -> MarginalKernel:
-    _validate_collapse_args(kernel, j, 2)
-    if isinstance(kernel, FactorizedKernel):
-        return _collapse_factorized(kernel, [(j, 2, 1)], quintic_collapse_profile, offset=2)
-    return _collapse_quintic_dense(kernel, [(j, 2, 1)])
-
-
-def collapse_sum_quintic(kernel) -> MarginalKernel:
-    """Un-prefixed Q^(k) = sum_j (Q1_j - Q2_j) on a (k+2)-particle kernel."""
-    k = kernel.k - 2
-    if k < 1:
-        raise ValueError("quintic collapse needs at least 3 particles")
-    terms = [(j, 1, 1) for j in range(1, k + 1)] + [(j, 2, -1) for j in range(1, k + 1)]
-    if isinstance(kernel, FactorizedKernel):
-        return _collapse_factorized(kernel, terms, quintic_collapse_profile, offset=2)
-    return _collapse_quintic_dense(kernel, terms)
-
-
-def collapse_quintic(kernel, interaction: Interaction) -> MarginalKernel:
-    """Qtilde^(k) = -i mu Q^(k)."""
-    if interaction.kind != QUINTIC:
-        raise ValueError("collapse_quintic needs a quintic interaction")
-    out = collapse_sum_quintic(kernel)
-    np.multiply(out.data, -1j * interaction.mu, out=out.data)
-    return out
+def collapse_b2(j: int, kernel, contractions=None) -> MarginalKernel:
+    """B2_{j,k} term (primed-side mirror); contractions as in collapse."""
+    return collapse(kernel, Interaction(), [(j, 2, 1)], contractions)
 
 
 def apply_btilde(kernel, interaction: Interaction) -> MarginalKernel:
-    """The prefixed collapse matching the interaction arity."""
-    if interaction.kind == CUBIC:
-        return collapse_cubic(kernel, interaction)
-    return collapse_quintic(kernel, interaction)
+    """Btilde^(k) = -i mu B^(k), the source operator of the hierarchy."""
+    out = collapse(kernel, interaction)
+    np.multiply(out.data, -1j * interaction.mu, out=out.data)
+    return out
 
 
 # -- factorized fast path ---------------------------------------------------------
@@ -401,11 +336,11 @@ def quintic_collapse_profile(phi_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
     return h * grid.measure_weight ** 4
 
 
-def _collapse_factorized(kernel: FactorizedKernel, terms, profile_fn, offset: int = 1,
-                         budget=None) -> MarginalKernel:
+def _collapse_factorized(kernel: FactorizedKernel, terms, offset: int) -> MarginalKernel:
     grid = kernel.grid
     k = kernel.k - offset
-    check_budget(grid.kernel_bytes(k), budget, what=f"k={k} collapse output")
+    check_budget(grid.kernel_bytes(k), what=f"k={k} collapse output")
+    profile_fn = cubic_collapse_profile if offset == 1 else quintic_collapse_profile
     phi = kernel.phi_hat.reshape(-1)
     h = profile_fn(kernel.phi_hat, grid).reshape(-1)
     prefix = prefix_products(phi, k)

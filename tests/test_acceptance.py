@@ -25,12 +25,7 @@ from gphier.nls import (
     split_step,
 )
 from gphier.norms import NormParams, level_diff_norm, sobolev_norm
-from gphier.operators import (
-    Interaction,
-    collapse_sum_cubic,
-    collapse_sum_quintic,
-    free_evolve,
-)
+from gphier.operators import Interaction, collapse, free_evolve
 from gphier.solver import (
     ClosureRule,
     SolverConfig,
@@ -235,7 +230,7 @@ def test_03_collapse_identity_on_products():
     pair = np.outer(phi, np.conj(phi))
     for name, k, weight in (("cubic", 2, absq), ("quintic", 3, absq**2)):
         gamma = factorized(phi, GRID12, k, budget=SOLVER_BYTES)
-        lhs = collapse_sum_cubic(gamma) if name == "cubic" else collapse_sum_quintic(gamma)
+        lhs = collapse(gamma, Interaction(name))
         target = (weight[:, None] - weight[None, :]) * pair
         rhs = kernel_to_momentum(target, GRID12, 1)
         rels[name] = float(

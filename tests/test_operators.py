@@ -24,14 +24,9 @@ from gphier.operators import (
     _trace_last_pairs,
     apply_btilde,
     apply_free_phase,
+    collapse,
     collapse_b1,
     collapse_b2,
-    collapse_cubic,
-    collapse_q1,
-    collapse_q2,
-    collapse_quintic,
-    collapse_sum_cubic,
-    collapse_sum_quintic,
     cubic_collapse_profile,
     cubic_contractions,
     free_evolve,
@@ -40,6 +35,8 @@ from gphier.operators import (
 from gphier.spectral import GridSpec, forward_transform, inverse_transform
 
 GRID = GridSpec(n=1, L=2 * np.pi, M=6)
+CUBIC = Interaction("cubic")
+QUINTIC = Interaction("quintic")
 
 
 def random_dense(grid, k, seed):
@@ -252,8 +249,8 @@ class TestCubicCollapse:
                 op(1, lazy).data, op(1, dense).data, rtol=1e-12, atol=1e-13
             )
         np.testing.assert_allclose(
-            collapse_sum_cubic(lazy).data,
-            collapse_sum_cubic(dense).data,
+            collapse(lazy, CUBIC).data,
+            collapse(dense, CUBIC).data,
             rtol=1e-12,
             atol=1e-13,
         )
@@ -287,8 +284,8 @@ class TestCubicCollapse:
         lazy = FactorizedKernel(grid, 2, phi)
         dense = lazy.materialize()
         np.testing.assert_allclose(
-            collapse_sum_cubic(lazy).data,
-            collapse_sum_cubic(dense).data,
+            collapse(lazy, CUBIC).data,
+            collapse(dense, CUBIC).data,
             rtol=1e-12,
             atol=1e-13,
         )
@@ -296,30 +293,19 @@ class TestCubicCollapse:
     def test_trace_of_collapse_sum_vanishes(self):
         gamma = random_dense(GRID, 3, seed=20)
         scale = np.linalg.norm(gamma.data)
-        assert abs(trace(collapse_sum_cubic(gamma))) < 1e-13 * scale
+        assert abs(trace(collapse(gamma, CUBIC))) < 1e-13 * scale
 
     def test_prefixed_collapse_preserves_hermiticity(self):
         gamma = random_test_kernel(GRID, 2, alpha=1.0, seed=21)
         for mu in (1, -1):
-            out = collapse_cubic(gamma, Interaction("cubic", mu))
+            out = apply_btilde(gamma, Interaction("cubic", mu))
             assert is_hermitian(out)
 
     def test_collapse_of_symmetric_is_symmetric(self):
         gamma = random_test_kernel(GRID, 3, alpha=1.0, seed=22)
-        out = collapse_cubic(gamma, Interaction())
+        out = apply_btilde(gamma, Interaction())
         sym = symmetrize(out)
         np.testing.assert_allclose(out.data, sym.data, rtol=1e-11, atol=1e-12)
-
-    def test_argument_validation(self):
-        gamma = random_dense(GRID, 2, seed=23)
-        with pytest.raises(ValueError):
-            collapse_b1(2, gamma)
-        with pytest.raises(ValueError):
-            collapse_b1(0, gamma)
-        with pytest.raises(ValueError):
-            collapse_b1(1, random_dense(GRID, 1, seed=24))
-        with pytest.raises(ValueError):
-            collapse_cubic(gamma, Interaction("quintic", 1))
 
 
 class TestQuinticCollapse:
@@ -327,7 +313,7 @@ class TestQuinticCollapse:
         grid = GridSpec(n=1, L=3.0, M=4)
         gamma = random_dense(grid, 3, seed=25)
         np.testing.assert_allclose(
-            collapse_q1(1, gamma).data, brute_q1(gamma.data, grid), rtol=1e-13
+            collapse(gamma, QUINTIC, [(1, 1, 1)]).data, brute_q1(gamma.data, grid), rtol=1e-13
         )
 
     def test_q2_is_adjoint_conjugate_of_q1(self):
@@ -335,8 +321,8 @@ class TestQuinticCollapse:
 
         grid = GridSpec(n=1, L=3.0, M=4)
         gamma = random_dense(grid, 3, seed=26)
-        lhs = collapse_q2(1, gamma)
-        rhs = adjoint(collapse_q1(1, adjoint(gamma)))
+        lhs = collapse(gamma, QUINTIC, [(1, 2, 1)])
+        rhs = adjoint(collapse(adjoint(gamma), QUINTIC, [(1, 1, 1)]))
         np.testing.assert_allclose(lhs.data, rhs.data, rtol=1e-12)
 
     def test_factorized_matches_dense(self):
@@ -345,8 +331,8 @@ class TestQuinticCollapse:
         lazy = FactorizedKernel(grid, 3, phi)
         dense = lazy.materialize()
         np.testing.assert_allclose(
-            collapse_sum_quintic(lazy).data,
-            collapse_sum_quintic(dense).data,
+            collapse(lazy, QUINTIC).data,
+            collapse(dense, QUINTIC).data,
             rtol=1e-12,
             atol=1e-12,
         )
@@ -355,7 +341,7 @@ class TestQuinticCollapse:
         # |phi|^4 phi with narrow band: support 5W must stay inside the lattice
         grid = GridSpec(n=1, L=5.0, M=16)
         phi_hat = random_profile(grid, seed=28, band=1)
-        got = collapse_q1(1, FactorizedKernel(grid, 3, phi_hat))
+        got = collapse(FactorizedKernel(grid, 3, phi_hat), QUINTIC, [(1, 1, 1)])
 
         phi_x = inverse_transform(phi_hat, grid)
         psi_hat = forward_transform(np.abs(phi_x) ** 4 * phi_x, grid)
@@ -365,35 +351,57 @@ class TestQuinticCollapse:
     def test_trace_vanishes_and_hermiticity(self):
         grid = GridSpec(n=1, L=3.0, M=4)
         gamma = random_test_kernel(grid, 3, alpha=1.0, seed=29)
-        out = collapse_quintic(gamma, Interaction("quintic", -1))
+        out = apply_btilde(gamma, Interaction("quintic", -1))
         assert abs(trace(MarginalKernel(grid, 1, out.data * 1j))) < 1e-12
         assert is_hermitian(out)
 
-    def test_validation(self):
-        gamma = random_dense(GRID, 2, seed=30)
+
+class TestCollapseValidation:
+    @pytest.mark.parametrize("kind", ["cubic", "quintic"])
+    @pytest.mark.parametrize("rep", ["dense", "factorized"])
+    def test_k_and_j_range(self, kind, rep):
+        interaction = Interaction(kind)
+        offset = interaction.source_offset
+
+        def kernel(K):
+            if rep == "dense":
+                return random_dense(GRID, K, seed=23 + K)
+            return FactorizedKernel(GRID, K, random_profile(GRID, seed=23 + K))
+
+        too_small = kernel(offset)  # k = 0
         with pytest.raises(ValueError):
-            collapse_q1(1, gamma)
+            collapse(too_small, interaction)
         with pytest.raises(ValueError):
-            collapse_quintic(random_dense(GRID, 3, seed=31), Interaction("cubic", 1))
+            collapse(too_small, interaction, [(1, 1, 1)])
+        gamma = kernel(offset + 1)  # k = 1
+        for j in (0, 2):
+            for side in (1, 2):
+                with pytest.raises(ValueError):
+                    collapse(gamma, interaction, [(j, side, 1)])
+        if kind == "cubic":
+            for op in (collapse_b1, collapse_b2):
+                with pytest.raises(ValueError):
+                    op(1, too_small)
+                for j in (0, 2):
+                    with pytest.raises(ValueError):
+                        op(j, gamma)
 
 
 class TestDispatch:
     def test_apply_btilde_matches_kind(self):
         gamma3 = random_dense(GRID, 3, seed=32)
         cubic = apply_btilde(gamma3, Interaction("cubic", -1))
-        np.testing.assert_allclose(
-            cubic.data, collapse_cubic(gamma3, Interaction("cubic", -1)).data
-        )
+        assert cubic.k == 2
+        np.testing.assert_allclose(cubic.data, 1j * collapse(gamma3, CUBIC).data)
         quintic = apply_btilde(gamma3, Interaction("quintic", 1))
-        np.testing.assert_allclose(
-            quintic.data, collapse_quintic(gamma3, Interaction("quintic", 1)).data
-        )
+        assert quintic.k == 1
+        np.testing.assert_allclose(quintic.data, -1j * collapse(gamma3, QUINTIC).data)
 
     def test_btilde_scaling_against_raw_sum(self):
         gamma = random_dense(GRID, 2, seed=33)
-        raw = collapse_sum_cubic(gamma)
+        raw = collapse(gamma, CUBIC)
         for mu in (1, -1):
-            out = collapse_cubic(gamma, Interaction("cubic", mu))
+            out = apply_btilde(gamma, Interaction("cubic", mu))
             np.testing.assert_allclose(out.data, -1j * mu * raw.data, rtol=1e-14)
 
     def test_quintic_profile_plane_wave(self):
@@ -444,28 +452,32 @@ def per_axis_phase(data, grid, k, t):
 
 
 class TestOnePassKernels:
-    @pytest.mark.parametrize("grid, kind, K", [
-        (GridSpec(n=1, L=4.0, M=6), "cubic", 4),
-        (GridSpec(n=2, L=3.0, M=4), "cubic", 3),
-        (GridSpec(n=1, L=4.0, M=6), "quintic", 5),
-        (GridSpec(n=2, L=3.0, M=4), "quintic", 4),
+    @pytest.mark.parametrize("grid, kind, K, dense", [
+        (GridSpec(n=1, L=4.0, M=6), "cubic", 4, False),
+        (GridSpec(n=2, L=3.0, M=4), "cubic", 3, False),
+        (GridSpec(n=1, L=4.0, M=6), "quintic", 5, False),
+        (GridSpec(n=2, L=3.0, M=4), "quintic", 4, False),
+        # the dense path on the materialized product kernel; quintic j = 2
+        # has no other independent reference
+        (GridSpec(n=1, L=4.0, M=6), "cubic", 3, True),
+        (GridSpec(n=1, L=4.0, M=4), "quintic", 4, True),
+        (GridSpec(n=2, L=3.0, M=4), "cubic", 2, True),
     ])
-    def test_factorized_collapse_matches_chained_outer_products(self, grid, kind, K):
+    def test_factorized_collapse_matches_chained_outer_products(self, grid, kind, K, dense):
         lazy = FactorizedKernel(grid, K, random_profile(grid, seed=40 + K))
-        if kind == "cubic":
-            offset, profile = 1, cubic_collapse_profile
-            unprimed, primed, total = collapse_b1, collapse_b2, collapse_sum_cubic
-        else:
-            offset, profile = 2, quintic_collapse_profile
-            unprimed, primed, total = collapse_q1, collapse_q2, collapse_sum_quintic
+        interaction = Interaction(kind)
+        offset = interaction.source_offset
+        profile = cubic_collapse_profile if kind == "cubic" else quintic_collapse_profile
+        kernel = lazy.materialize() if dense else lazy
         k = K - offset
         for j in range(1, k + 1):
-            for op, side in ((unprimed, 1), (primed, 2)):
+            for side in (1, 2):
                 want = chained_outer_collapse(lazy, [(j, side, 1)], profile, offset)
-                assert max_rel(op(j, lazy).data, want) <= 1e-14
+                got = collapse(kernel, interaction, [(j, side, 1)])
+                assert max_rel(got.data, want) <= 1e-14
         terms = [(j, 1, 1) for j in range(1, k + 1)] + [(j, 2, -1) for j in range(1, k + 1)]
         want = chained_outer_collapse(lazy, terms, profile, offset)
-        assert max_rel(total(lazy).data, want) <= 1e-14
+        assert max_rel(collapse(kernel, interaction).data, want) <= 1e-14
 
     @pytest.mark.parametrize("grid, k", [
         # M=10, k=3: 1000 rows, not a multiple of the row block

@@ -8,7 +8,7 @@ import pytest
 
 from gphier.kernels import random_test_kernel
 from gphier.norms import sobolev_norm
-from gphier.operators import collapse_sum_cubic, cubic_collapse_profile
+from gphier.operators import Interaction, collapse, cubic_collapse_profile
 from gphier.spectral import GridSpec, variable_bracket
 from gphier.verify import (
     BinomialGrowthReport,
@@ -175,7 +175,7 @@ class TestConstantEstimate:
         from gphier.operators import collapse_b1, collapse_b2
 
         gamma = random_test_kernel(GRID, k + 1, alpha=1.0, seed=seed)
-        direct = collapse_sum_cubic(gamma)
+        direct = collapse(gamma, Interaction())
         diff = collapse_b1(1, gamma).data - collapse_b2(1, gamma).data
         total = diff.copy()
         for j in range(1, k):
@@ -199,7 +199,7 @@ class TestConstantEstimate:
         gamma2 = pair.transpose(0, 2, 1, 3)  # axes (p1, p2, p1', p2')
         from gphier.kernels import MarginalKernel
         dense = MarginalKernel(grid, 2, np.ascontiguousarray(gamma2))
-        generic = sobolev_norm(collapse_sum_cubic(dense), alpha)
+        generic = sobolev_norm(collapse(dense, Interaction()), alpha)
 
         h = cubic_collapse_profile(phi, grid)
         diff = np.outer(h, np.conj(phi)) - np.outer(phi, np.conj(h))
