@@ -9,7 +9,9 @@ Subcommands map one-to-one onto the library workflows:
 
 Every run writes a config snapshot, a JSON report, and fixed-column CSV
 files into the output directory; reruns with the same config and seed
-produce byte-identical CSVs.
+produce byte-identical CSVs.  solve and compare-nls first print the
+solver's own plan (solver.plan) and refuse a run whose planned peak is over
+the budget (kernels.kernel_budget) unless --override-budget is given.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -25,11 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from .kernels import (
-    BUDGET_ENV_VAR,
     FactorizedKernel,
     HierarchySequence,
     ResourceBudgetError,
     factorized_sequence,
+    kernel_budget,
     load_kernel,
     load_wavefunction,
     save_kernel,
@@ -42,7 +43,7 @@ from .solver import (
     ClosureRule,
     SolverConfig,
     duhamel_bound_rows,
-    planned_collapses,
+    plan,
     solve,
 )
 from .spectral import GridSpec
@@ -55,7 +56,6 @@ from .verify import (
     lemma31_sup_check,
 )
 
-DEFAULT_PREFLIGHT_BUDGET = 1_000_000_000
 UNLIMITED_BUDGET = 2**62
 
 EXIT_OK = 0
@@ -214,8 +214,8 @@ def build_initial_sequence(cfg: dict, grid: GridSpec, K: int, xi: float,
     raise CliError(f"unknown initial_data.kind {kind!r}")
 
 
-def build_solver_config(cfg: dict, args, grid: GridSpec,
-                        interaction: Interaction) -> SolverConfig:
+def build_solver_config(cfg: dict, args) -> SolverConfig:
+    grid, interaction = build_grid(cfg), build_interaction(cfg)
     params = NormParams(
         alpha=_typed(cfg, "alpha", float, 1.0),
         xi=_typed(cfg, "xi", float, 0.5),
@@ -229,9 +229,6 @@ def build_solver_config(cfg: dict, args, grid: GridSpec,
         phi0=phi0,
         substeps=_typed(cfg, "closure_substeps", int, 32),
     )
-    budget = None
-    if args.override_budget:
-        budget = UNLIMITED_BUDGET
     try:
         return SolverConfig(
             grid=grid,
@@ -244,7 +241,7 @@ def build_solver_config(cfg: dict, args, grid: GridSpec,
             closure=closure,
             quadrature=args.quadrature or _field(cfg, "quadrature", "trapezoid"),
             tol_cauchy=_typed(cfg, "tol_cauchy", float, 1e-10),
-            budget=budget,
+            budget=UNLIMITED_BUDGET if args.override_budget else None,
         )
     except ValueError as exc:
         raise CliError(f"solver configuration is invalid: {exc}") from exc
@@ -308,52 +305,29 @@ def prepare_output(args, cfg: dict, subcommand: str) -> Path:
 
 # -- preflight ---------------------------------------------------------------------
 
-def preflight_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_PREFLIGHT_BUDGET
-    try:
-        return int(float(raw))
-    except ValueError as exc:
-        raise CliError(f"environment variable {BUDGET_ENV_VAR} is not a number") from exc
+def preflight(config: SolverConfig, gamma0: HierarchySequence, override: bool) -> dict:
+    """Print the solver's plan; refuse a run over the budget without override.
 
-
-def preflight(config: SolverConfig, override: bool) -> dict:
-    """Trajectory-storage estimate; refuses oversize configs without override.
-
-    The estimate counts N_t stored nodes of all K dense levels, which is
-    deliberately pessimistic for runs that keep top levels factorized.  The
-    collapse count is the solver's own schedule bound, planned_collapses.
+    The plan is solve()'s own (solver.plan), checked against the budget
+    solve() checks (kernels.kernel_budget).  With override the run goes on
+    with a warning, and solve() runs under an unlimited budget.
     """
-    grid, N_t = config.grid, config.N_t
-    per_level = [(k, grid.kernel_entries(k), grid.kernel_bytes(k))
-                 for k in range(1, config.K + 1)]
-    total = N_t * sum(b for _, _, b in per_level)
-    collapse_ops = planned_collapses(config)
-    budget = preflight_budget()
-    print("preflight: per-level kernel sizes")
-    for k, entries, nbytes in per_level:
-        print(f"  level {k}: {entries} complex entries, {nbytes:.3e} bytes")
-    print(f"preflight: trajectory storage {total:.3e} bytes "
-          f"({N_t} nodes x all levels), budget {budget:.3e} bytes")
-    print(f"preflight: at most {collapse_ops} collapse applications")
-    if total > budget:
+    planned = plan(config, gamma0)
+    budget = kernel_budget()
+    print(f"preflight: planned peak {planned.peak_bytes:.3e} bytes, "
+          f"budget {budget:.3e} bytes")
+    print(f"preflight: at most {planned.collapses} collapse applications")
+    over = planned.peak_bytes > budget
+    if over:
+        why = f"planned peak {planned.peak_bytes:.3e} bytes exceeds the {budget:.3e}-byte budget"
         if not override:
-            raise CliError(
-                f"estimated {total:.3e} bytes exceeds the {budget:.3e}-byte "
-                "budget; rerun with --override-budget to accept"
-            )
-        warnings.warn(
-            f"estimated {total:.3e} bytes exceeds the budget {budget:.3e}; "
-            "continuing because --override-budget is set",
-            stacklevel=2,
-        )
+            raise CliError(f"{why}; rerun with --override-budget to accept")
+        warnings.warn(f"{why}; continuing because --override-budget is set", stacklevel=2)
     return {
-        "per_level_bytes": {str(k): b for k, _, b in per_level},
-        "total_bytes": total,
+        "total_bytes": planned.peak_bytes,
         "budget_bytes": budget,
-        "collapse_ops": collapse_ops,
-        "overridden": bool(override and total > budget),
+        "collapse_ops": planned.collapses,
+        "overridden": over,
     }
 
 
@@ -361,15 +335,14 @@ def preflight(config: SolverConfig, override: bool) -> dict:
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    grid = build_grid(cfg)
-    interaction = build_interaction(cfg)
-    config = build_solver_config(cfg, args, grid, interaction)
+    config = build_solver_config(cfg, args)
+    grid = config.grid
     out = prepare_output(args, cfg, "solve")
-    plan = preflight(config, args.override_budget)
-
-    seed = args.seed if args.seed is not None else _typed(cfg, "seed", int, 0)
     gamma0 = build_initial_sequence(cfg, grid, config.K, config.params.xi,
                                     config.budget)
+    planned = preflight(config, gamma0, args.override_budget)
+
+    seed = args.seed if args.seed is not None else _typed(cfg, "seed", int, 0)
 
     c_hat = _typed(cfg, "c_hat", float)
     if c_hat is None:
@@ -396,7 +369,7 @@ def cmd_solve(args) -> int:
             save_kernel(out / f"final_level{k}.bin", level)
 
     payload = report.to_dict()
-    payload["preflight"] = plan
+    payload["preflight"] = planned
     payload["seed"] = seed
     if args.emit_plots or _field(cfg, "emit_plots", False):
         write_csv(
@@ -480,11 +453,9 @@ def cmd_verify_lemmas(args) -> int:
 
 def cmd_compare_nls(args) -> int:
     cfg = load_config(args.config)
-    grid = build_grid(cfg)
-    interaction = build_interaction(cfg)
-    config = build_solver_config(cfg, args, grid, interaction)
+    config = build_solver_config(cfg, args)
+    grid = config.grid
     out = prepare_output(args, cfg, "compare-nls")
-    preflight(config, args.override_budget)
 
     data = _field(cfg, "initial_data", required=True)
     if _field(data, "kind", "factorized") != "factorized":
@@ -492,11 +463,12 @@ def cmd_compare_nls(args) -> int:
     phi = build_profile(cfg, grid)
     gamma0 = factorized_sequence(phi, grid, config.K, config.params.xi,
                                  dense_up_to=0)
+    preflight(config, gamma0, args.override_budget)
 
     c_hat = _typed(cfg, "c_hat", float)
     trajectory, report = solve(gamma0, config, c_hat=c_hat)
     reference = factorized_trajectory(
-        phi, grid, interaction, config.K, config.params.xi, config.times(),
+        phi, grid, config.interaction, config.K, config.params.xi, config.times(),
         substeps=_typed(cfg, "oracle_substeps", int, 64),
     )
 
@@ -540,10 +512,6 @@ def cmd_estimate_constant(args) -> int:
     out = prepare_output(args, cfg, "estimate-constant")
 
     budget = UNLIMITED_BUDGET if args.override_budget else None
-    largest = max(k_range) + 1
-    print(f"preflight: largest draw is a level-{largest} kernel, "
-          f"{grid.kernel_bytes(largest):.3e} bytes")
-
     est = estimate_collapse_constant(alpha, grid, k_range=k_range,
                                      trials=trials, seed=seed, budget=budget)
     write_csv(

@@ -34,13 +34,23 @@ class ResourceBudgetError(RuntimeError):
 
 
 def kernel_budget(budget=None) -> int:
-    """Effective single-allocation budget in bytes."""
+    """The memory budget in bytes: the most a run may hold.
+
+    solve() refuses a run whose planned peak is above it, and any single
+    allocation above it is refused outright.  An explicit budget wins over
+    the GPHIER_BUDGET_BYTES environment variable, which wins over
+    DEFAULT_KERNEL_BUDGET; a value that is not a number raises ValueError.
+    """
     if budget is not None:
         return int(budget)
     env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
+    if not env:
+        return DEFAULT_KERNEL_BUDGET
+    try:
         return int(float(env))
-    return DEFAULT_KERNEL_BUDGET
+    except ValueError:
+        raise ValueError(f"environment variable {BUDGET_ENV_VAR}={env!r} "
+                         "is not a number of bytes") from None
 
 
 def check_budget(nbytes: int, budget=None, what: str = "kernel"):
@@ -396,6 +406,16 @@ def partial_trace_last(kernel) -> "MarginalKernel | FactorizedKernel":
 
 # -- random test kernels ------------------------------------------------------
 
+def bracket_envelope(grid: GridSpec, k: int, exponent: float) -> np.ndarray:
+    """k-fold outer power of variable_bracket(grid) ** exponent: the weight
+    of one variable group (all unprimed, or all primed, variables)."""
+    w = variable_bracket(grid) ** exponent
+    half = np.array(1.0)
+    for _ in range(k):
+        half = np.multiply.outer(half, w)
+    return half
+
+
 def random_test_kernel(grid: GridSpec, k: int, alpha: float, seed: int,
                        s: float = 1.0, budget=None) -> MarginalKernel:
     """Seeded random kernel with enough momentum decay to have finite H^alpha norms.
@@ -407,10 +427,7 @@ def random_test_kernel(grid: GridSpec, k: int, alpha: float, seed: int,
     rng = np.random.default_rng(seed)
     shape = grid.kernel_shape(k)
     data = rng.standard_normal(shape + (2,)).view(np.complex128).reshape(shape)
-    w = variable_bracket(grid) ** (-(alpha + s))
-    half = np.array(1.0)
-    for _ in range(k):
-        half = np.multiply.outer(half, w)
+    half = bracket_envelope(grid, k, -(alpha + s))
     data *= half.reshape(half.shape + (1,) * (k * grid.n))
     data *= half
     kern = MarginalKernel(grid, k, data)
@@ -440,15 +457,10 @@ def load_momentum_array(path, budget=None):
             raise ValueError(f"invalid kernel file header (n={n}, M={M}, k={k})")
         grid = GridSpec(n, L, M)
         ndim = n if k == 0 else 2 * k * n
-        limit = kernel_budget(budget)
         count = 1
         for _ in range(ndim):  # stops at the budget, so absurd headers cost nothing
             count *= M
-            if 16 * count > limit:
-                raise ResourceBudgetError(
-                    f"deserialized array of {ndim} axes of length {M} is over "
-                    f"the budget of {limit} bytes; raise it via {BUDGET_ENV_VAR}"
-                )
+            check_budget(16 * count, budget, what=f"array of {ndim} axes of length {M}")
         shape = (M,) * ndim
         payload = np.frombuffer(fh.read(16 * count), dtype="<c16")
         if payload.size != count:

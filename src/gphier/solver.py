@@ -34,6 +34,11 @@ nothing in Cauchy distances and residuals, and a step that re-integrates
 nothing has distance exactly zero.  The partial sums of Duhamel terms plus
 the convention-start remainder reproduce each iterate to rounding, which
 the tests use as a cross-check of the whole pipeline.
+
+plan() is the one resource model: it walks the same schedule without
+arrays, reading each level's representation from the initial data, and
+yields the collapse count and the peak bytes.  solve() and the CLI check
+that peak against one budget, kernels.kernel_budget.
 """
 
 from __future__ import annotations
@@ -50,10 +55,9 @@ from .kernels import (
     FactorizedKernel,
     HierarchySequence,
     MarginalKernel,
-    ResourceBudgetError,
     as_dense,
+    check_budget,
     hermiticity_defect,
-    kernel_budget,
     symmetry_defect,
     trace,
 )
@@ -209,12 +213,8 @@ class RunReport:
 
     def to_dict(self) -> dict:
         out = dict(self.__dict__)
-        out["residuals"] = {str(k): v for k, v in self.residuals.items()}
-        out["trace_drift"] = {str(k): v for k, v in self.trace_drift.items()}
-        out["hermiticity_defects"] = {
-            str(k): v for k, v in self.hermiticity_defects.items()
-        }
-        out["symmetry_defects"] = {str(k): v for k, v in self.symmetry_defects.items()}
+        for name in ("residuals", "trace_drift", "hermiticity_defects", "symmetry_defects"):
+            out[name] = {str(k): v for k, v in out[name].items()}
         return out
 
 
@@ -388,6 +388,11 @@ def _closure_states(gamma0: HierarchySequence, config: SolverConfig) -> dict:
     return out
 
 
+def _dense_sourced(gamma0: HierarchySequence, config: SolverConfig) -> dict:
+    """Level -> dense array of gamma0 at every sourced level."""
+    return {k: as_dense(gamma0.level(k), config.budget).data for k in config.sourced_levels}
+
+
 def convention_trajectory(gamma0: HierarchySequence, config: SolverConfig) -> Trajectory:
     """The iteration start: the initial sequence frozen at every node."""
     state = HierarchySequence(
@@ -398,59 +403,86 @@ def convention_trajectory(gamma0: HierarchySequence, config: SolverConfig) -> Tr
     return Trajectory(times, [state] * len(times))
 
 
-def plan_memory(config: SolverConfig) -> dict:
-    """Bytes the solve will hold at peak; raises if over budget."""
-    grid = config.grid
-    per_state = sum(grid.kernel_bytes(k) for k in config.sourced_levels)
-    nodes = config.N_t + 1
-    trajectories = 2 * nodes * per_state
-    biggest = max(grid.kernel_bytes(k) for k in config.sourced_levels)
-    transient = 8 * biggest
-    total = trajectories + transient
-    budget = kernel_budget(config.budget)
-    if total > budget:
-        raise ResourceBudgetError(
-            f"solve needs ~{total:.3e} bytes "
-            f"({nodes} nodes x 2 trajectories x {per_state:.3e} B + workspace), "
-            f"over budget {budget:.3e}"
-        )
-    return {
-        "per_state_bytes": per_state,
-        "nodes": nodes,
-        "trajectory_bytes": trajectories,
-        "transient_bytes": transient,
-        "total_bytes": total,
-        "budget_bytes": budget,
-    }
+@dataclass(frozen=True)
+class SolvePlan:
+    """What solve() will do at most: collapses made and bytes held at peak."""
+
+    collapses: int
+    peak_bytes: int
 
 
-def planned_collapses(config: SolverConfig) -> int:
-    """Upper bound on the collapses solve() makes, from its schedule alone.
+# Transient bytes beside the levels' arrays, measured: a full-size pass's
+# 2^16-entry block buffer and its temporaries (up to 1.3 MB on one pool
+# run) and interpreter objects.  A streamed norm's part buffers (up to
+# 1.9 MB) are in use only between steps, when no integrator buffers are.
+_SCRATCH = 1_700_000
 
-    Walks the frozen-level schedule without building arrays: at step 1 every
-    sourced level integrates the constant convention start (one collapse);
-    later a level is re-integrated when its source level changed, at one
-    collapse for a zero_top closure source (the same kernel at every node)
-    and N_t+1 otherwise.  The walk ends at the first step that re-integrates
-    nothing, or after m_max steps, and then adds the residual step.  solve()
-    makes exactly this many unless it converges before the schedule runs out.
+
+def _contraction_bytes(grid: GridSpec, kp: int, offset: int) -> int:
+    """Transient bytes of a dense collapse of a level-kp kernel: the
+    contraction outputs, and for n >= 2 the partial traces of leading
+    components (cubic_contractions and _quintic_contractions)."""
+    M = grid.M
+    share = sum(((2 * M - 1) / M**2) ** i for i in range(1, grid.n + 1))
+    if offset == 2:
+        share += ((3 * M * M - 3 * M + 1) / M**4) ** grid.n
+    return int(share * grid.kernel_bytes(kp))
+
+
+def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
+    """Walk solve()'s frozen-level schedule once, without building arrays.
+
+    Step 1 collapses each sourced level's constant convention start once;
+    a later step re-integrates level k when level k+off changed, at one
+    collapse for a zero_top source and N_t+1 otherwise.  The walk stops at
+    a step that re-integrates nothing or after m_max steps, then adds the
+    residual step, so solve() makes exactly these collapses unless it
+    converges earlier.  The bytes held are the dense copies of factorized
+    sourced levels of gamma0, dense closure lists (free_top on dense data),
+    the previous iterate's lists and those this step re-integrated so far,
+    and for the level being integrated its list, the integrator's buffers
+    (3 trapezoid, 7 Simpson), the collapse output and a dense collapse's
+    contractions; plus _SCRATCH.  Each further pool run over a level of
+    2^19 entries or more holds up to 1.3 MB of scratch that the plan leaves
+    out, so that the plan does not depend on the worker count.
     """
-    off, nodes = config.offset, config.N_t + 1
-    closure = set(config.closure_levels)
-    constant = closure if config.closure.kind == ZERO_TOP else set()
+    grid, off, nodes = config.grid, config.offset, config.N_t + 1
+    size = grid.kernel_bytes
+    sourced, closure = set(config.sourced_levels), set(config.closure_levels)
 
-    def step(changed):
-        redone = {k for k in config.sourced_levels if k + off in changed}
-        return redone, sum(1 if k + off in constant else nodes for k in redone)
+    def dense(k):
+        return not isinstance(gamma0.level(k), FactorizedKernel)
 
-    total = len(config.sourced_levels)
-    changed = set(config.sourced_levels) | closure
-    for _ in range(config.m_max - 1):
+    dense_closure = {k for k in closure if config.closure.kind == FREE_TOP and dense(k)}
+    zero_closure = closure if config.closure.kind == ZERO_TOP else set()
+    buffers = 3 if config.quadrature == TRAPEZOID else 7
+    held = (sum(size(k) for k in sourced if not dense(k))
+            + nodes * sum(size(k) for k in dense_closure))
+    peak, collapses = held, 0
+    changed, first = sourced | closure, True
+    for _ in range(config.m_max + 1):  # m_max steps, then the residual step
         if not changed:
             break
-        changed, cost = step(changed)
-        total += cost
-    return total + step(changed)[1]
+        live = held
+        redone = sorted(k for k in sourced if k + off in changed)
+        for k in redone:
+            src = k + off
+            dense_src = dense(src) if first else src in sourced | dense_closure
+            work = _contraction_bytes(grid, src, off) if dense_src else 0
+            body = (nodes + buffers) * size(k)  # list, buffers, one collapse output
+            if first or src in zero_closure:  # collapsed once, then copied per node
+                collapses += 1
+                top = size(k) + max(work, body)
+            else:
+                collapses += nodes
+                top = work + body
+            peak = max(peak, live + top)
+            live += nodes * size(k)
+        if first:
+            held += nodes * sum(size(k) for k in sourced)
+        changed = set(redone) | (closure if first else set())
+        first = False
+    return SolvePlan(collapses, peak + _SCRATCH)
 
 
 def _frozen_step(times: np.ndarray, levels: dict, changed: set, gamma0_data: dict,
@@ -497,13 +529,9 @@ def picard_step(prev: Trajectory, gamma0: HierarchySequence,
         prev.times, config.times(), rtol=1e-12, atol=1e-15
     ):
         raise ValueError("trajectory nodes do not match the configuration")
-    gamma0_data = {
-        k: as_dense(gamma0.level(k), config.budget).data
-        for k in config.sourced_levels
-    }
     levels = {k: prev.level_series(k) for k in range(1, config.K + 1)}
     new_levels, _ = _frozen_step(
-        prev.times, levels, set(levels), gamma0_data,
+        prev.times, levels, set(levels), _dense_sourced(gamma0, config),
         _closure_states(gamma0, config), config,
     )
     return _as_trajectory(prev.times, new_levels, config)
@@ -589,7 +617,8 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
         raise ValueError("initial data grid differs from configuration grid")
     if gamma0.K != config.K:
         raise ValueError("initial data depth differs from configuration K")
-    plan = plan_memory(config)
+    planned = plan(config, gamma0)
+    check_budget(planned.peak_bytes, config.budget, what="solve")
 
     xi, alpha = config.params.xi, config.params.alpha
     stop_weight = xi
@@ -603,10 +632,7 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
     stop_params = NormParams(alpha=alpha, xi=stop_weight)
 
     closure = _closure_states(gamma0, config)
-    gamma0_data = {
-        k: as_dense(gamma0.level(k), config.budget).data
-        for k in config.sourced_levels
-    }
+    gamma0_data = _dense_sourced(gamma0, config)
 
     prev = convention_trajectory(gamma0, config)
     levels = {k: prev.level_series(k) for k in range(1, config.K + 1)}
@@ -684,7 +710,7 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
         initial_norm=weighted_norm(gamma0, config.params),
         c_hat=c_hat,
         wall_seconds=time.perf_counter() - t_start,
-        planned_bytes=plan["total_bytes"],
+        planned_bytes=planned.peak_bytes,
         quadrature=config.quadrature,
         closure=config.closure.kind,
     )

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import MarginalKernel, permute_particles, random_test_kernel
+from .kernels import MarginalKernel, bracket_envelope, permute_particles, random_test_kernel
 from .norms import sobolev_norm
 from .operators import collapse_b1, collapse_b2, cubic_contractions
-from .spectral import GridSpec, variable_bracket
+from .spectral import GridSpec
 
 
 def _bracket_sq(x: np.ndarray) -> np.ndarray:
@@ -192,15 +192,6 @@ class ConstantEstimate:
 SAFETY_FACTOR = 1.5
 
 
-def _half_envelope(grid: GridSpec, k: int, exponent: float) -> np.ndarray:
-    """Outer product of k per-variable bracket weights (one variable block)."""
-    w = variable_bracket(grid) ** exponent
-    half = np.array(1.0)
-    for _ in range(k):
-        half = np.multiply.outer(half, w)
-    return half
-
-
 def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
                               trials: int = 50, seed: int = 0,
                               budget=None) -> dict:
@@ -220,7 +211,7 @@ def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
     )
     acc = {a: {k: {"full": [], "term": []} for k in k_range} for a in alphas}
     for ki, k in enumerate(k_range):
-        halves = {a: _half_envelope(grid, k + 1, -a) for a in alphas}
+        halves = {a: bracket_envelope(grid, k + 1, -a) for a in alphas}
         data = None  # reweighting buffer, allocated once the first draw passed its budget check
         for trial in range(trials):
             base = random_test_kernel(

@@ -59,12 +59,14 @@ def read_csv_rows(path):
 
 class TestPreflight:
     def test_oversize_config_refused(self, tmp_path, capsys):
-        cfg = solve_cfg(grid={"n": 1, "L": TWO_PI, "M": 8}, K=4, N_t=5)
+        # the solver's plan for cubic M=16, K=4 is about 6 GB, over the
+        # default budget, so the run stops before any level-sized allocation
+        cfg = solve_cfg(grid={"n": 1, "L": TWO_PI, "M": 16}, K=4, N_t=8)
         rc = main(["solve", "--config", write_cfg(tmp_path, cfg),
                    "--out", str(tmp_path / "out")])
         captured = capsys.readouterr()
         assert rc == 1
-        assert "1.363e+09" in captured.out
+        assert "5.927e+09" in captured.out
         assert "override-budget" in captured.err
 
     def test_small_config_accepted(self, tmp_path, capsys):
@@ -75,14 +77,17 @@ class TestPreflight:
                    "--out", str(out)])
         captured = capsys.readouterr()
         assert rc == 0
-        assert "2.130e+07" in captured.out
+        assert "2.762e+06" in captured.out
         assert (out / "report.json").exists()
         # the solver's schedule bound, which this run reaches exactly
         assert "at most 20 collapse applications" in captured.out
         report = json.loads((out / "report.json").read_text())
         assert report["preflight"]["collapse_ops"] == 20
+        assert report["preflight"]["total_bytes"] == report["planned_bytes"]
 
-    def test_override_flag_accepts_oversize(self, tmp_path):
+    def test_override_flag_accepts_oversize(self, tmp_path, monkeypatch):
+        # a planned peak of about 7e7 bytes, over a budget lowered to 1e7
+        monkeypatch.setenv(BUDGET_ENV_VAR, "1e7")
         cfg = solve_cfg(grid={"n": 1, "L": TWO_PI, "M": 8}, K=4, N_t=5,
                         m_max=4, tol_cauchy=1e-6)
         out = tmp_path / "out"
@@ -94,15 +99,44 @@ class TestPreflight:
         assert report["preflight"]["overridden"] is True
 
     def test_env_var_raises_budget(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(BUDGET_ENV_VAR, "2000000000")
-        cfg = solve_cfg(grid={"n": 1, "L": TWO_PI, "M": 8}, K=4, N_t=5,
-                        m_max=4, tol_cauchy=1e-6)
+        cfg_path = write_cfg(tmp_path, solve_cfg(
+            grid={"n": 1, "L": TWO_PI, "M": 8}, K=4, N_t=5, m_max=4,
+            tol_cauchy=1e-6))
+        monkeypatch.setenv(BUDGET_ENV_VAR, "1e7")
+        assert main(["solve", "--config", cfg_path,
+                     "--out", str(tmp_path / "refused")]) == 1
+        monkeypatch.setenv(BUDGET_ENV_VAR, "200000000")
+        out = tmp_path / "out"
+        rc = main(["solve", "--config", cfg_path, "--out", str(out)])
+        assert rc == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["preflight"]["budget_bytes"] == 200_000_000
+
+    def test_malformed_env_var_is_a_clean_error(self, tmp_path):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gphier.cli", "solve", "--config",
+             write_cfg(tmp_path, solve_cfg()), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": path, BUDGET_ENV_VAR: "lots"},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert BUDGET_ENV_VAR in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_quintic_m8_runs_under_default_budget(self, tmp_path, capsys):
+        # the closure levels 4 and 5 stay factorized and cost the plan next to nothing
+        cfg = solve_cfg(grid={"n": 1, "L": TWO_PI, "M": 8},
+                        interaction="quintic", K=5, N_t=8, c_hat=0.4)
         out = tmp_path / "out"
         rc = main(["solve", "--config", write_cfg(tmp_path, cfg),
                    "--out", str(out)])
         assert rc == 0
+        assert "9.524e+07" in capsys.readouterr().out
         report = json.loads((out / "report.json").read_text())
-        assert report["preflight"]["budget_bytes"] == 2_000_000_000
+        assert report["preflight"]["overridden"] is False
+        assert report["converged"] is True
 
 
 class TestSolveCommand:

@@ -16,6 +16,7 @@ from gphier.kernels import (
     hermiticity_defect,
     is_hermitian,
     is_symmetric,
+    kernel_budget,
     load_kernel,
     load_wavefunction,
     partial_trace_last,
@@ -258,6 +259,13 @@ class TestBudget:
             random_test_kernel(GRID, 2, 1.0, seed=1)
         monkeypatch.setenv("GPHIER_BUDGET_BYTES", "1e9")
         random_test_kernel(GRID, 2, 1.0, seed=1)
+
+    def test_malformed_env_value_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("GPHIER_BUDGET_BYTES", "lots")
+        with pytest.raises(ValueError, match="GPHIER_BUDGET_BYTES"):
+            kernel_budget()
+        with pytest.raises(ValueError, match="GPHIER_BUDGET_BYTES"):
+            random_test_kernel(GRID, 2, 1.0, seed=1)
 
 
 class TestHierarchySequence:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -14,6 +15,7 @@ from gphier.kernels import (
     MarginalKernel,
     ResourceBudgetError,
     as_dense,
+    kernel_budget,
     random_test_kernel,
 )
 from gphier import solver as solver_module
@@ -37,8 +39,7 @@ from gphier.solver import (
     duhamel_remainder,
     duhamel_term,
     picard_step,
-    plan_memory,
-    planned_collapses,
+    plan,
     solve,
 )
 from gphier.spectral import GridSpec, inverse_transform
@@ -561,7 +562,7 @@ class TestFrozenLevelSchedule:
         _, report = solve(gamma0, config)
         assert report.converged
         assert len(calls) == expected
-        assert planned_collapses(config) == expected
+        assert plan(config, gamma0).collapses == expected
 
     @pytest.mark.parametrize("closure, m_max, expected", [
         ("free_top", 2, 48), ("zero_top", 10, 49),
@@ -583,21 +584,70 @@ class TestFrozenLevelSchedule:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             solve(gamma0, config)
-        assert len(calls) == planned_collapses(config) == expected
+        assert len(calls) == plan(config, gamma0).collapses == expected
+
+
+def plan_case(name):
+    """Initial data and configuration of one tracemalloc bound case (M=8, N_t=8)."""
+    kind, K, quadrature, closure, dense = {
+        "cubic_free": ("cubic", 4, "trapezoid", "free_top", False),
+        "quintic_simpson": ("quintic", 5, "simpson", "free_top", False),
+        "dense_free": ("cubic", 3, "trapezoid", "free_top", True),
+        "dense_zero": ("cubic", 3, "trapezoid", "zero_top", True),
+        "dense_factorized": ("cubic", 3, "trapezoid", "factorized_top", True),
+    }[name]
+    grid = GridSpec(n=1, L=2 * np.pi, M=8)
+    phi = band_profile(grid, seed=79)
+    levels = []
+    for k in range(1, K + 1):
+        level = FactorizedKernel(grid, k, phi)
+        levels.append(as_dense(level) if dense else level)
+    config = SolverConfig(
+        grid=grid, interaction=Interaction(kind, 1), params=PARAMS, K=K,
+        T=0.05, N_t=8, quadrature=quadrature,
+        closure=ClosureRule(closure, phi0=inverse_transform(phi, grid)),
+    )
+    return HierarchySequence(K, 0.5, tuple(levels)), config
 
 
 class TestMemoryPlanning:
     def test_plan_under_budget(self):
-        plan = plan_memory(config_for(K=3))
-        assert plan["total_bytes"] <= plan["budget_bytes"]
+        gamma0 = random_sequence(GRID, 3, seed=57)
+        config = config_for(K=3)
+        planned = plan(config, gamma0)
+        assert planned.peak_bytes <= kernel_budget(config.budget)
+        _, report = solve(gamma0, config)
+        assert report.planned_bytes == planned.peak_bytes
 
-    def test_oversized_refused(self):
+    def test_oversized_refused(self, monkeypatch):
         config = config_for(K=3, budget=10_000)
-        with pytest.raises(ResourceBudgetError):
-            plan_memory(config)
         gamma0 = random_sequence(GRID, 3, seed=58)
+        assert plan(config, gamma0).peak_bytes > 10_000
+        calls = count_collapses(monkeypatch)
         with pytest.raises(ResourceBudgetError):
             solve(gamma0, config)
+        assert calls == []  # refused before the first collapse
+
+    @pytest.mark.parametrize("name", [
+        "cubic_free", "quintic_simpson", "dense_free", "dense_zero",
+        "dense_factorized",
+    ])
+    def test_plan_bounds_traced_peak(self, name):
+        # the plan is an upper bound on what the solve allocates, and tight
+        gamma0, config = plan_case(name)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _, report = solve(gamma0, config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert report.planned_bytes == plan(config, gamma0).peak_bytes
+        assert peak <= report.planned_bytes <= 1.25 * peak
 
 
 class TestTrajectoryType:
