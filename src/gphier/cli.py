@@ -461,22 +461,26 @@ def cmd_compare_nls(args) -> int:
     if _field(data, "kind", "factorized") != "factorized":
         raise CliError("compare-nls requires factorized initial data")
     phi = build_profile(cfg, grid)
-    gamma0 = factorized_sequence(phi, grid, config.K, config.params.xi,
-                                 dense_up_to=0)
-    preflight(config, gamma0, args.override_budget)
-
     c_hat = _typed(cfg, "c_hat", float)
-    trajectory, report = solve(gamma0, config, c_hat=c_hat)
-    reference = factorized_trajectory(
-        phi, grid, config.interaction, config.K, config.params.xi, config.times(),
-        substeps=_typed(cfg, "oracle_substeps", int, 64),
-    )
-
+    substeps = _typed(cfg, "oracle_substeps", int, 64)
+    if substeps < 1:
+        raise CliError("config field 'oracle_substeps' must be >= 1")
     levels = _typed(cfg, "levels_compared", int,
                     min(2, len(config.sourced_levels)))
     if not 1 <= levels <= config.K:
         raise CliError("config field 'levels_compared' must lie in 1..K")
     compare_alpha = _typed(cfg, "compare_alpha", float, 0.0)
+    tolerance = _typed(cfg, "tolerance", float)
+    gamma0 = factorized_sequence(phi, grid, config.K, config.params.xi,
+                                 dense_up_to=0)
+    preflight(config, gamma0, args.override_budget)
+
+    trajectory, report = solve(gamma0, config, c_hat=c_hat)
+    reference = factorized_trajectory(
+        phi, grid, config.interaction, config.K, config.params.xi, config.times(),
+        substeps=substeps,
+    )
+
     rows = []
     worst = {}
     for k in range(1, levels + 1):
@@ -487,7 +491,6 @@ def cmd_compare_nls(args) -> int:
     rows.sort(key=lambda r: (r[1], r[0]))
     write_csv(out / "error_vs_time.csv", ("time", "level", "rel_error"), rows)
 
-    tolerance = _typed(cfg, "tolerance", float)
     passed = tolerance is None or max(worst.values()) <= tolerance
     payload = {
         "max_rel_error": worst,

@@ -84,15 +84,6 @@ class MarginalKernel:
         check_budget(grid.kernel_bytes(k), budget)
         return cls(grid, k, np.zeros(grid.kernel_shape(k), dtype=np.complex128))
 
-    def copy(self) -> "MarginalKernel":
-        return MarginalKernel(self.grid, self.k, self.data.copy())
-
-    def block_axes(self, j: int, primed: bool) -> list:
-        """Axis indices of particle variable j (1-based)."""
-        n = self.grid.n
-        base = (self.k + j - 1) * n if primed else (j - 1) * n
-        return list(range(base, base + n))
-
 
 @dataclass(frozen=True)
 class FactorizedKernel:
@@ -134,9 +125,6 @@ class FactorizedKernel:
         for b in blocks:
             data = np.multiply.outer(data, b)
         return MarginalKernel(self.grid, self.k, data)
-
-
-Kernel = (MarginalKernel, FactorizedKernel)
 
 
 def prefix_products(v: np.ndarray, k: int) -> list:

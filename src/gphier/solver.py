@@ -24,21 +24,30 @@ zero_top closure, the remainder's R_0) is collapsed once and its collapse
 copied per node; any other source is collapsed node by node.
 
 The collapse is lower triangular and nilpotent, so iterates stabilize
-exactly after about K/off steps.  solve() exploits this with a frozen-level
-schedule: at step 1 every sourced level is integrated and the closure
-levels replace the convention start; at step m > 1 level k is re-integrated
-only if level k+off was re-integrated or replaced at step m-1, and every
-other level keeps the previous iterate's kernel objects.  The result is
-bitwise that of full Duhamel steps (picard_step), a frozen level costs
-nothing in Cauchy distances and residuals, and a step that re-integrates
-nothing has distance exactly zero.  The partial sums of Duhamel terms plus
-the convention-start remainder reproduce each iterate to rounding, which
-the tests use as a cross-check of the whole pipeline.
+exactly after about K/off steps.  One schedule (_schedule) decides which
+levels a step replaces: every level at step 1 (the sourced levels are
+integrated and the closure lists replace the convention start), then at
+step m > 1 each sourced level k whose level k+off changed at step m-1.
+Every other level keeps the previous iterate's kernel objects, so the
+result is bitwise that of full Duhamel steps (picard_step, which replaces
+every level).  A step (_step) replaces the node lists in place in ascending
+order, which is Jacobi order: level k reads level k+off before k+off is
+replaced.  A replaced list is released before the next level is
+integrated, and the step returns the per-node distances of the replaced
+levels only; the Cauchy distance and the residuals are formed from these,
+since a kept level's gap is exactly zero.  solve() walks the schedule for
+its steps and its residual step; plan() is the one resource model: it
+walks the same schedule without arrays, reading each level's
+representation from the initial data, and yields the collapse count and the
+peak bytes.  solve() and the CLI check that peak against one budget,
+kernels.kernel_budget.
 
-plan() is the one resource model: it walks the same schedule without
-arrays, reading each level's representation from the initial data, and
-yields the collapse count and the peak bytes.  solve() and the CLI check
-that peak against one budget, kernels.kernel_budget.
+The expansion terms are Duhamel chains: one helper (_chain) integrates a
+node list down from a top level in steps of off.  It gives duhamel_term,
+the convention-start remainder duhamel_remainder, and duhamel_bound_rows,
+which integrates each top level's chain once for all its rows.  The
+partial sums of Duhamel terms plus the remainder reproduce each iterate to
+rounding, which the tests use as a cross-check of the whole pipeline.
 """
 
 from __future__ import annotations
@@ -429,13 +438,28 @@ def _contraction_bytes(grid: GridSpec, kp: int, offset: int) -> int:
     return int(share * grid.kernel_bytes(kp))
 
 
+def _schedule(config: SolverConfig):
+    """The levels each Picard step replaces, step after step.
+
+    Step 1 replaces every level: the sourced levels are integrated from the
+    convention start and the closure lists replace it.  Step m > 1 replaces
+    the sourced levels k whose source level k+off changed at step m-1; the
+    others keep their node lists, so their gaps are exactly zero.  Once a
+    step replaces nothing, every later one replaces nothing.
+    """
+    changed = set(range(1, config.K + 1))
+    while True:
+        yield changed
+        changed = {k for k in config.sourced_levels if k + config.offset in changed}
+
+
 def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
-    """Walk solve()'s frozen-level schedule once, without building arrays.
+    """Walk solve()'s schedule once, without building arrays.
 
     Step 1 collapses each sourced level's constant convention start once;
     a later step re-integrates level k when level k+off changed, at one
     collapse for a zero_top source and N_t+1 otherwise.  The walk stops at
-    a step that re-integrates nothing or after m_max steps, then adds the
+    a step that replaces nothing or after m_max steps, then adds the
     residual step, so solve() makes exactly these collapses unless it
     converges earlier.  The bytes held are the dense copies of factorized
     sourced levels of gamma0, dense closure lists (free_top on dense data),
@@ -459,13 +483,14 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
     held = (sum(size(k) for k in sourced if not dense(k))
             + nodes * sum(size(k) for k in dense_closure))
     peak, collapses = held, 0
-    changed, first = sourced | closure, True
-    for _ in range(config.m_max + 1):  # m_max steps, then the residual step
+    schedule = _schedule(config)
+    for step in range(config.m_max + 1):  # m_max steps, then the residual step
+        changed = next(schedule)
         if not changed:
             break
+        first = step == 0
         live = held
-        redone = sorted(k for k in sourced if k + off in changed)
-        for k in redone:
+        for k in sorted(changed & sourced):
             src = k + off
             dense_src = dense(src) if first else src in sourced | dense_closure
             work = _contraction_bytes(grid, src, off) if dense_src else 0
@@ -480,46 +505,43 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
             live += nodes * size(k)
         if first:
             held += nodes * sum(size(k) for k in sourced)
-        changed = set(redone) | (closure if first else set())
-        first = False
     return SolvePlan(collapses, peak + _SCRATCH)
 
 
-def _frozen_step(times: np.ndarray, levels: dict, changed: set, gamma0_data: dict,
-                 closure: dict, config: SolverConfig):
-    """One Duhamel step on per-level node lists; returns (levels, changed).
+def _step(levels: dict, changed: set, times: np.ndarray, gamma0_data: dict,
+          closure: dict, config: SolverConfig) -> dict:
+    """One Duhamel step: replace the node lists of the changed levels in
+    place; returns level -> per-node level_diff_norm(new, old).
 
-    A sourced level k is re-integrated only if level k+off is in changed;
-    otherwise it keeps its node list.  Closure levels take the closure node
-    lists and count as changed when they replace a different list.
+    Levels are replaced in ascending order, so a sourced level k reads level
+    k+off before k+off is replaced (Jacobi order).  A closure level takes its
+    closure list.  A replaced list is released before the next level is
+    integrated.
     """
-    off = config.offset
-    new_levels, new_changed = {}, set()
-    for k in config.sourced_levels:
-        if k + off in changed:
-            new_levels[k] = _integrate_duhamel(
-                levels[k + off], times, config.quadrature, gamma0_data[k],
+    alpha = config.params.alpha
+    gaps = {}
+    for k in sorted(changed):
+        if k in closure:
+            new = closure[k]
+        else:
+            new = _integrate_duhamel(
+                levels[k + config.offset], times, config.quadrature, gamma0_data[k],
                 config.grid, k, config.interaction,
             )
-            new_changed.add(k)
-        else:
-            new_levels[k] = levels[k]
-    for k in config.closure_levels:
-        new_levels[k] = closure[k]
-        if levels[k] is not closure[k]:
-            new_changed.add(k)
-    return new_levels, new_changed
+        gaps[k] = [level_diff_norm(a, b, alpha) for a, b in zip(new, levels[k])]
+        levels[k] = new
+    return gaps
 
 
-def _as_trajectory(times: np.ndarray, levels: dict, config: SolverConfig) -> Trajectory:
-    states = [
+def _trajectory(times: np.ndarray, levels: dict, config: SolverConfig) -> Trajectory:
+    """The trajectory whose level-k node list is levels[k]."""
+    return Trajectory(times, [
         HierarchySequence(
             config.K, config.params.xi,
             tuple(levels[k][i] for k in range(1, config.K + 1)),
         )
         for i in range(len(times))
-    ]
-    return Trajectory(times, states)
+    ])
 
 
 def picard_step(prev: Trajectory, gamma0: HierarchySequence,
@@ -530,14 +552,25 @@ def picard_step(prev: Trajectory, gamma0: HierarchySequence,
     ):
         raise ValueError("trajectory nodes do not match the configuration")
     levels = {k: prev.level_series(k) for k in range(1, config.K + 1)}
-    new_levels, _ = _frozen_step(
-        prev.times, levels, set(levels), _dense_sourced(gamma0, config),
-        _closure_states(gamma0, config), config,
-    )
-    return _as_trajectory(prev.times, new_levels, config)
+    _step(levels, set(levels), prev.times, _dense_sourced(gamma0, config),
+          _closure_states(gamma0, config), config)
+    return _trajectory(prev.times, levels, config)
 
 
 # -- Duhamel expansion terms -----------------------------------------------------
+
+def _chain(nodes: list, top: int, bottom: int, config: SolverConfig):
+    """The Duhamel chain below a level-top node list: yields (level, list) for
+    level = top-off, top-2off, ... down to bottom, each list the pure
+    integral term sourced by the one before it."""
+    times = config.times()
+    for lvl in range(top - config.offset, bottom - 1, -config.offset):
+        nodes = _integrate_duhamel(
+            nodes, times, config.quadrature, None, config.grid, lvl,
+            config.interaction,
+        )
+        yield lvl, nodes
+
 
 def duhamel_term(j: int, k: int, gamma0: HierarchySequence,
                  config: SolverConfig) -> list:
@@ -547,20 +580,15 @@ def duhamel_term(j: int, k: int, gamma0: HierarchySequence,
     (j-1)-th term one level up.  The j=0 output keeps the representation of
     the initial data (possibly factorized); deeper terms are dense.
     """
-    off = config.offset
-    top = k + j * off
+    top = k + j * config.offset
     if j < 0 or top > config.K:
         raise ValueError(
             f"term (j={j}, k={k}) needs level {top} but truncation is K={config.K}"
         )
-    times = config.times()
-    current = [free_evolve(gamma0.level(top), t) for t in times]
-    for lvl in range(top - off, k - off, -off):
-        current = _integrate_duhamel(
-            current, times, config.quadrature, None, config.grid, lvl,
-            config.interaction,
-        )
-    return current
+    term = [free_evolve(gamma0.level(top), t) for t in config.times()]
+    for _, term in _chain(term, top, k, config):
+        pass
+    return term
 
 
 def duhamel_remainder(m: int, k: int, gamma0: HierarchySequence,
@@ -568,41 +596,26 @@ def duhamel_remainder(m: int, k: int, gamma0: HierarchySequence,
     """Convention-start remainder: iterate m minus the first m expansion terms.
 
     R_0 is the constant trajectory; R_m integrates R_{m-1} one level up and
-    vanishes at closure levels from m=1 on.  Only meaningful for the
-    free_top closure, where closure levels carry exactly the j=0 term.
+    vanishes at closure levels from m=1 on, so R_m at level k is the chain
+    below the constant start at level k + m*off, and zero when that level
+    is beyond K.  Only meaningful for the free_top closure, where closure
+    levels carry exactly the j=0 term.
     """
     if config.closure.kind != FREE_TOP:
         raise ValueError("remainder bookkeeping is defined for the free_top closure")
-    times = config.times()
-    grid, off = config.grid, config.offset
-
-    def recurse(m_left: int, lvl: int):
-        if m_left == 0:
-            return [gamma0.level(lvl)] * len(times)
-        if lvl in config.closure_levels:
-            return None
-        src = recurse(m_left - 1, lvl + off)
-        if src is None:
-            return None
-        return _integrate_duhamel(
-            src, times, config.quadrature, None, grid, lvl,
-            config.interaction,
-        )
-
-    out = recurse(m, k)
-    if out is None:
-        zero = MarginalKernel.zeros(grid, k, budget=config.budget)
-        return [zero] * len(times)
-    return out
+    if m < 0:
+        raise ValueError(f"remainder index m={m} must be >= 0")
+    top = k + m * config.offset
+    if top > config.K:
+        zero = MarginalKernel.zeros(config.grid, k, budget=config.budget)
+        return [zero] * (config.N_t + 1)
+    rest = [gamma0.level(top)] * (config.N_t + 1)
+    for _, rest in _chain(rest, top, k, config):
+        pass
+    return rest
 
 
 # -- the solver -------------------------------------------------------------------
-
-def _max_node_distance(a: Trajectory, b: Trajectory, params: NormParams) -> float:
-    return max(
-        weighted_distance(sa, sb, params) for sa, sb in zip(a.states, b.states)
-    )
-
 
 def solve(gamma0: HierarchySequence, config: SolverConfig,
           c_hat: float | None = None):
@@ -629,32 +642,28 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
         else:
             warnings.warn("eta = xi - c_hat*T is not positive; stopping in xi norm",
                           stacklevel=2)
-    stop_params = NormParams(alpha=alpha, xi=stop_weight)
 
+    times = config.times()
     closure = _closure_states(gamma0, config)
     gamma0_data = _dense_sourced(gamma0, config)
-
-    prev = convention_trajectory(gamma0, config)
-    levels = {k: prev.level_series(k) for k in range(1, config.K + 1)}
-    changed = set(levels)  # the convention start differs from every iterate
+    # the convention start, which differs from every iterate
+    levels = {k: [gamma0.level(k)] * len(times) for k in range(1, config.K + 1)}
+    schedule = _schedule(config)
     distances = []
     converged = False
-    iterations = 0
     last_norms = {}  # level -> norm of its last-node kernel, for the stop scale
     for _ in range(config.m_max):
-        levels, changed = _frozen_step(
-            prev.times, levels, changed, gamma0_data, closure, config
+        gaps = _step(levels, next(schedule), times, gamma0_data, closure, config)
+        d = max(
+            math.fsum(stop_weight**k * gap[i] for k, gap in gaps.items())
+            for i in range(len(times))
         )
-        new = _as_trajectory(prev.times, levels, config)
-        iterations += 1
-        d = _max_node_distance(new, prev, stop_params)
         if not math.isfinite(d):
             raise FloatingPointError(
-                f"non-finite Cauchy distance at iteration {iterations}"
+                f"non-finite Cauchy distance at iteration {len(distances) + 1}"
             )
         distances.append(d)
-        prev = new
-        for k in changed:
+        for k in gaps:
             last_norms[k] = sobolev_norm(levels[k][-1], alpha)
         scale = max(1.0, math.fsum(
             stop_weight**k * last_norms[k] for k in range(1, config.K + 1)
@@ -663,7 +672,6 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
             converged = True
             break
 
-    final = prev
     if not converged:
         warnings.warn(
             f"Picard iteration did not reach tol_cauchy in {config.m_max} steps "
@@ -671,31 +679,27 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
             stacklevel=2,
         )
 
-    # self-consistency residual: one more Duhamel step, level by level
-    extra, _ = _frozen_step(final.times, levels, changed, gamma0_data, closure, config)
+    # self-consistency residual: one more step of the schedule, on a copy
+    extra = _step(dict(levels), next(schedule), times, gamma0_data, closure, config)
     # every final kernel normed once, for the residuals and the trajectory norm
     norms = {k: [sobolev_norm(kern, alpha) for kern in levels[k]]
              for k in range(1, config.K + 1)}
     residuals = {}
-    for k in config.sourced_levels:
-        denom = max(norms[k], default=0.0)
-        gap = max(
-            level_diff_norm(a, b, alpha) for a, b in zip(levels[k], extra[k])
-        )
-        residuals[k] = gap / denom if denom > 0 else gap
-
     trace_drift = {}
     hermiticity = {}
     symmetry = {}
     for k in config.sourced_levels:
-        t0 = trace(final.states[0].level(k))
-        drift = max(abs(trace(s.level(k)) - t0) for s in final.states)
+        denom = max(norms[k], default=0.0)
+        gap = max(extra.get(k, [0.0]))
+        residuals[k] = gap / denom if denom > 0 else gap
+        t0 = trace(levels[k][0])
+        drift = max(abs(trace(kern) - t0) for kern in levels[k])
         trace_drift[k] = drift / max(1.0, abs(t0))
-        hermiticity[k] = max(hermiticity_defect(s.level(k)) for s in final.states)
-        symmetry[k] = max(symmetry_defect(s.level(k)) for s in final.states)
+        hermiticity[k] = max(hermiticity_defect(kern) for kern in levels[k])
+        symmetry[k] = max(symmetry_defect(kern) for kern in levels[k])
 
     report = RunReport(
-        iterations=iterations,
+        iterations=len(distances),
         converged=converged,
         cauchy_distances=distances,
         stop_weight=stop_weight,
@@ -705,7 +709,7 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
         symmetry_defects=symmetry,
         trajectory_norm=max(
             math.fsum(stop_weight**k * norms[k][i] for k in range(1, config.K + 1))
-            for i in range(len(final.times))
+            for i in range(len(times))
         ),
         initial_norm=weighted_norm(gamma0, config.params),
         c_hat=c_hat,
@@ -714,26 +718,28 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
         quadrature=config.quadrature,
         closure=config.closure.kind,
     )
-    return final, report
+    return _trajectory(times, levels, config), report
 
 
 def duhamel_bound_rows(gamma0: HierarchySequence, config: SolverConfig,
                        c_hat: float, j_max: int = 3, k_max: int = 3) -> list:
-    """Norm-vs-bound table for the expansion terms at the final time."""
-    alpha = config.params.alpha
+    """Norm-vs-bound table for the expansion terms at the final time, rows
+    sorted by k, then j.  Each top level's chain is integrated once and
+    yields the terms (j, top - j*off) for j = 1, 2, ..."""
+    alpha, off = config.params.alpha, config.offset
     rows = []
-    for k in range(1, min(k_max, config.K) + 1):
-        for j in range(1, j_max + 1):
-            top = k + j * config.offset
-            if top > config.K:
+    for top in range(1 + off, config.K + 1):
+        bottom = top - min(j_max, (top - 1) // off) * off
+        if bottom > k_max:
+            continue
+        top_norm = sobolev_norm(gamma0.level(top), alpha)
+        free = [free_evolve(gamma0.level(top), t) for t in config.times()]
+        for k, term in _chain(free, top, bottom, config):
+            if k > k_max:
                 continue
-            term = duhamel_term(j, k, gamma0, config)
+            j = (top - k) // off
             value = sobolev_norm(term[-1], alpha)
-            bound = (
-                math.comb(k + j - 1, j)
-                * (c_hat * config.T) ** j
-                * sobolev_norm(gamma0.level(top), alpha)
-            )
+            bound = math.comb(k + j - 1, j) * (c_hat * config.T) ** j * top_norm
             rows.append({
                 "j": j,
                 "k": k,
@@ -741,7 +747,7 @@ def duhamel_bound_rows(gamma0: HierarchySequence, config: SolverConfig,
                 "bound": bound,
                 "ratio": value / bound if bound > 0 else math.inf,
             })
-    return rows
+    return sorted(rows, key=lambda row: (row["k"], row["j"]))
 
 
 # -- theorem bound checks ----------------------------------------------------------
@@ -755,6 +761,30 @@ def _eta_or_raise(config: SolverConfig, c_hat: float) -> float:
     return eta
 
 
+def _bound_report(name: str, config: SolverConfig, ratio: float, factor: float,
+                  cubic_style: float, eta: float, delta_K: float,
+                  details: dict) -> BoundReport:
+    """A measured ratio against its factor: passed within factor + delta_K; a
+    quintic pass is flagged when it would fail the cubic-style factor, which
+    details record last."""
+    passed = ratio <= factor + delta_K
+    flagged = (
+        config.interaction.kind == QUINTIC
+        and passed
+        and ratio > cubic_style + delta_K
+    )
+    return BoundReport(
+        name=name,
+        ratio=ratio,
+        factor=factor,
+        passed=passed,
+        flagged=flagged,
+        eta=eta,
+        delta_K=delta_K,
+        details={**details, "cubic_style": cubic_style},
+    )
+
+
 def apriori_bound_check(traj: Trajectory, gamma0: HierarchySequence,
                         config: SolverConfig, c_hat: float,
                         delta_K: float = 0.0) -> BoundReport:
@@ -766,22 +796,8 @@ def apriori_bound_check(traj: Trajectory, gamma0: HierarchySequence,
     ratio = num / den if den > 0 else 0.0
     cubic_style = eta / xi
     factor = cubic_style if config.interaction.kind == CUBIC else 1.0 / (eta * xi)
-    passed = ratio <= factor + delta_K
-    flagged = (
-        config.interaction.kind == QUINTIC
-        and passed
-        and ratio > cubic_style + delta_K
-    )
-    return BoundReport(
-        name="apriori",
-        ratio=ratio,
-        factor=factor,
-        passed=passed,
-        flagged=flagged,
-        eta=eta,
-        delta_K=delta_K,
-        details={"numerator": num, "denominator": den, "cubic_style": cubic_style},
-    )
+    return _bound_report("apriori", config, ratio, factor, cubic_style, eta, delta_K,
+                         {"numerator": num, "denominator": den})
 
 
 def contraction_factor_check(gamma0_a: HierarchySequence,
@@ -811,27 +827,12 @@ def contraction_factor_check(gamma0_a: HierarchySequence,
             details={"numerator": num, "denominator": den,
                      "special_T": special_T, "exact_equality": True},
         )
-    ratio = num / den
-    passed = ratio <= factor + delta_K
-    flagged = (
-        config.interaction.kind == QUINTIC
-        and passed
-        and ratio > cubic_style + delta_K
-    )
-    return BoundReport(
-        name="contraction",
-        ratio=ratio,
-        factor=factor,
-        passed=passed,
-        flagged=flagged,
-        eta=eta,
-        delta_K=delta_K,
-        details={
-            "numerator": num,
-            "denominator": den,
-            "special_T": special_T,
-            "T_matches_special": bool(abs(config.T - special_T)
-                                      <= 1e-9 * max(1.0, special_T)),
-            "cubic_style": cubic_style,
-        },
-    )
+    details = {
+        "numerator": num,
+        "denominator": den,
+        "special_T": special_T,
+        "T_matches_special": bool(abs(config.T - special_T)
+                                  <= 1e-9 * max(1.0, special_T)),
+    }
+    return _bound_report("contraction", config, num / den, factor, cubic_style, eta,
+                         delta_K, details)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gphier import cli
 from gphier.cli import main
 from gphier.kernels import (
     BUDGET_ENV_VAR,
@@ -168,10 +169,14 @@ class TestSolveCommand:
     def test_rerun_reproduces_identical_csv(self, tmp_path):
         cfg_path = write_cfg(tmp_path, solve_cfg())
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["solve", "--config", cfg_path, "--out", str(out_a)]) == 0
-        assert main(["solve", "--config", cfg_path, "--out", str(out_b)]) == 0
-        assert (out_a / "norm_vs_time.csv").read_bytes() == \
-            (out_b / "norm_vs_time.csv").read_bytes()
+        for out in (out_a, out_b):
+            assert main(["solve", "--config", cfg_path, "--out", str(out),
+                         "--emit-plots"]) == 0
+        names = sorted(path.name for path in out_a.glob("*.csv"))
+        assert names == ["bound_ratio_vs_jk.csv", "cauchy_distances.csv",
+                         "norm_vs_time.csv"]
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_emit_plots_writes_tables(self, tmp_path):
         cfg = solve_cfg()
@@ -181,8 +186,8 @@ class TestSolveCommand:
         assert rc == 0
         header, rows = read_csv_rows(out / "bound_ratio_vs_jk.csv")
         assert header == ["j", "k", "norm", "bound", "ratio"]
-        # cubic K=3: (j,k) with k + j <= 3
-        assert {(int(r[0]), int(r[1])) for r in rows} == {(1, 1), (2, 1), (1, 2)}
+        # cubic K=3: (j,k) with k + j <= 3, sorted by k, then j
+        assert [(int(r[0]), int(r[1])) for r in rows] == [(1, 1), (2, 1), (1, 2)]
         assert (out / "cauchy_distances.csv").exists()
 
     def test_plane_wave_initial_data(self, tmp_path):
@@ -346,6 +351,22 @@ class TestCompareNlsCommand:
         rc = main(["compare-nls", "--config", write_cfg(tmp_path, cfg),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("levels_compared", 0), ("levels_compared", 9), ("oracle_substeps", "many"),
+        ("oracle_substeps", 0), ("compare_alpha", "high"), ("tolerance", "tight"),
+    ])
+    def test_bad_field_rejected_before_solve(self, tmp_path, capsys, monkeypatch,
+                                             field, value):
+        calls = []
+        monkeypatch.setattr(cli, "solve", lambda *a, **kw: calls.append(a))
+        cfg = solve_cfg(**{field: value})
+        rc = main(["compare-nls", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(field) in err
+        assert calls == []
 
 
 class TestEstimateConstantCommand:

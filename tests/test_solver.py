@@ -342,6 +342,46 @@ class TestDuhamelExpansion:
         assert all(np.all(as_dense(r).data == 0) for r in rem)
 
 
+class TestDuhamelChain:
+    def test_negative_remainder_index_rejected(self):
+        config = config_for(K=4)
+        gamma0 = random_sequence(GRID, 4, seed=50)
+        with pytest.raises(ValueError):
+            duhamel_remainder(-1, 3, gamma0, config)
+
+    @pytest.mark.parametrize("kind, K, expected", [
+        ("cubic", 4, 54), ("cubic", 3, 27), ("quintic", 5, 36),
+    ])
+    def test_bound_rows_integrate_each_chain_once(self, monkeypatch, kind, K,
+                                                  expected):
+        # one chain per top level: the rows below a top level share its links
+        grid = GridSpec(n=1, L=2 * np.pi, M=6)
+        phi = band_profile(grid, seed=66)
+        gamma0 = HierarchySequence(
+            K, 0.5, tuple(FactorizedKernel(grid, k, phi) for k in range(1, K + 1))
+        )
+        config = SolverConfig(
+            grid=grid, interaction=Interaction(kind, 1), params=PARAMS, K=K,
+            T=0.05, N_t=8,
+        )
+        calls = count_collapses(monkeypatch)
+        rows = duhamel_bound_rows(gamma0, config, c_hat=0.4)
+        assert len(calls) == expected
+        # the same rows, in the same order, as one duhamel_term per (k, j)
+        want = []
+        for k in range(1, min(3, K) + 1):
+            for j in range(1, 4):
+                top = k + j * config.offset
+                if top > K:
+                    continue
+                value = sobolev_norm(duhamel_term(j, k, gamma0, config)[-1], 1.0)
+                bound = (math.comb(k + j - 1, j) * (0.4 * config.T) ** j
+                         * sobolev_norm(gamma0.level(top), 1.0))
+                want.append({"j": j, "k": k, "norm": value, "bound": bound,
+                             "ratio": value / bound if bound > 0 else math.inf})
+        assert rows == want
+
+
 class TestSolve:
     def test_zero_initial_data_one_iteration(self):
         config = config_for(K=3)
@@ -648,6 +688,31 @@ class TestMemoryPlanning:
                 tracemalloc.stop()
         assert report.planned_bytes == plan(config, gamma0).peak_bytes
         assert peak <= report.planned_bytes <= 1.25 * peak
+
+
+class TestStepRelease:
+    def test_replaced_level_freed_before_next_level(self, monkeypatch):
+        # step 2 re-integrates levels 1, 2, 3 in that order; once level 1 is
+        # replaced, step 1's level-1 nodes must be gone before level 2 starts
+        gamma0 = factorized_sequence(GRID, 4, seed=80)
+        config = config_for(K=4, N_t=4)
+        original = solver_module._integrate_duhamel
+        seen, first_level1, alive = [], [], []
+
+        def tracking(sources, times, rule, gamma0_data, grid, k, interaction):
+            seen.append(k)
+            if seen == [1, 2, 3, 1, 2]:
+                alive.append(sum(ref() is not None for ref in first_level1))
+            out = original(sources, times, rule, gamma0_data, grid, k, interaction)
+            if seen == [1]:
+                first_level1.extend(weakref.ref(node) for node in out)
+            return out
+
+        monkeypatch.setattr(solver_module, "_integrate_duhamel", tracking)
+        solve(gamma0, config)
+        assert seen[:5] == [1, 2, 3, 1, 2]
+        assert len(first_level1) == config.N_t + 1
+        assert alive == [0]
 
 
 class TestTrajectoryType:
