@@ -4,6 +4,9 @@ numpy releases the interpreter lock inside its loops, so blocks of a pass
 over a level-sized kernel run in parallel on threads.  Callers keep every
 block's elementwise operations as in a serial loop and combine block
 results in block order, so the output does not depend on the worker count.
+rows(fn, mat) is the one place a full-size pass is cut into blocks: row
+slices of a 2-d view of about BLOCK entries each, so that no temporary
+grows with the kernel.
 
 WORKERS is the number of CPUs in the process's affinity mask (so
 ``taskset -c 0`` gives the serial path).  The pool is created on first use;
@@ -19,6 +22,8 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
@@ -26,6 +31,8 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 # VM the pool made solves on 2^18-entry kernels (M=8, k=3) slower and
 # solves on 10^6-entry ones (M=10, k=3) faster.
 MIN_POOLED = 1 << 19
+
+BLOCK = 1 << 16  # entries per block of a full-size pass
 
 _pool = None
 _pool_lock = threading.Lock()
@@ -85,3 +92,17 @@ def map_items(fn, items, entries: int, scratch=lambda: None) -> list:
     done = map_blocks(lambda job: [fn(x, job[1]) for x in job[0]],
                       [(run, scratch()) for run in runs])
     return [done[i % len(runs)][i // len(runs)] for i in range(len(items))]
+
+
+def rows(fn, mat: np.ndarray) -> list:
+    """[fn(r, buf)] for the row slices r of the 2-d array mat, in row order.
+
+    Each slice holds about BLOCK entries (at least one row).  buf is the
+    run's scratch with mat[r]'s shape and dtype, made on the calling thread.
+    """
+    height, width = mat.shape
+    step = max(1, BLOCK // width)
+    return map_items(
+        lambda s, buf: fn(slice(s, s + step), buf[:min(step, height - s)]),
+        range(0, height, step), mat.size,
+        lambda: np.empty((min(step, height), width), dtype=mat.dtype))

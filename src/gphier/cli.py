@@ -21,6 +21,7 @@ import csv
 import json
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -293,10 +294,10 @@ def prepare_output(args, cfg: dict, subcommand: str) -> Path:
         "config": cfg,
         "overrides": {
             "out": str(out),
-            "seed": args.seed,
-            "quadrature": args.quadrature,
-            "closure": args.closure,
-            "override_budget": bool(args.override_budget),
+            "seed": getattr(args, "seed", None),
+            "quadrature": getattr(args, "quadrature", None),
+            "closure": getattr(args, "closure", None),
+            "override_budget": getattr(args, "override_budget", False),
         },
     }
     write_json(out / "config_snapshot.json", _jsonable(snapshot))
@@ -368,7 +369,7 @@ def cmd_solve(args) -> int:
         else:
             save_kernel(out / f"final_level{k}.bin", level)
 
-    payload = report.to_dict()
+    payload = asdict(report)
     payload["preflight"] = planned
     payload["seed"] = seed
     if args.emit_plots or _field(cfg, "emit_plots", False):
@@ -416,7 +417,7 @@ def cmd_verify_lemmas(args) -> int:
         lo = lemma31_integral(beta, n, np.zeros(n), 8.0, resolution=min(resolution, 200))
         rows.append(("beta_monotonicity", f"beta={beta} vs {beta + 1.0}",
                      hi / lo, "ratio < 1", "pass" if hi < lo else "fail"))
-        report["sup_check"] = sup.to_dict()
+        report["sup_check"] = asdict(sup)
         report["cutoff_ladder"] = ladder
 
     if include_endpoint:
@@ -426,14 +427,14 @@ def cmd_verify_lemmas(args) -> int:
                      div.values[-1], "growth ratio > 1.1 (expected hypothesis failure)",
                      status))
         flagged = flagged or div.diverging
-        report["divergence"] = div.to_dict()
+        report["divergence"] = asdict(div)
 
     growth = binomial_growth_check()
     rows.append(("binomial_growth", "m=1..25", growth.ratio_tail_spread,
                  "tail spread < 10%",
                  "pass" if growth.decaying and growth.ratio_tail_spread < 0.10
                  else "fail"))
-    report["binomial"] = growth.to_dict()
+    report["binomial"] = asdict(growth)
 
     write_csv(out / "lemma_checks.csv",
               ("check", "parameters", "value", "reference", "status"), rows)
@@ -496,7 +497,7 @@ def cmd_compare_nls(args) -> int:
         "max_rel_error": worst,
         "tolerance": tolerance,
         "passed": passed,
-        "solver_report": report.to_dict(),
+        "solver_report": asdict(report),
     }
     write_json(out / "report.json", _jsonable(payload))
     print(f"compare-nls: max relative errors {worst} "
@@ -523,7 +524,7 @@ def cmd_estimate_constant(args) -> int:
         [(r["k"], r["max_full_ratio"], r["mean_full_ratio"], r["max_term_ratio"])
          for r in est.rows],
     )
-    write_json(out / "report.json", _jsonable(est.to_dict()))
+    write_json(out / "report.json", _jsonable(asdict(est)))
     print(f"estimate-constant: c_hat={est.c_hat:.6g} "
           f"(k spread {est.k_spread:.3f}, flat={est.flat_in_k})")
     return EXIT_OK if est.flat_in_k else EXIT_FLAGGED
@@ -531,38 +532,52 @@ def cmd_estimate_constant(args) -> int:
 
 # -- entry point -------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end like every other error: an error: line and exit 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise CliError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gphier",
         description="Truncated hierarchy solver and estimate checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {
+        "--config": dict(metavar="PATH", help="JSON run configuration"),
+        "--out": dict(metavar="DIR", help="output directory"),
+        "--seed": dict(type=int, metavar="N", help="seed override"),
+        "--override-budget": dict(action="store_true",
+                                  help="accept configs beyond the memory budget"),
+        "--quadrature": dict(choices=("trapezoid", "simpson")),
+        "--closure": dict(choices=("free_top", "zero_top", "factorized_top")),
+        "--emit-plots": dict(action="store_true",
+                             help="also write plot-ready tabular files"),
+    }
+    solver_flags = ("--override-budget", "--quadrature", "--closure")
     specs = [
-        ("solve", cmd_solve, "iterate the truncated hierarchy from a config"),
-        ("verify-lemmas", cmd_verify_lemmas, "run the integral and growth checks"),
-        ("compare-nls", cmd_compare_nls, "compare marginals with the NLS oracle"),
+        ("solve", cmd_solve, "iterate the truncated hierarchy from a config",
+         ("--seed", *solver_flags, "--emit-plots")),
+        ("verify-lemmas", cmd_verify_lemmas, "run the integral and growth checks", ()),
+        ("compare-nls", cmd_compare_nls, "compare marginals with the NLS oracle",
+         solver_flags),
         ("estimate-constant", cmd_estimate_constant,
-         "sample the collapse-operator constant"),
+         "sample the collapse-operator constant", ("--seed", "--override-budget")),
     ]
-    for name, handler, help_text in specs:
+    for name, handler, help_text, flags in specs:
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", metavar="PATH", help="JSON run configuration")
-        sp.add_argument("--out", metavar="DIR", help="output directory")
-        sp.add_argument("--seed", type=int, metavar="N", help="seed override")
-        sp.add_argument("--override-budget", action="store_true",
-                        help="accept configs beyond the memory budget")
-        sp.add_argument("--quadrature", choices=("trapezoid", "simpson"))
-        sp.add_argument("--closure",
-                        choices=("free_top", "zero_top", "factorized_top"))
-        sp.add_argument("--emit-plots", action="store_true",
-                        help="also write plot-ready tabular files")
+        for flag in ("--config", "--out", *flags):
+            sp.add_argument(flag, **options[flag])
         sp.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -277,9 +277,17 @@ def symmetrize_bruteforce(kernel: MarginalKernel) -> MarginalKernel:
     return MarginalKernel(kernel.grid, kernel.k, acc / factorial(k))
 
 
-def _sq_norm(a: np.ndarray) -> float:
-    """sum |a|^2 of a block."""
-    return float(np.vdot(a, a).real)
+def _sq_norm(a: np.ndarray, out: np.ndarray) -> float:
+    """sum |a|^2 of a C-contiguous block, squared into out (a's shape, may
+    be a).  numpy's own pairwise sum, not BLAS, so the value does not
+    depend on the BLAS thread count."""
+    return float(np.sum(np.square(a.view(np.float64), out=out.view(np.float64))))
+
+
+def _scale(data: np.ndarray, rows: int) -> float:
+    """||data||, the row-block sums of the (rows x rows) view added in block order."""
+    mat = data.reshape(rows, rows)
+    return math.sqrt(sum(blocks.rows(lambda r, buf: _sq_norm(mat[r], buf), mat)))
 
 
 def symmetry_defect(kernel: MarginalKernel) -> float:
@@ -291,7 +299,7 @@ def symmetry_defect(kernel: MarginalKernel) -> float:
     """
     k, n = kernel.k, kernel.grid.n
     data = kernel.data
-    scale = float(np.linalg.norm(data.ravel()))
+    scale = _scale(data, kernel.grid.M ** (k * n))
     if scale == 0.0:
         return 0.0
     worst = 0.0
@@ -301,7 +309,7 @@ def symmetry_defect(kernel: MarginalKernel) -> float:
         swapped = data.transpose(_sigma_axes(sigma, k, n))
 
         def slice_sum(a, diff):
-            return _sq_norm(np.subtract(data[a], swapped[a], out=diff))
+            return _sq_norm(np.subtract(data[a], swapped[a], out=diff), diff)
 
         total = sum(blocks.map_items(slice_sum, range(data.shape[0]), data.size,
                                      lambda: np.empty(data.shape[1:], dtype=data.dtype)))
@@ -316,13 +324,14 @@ def hermiticity_defect(kernel: MarginalKernel) -> float:
     (unprimed, primed) matrix; tile (j, i) of gamma - gamma^* is minus the
     conjugate transpose of tile (i, j), so only tiles with j >= i are formed.
     A row of full tiles is differenced in two passes into a buffer that
-    holds each tile contiguously; ragged edge tiles go one at a time.  Tile
-    rows go to the block pool, each run with one strip buffer, and the tile
-    sums are added in row-major tile order.
+    holds each tile contiguously, squared in place and summed per tile by
+    numpy (not BLAS); ragged edge tiles go one at a time.  Tile rows go to
+    the block pool, each run with one strip buffer, and the tile sums are
+    added in row-major tile order.
     """
     rows = kernel.grid.M ** (kernel.k * kernel.grid.n)
     mat = kernel.data.reshape(rows, rows)
-    scale = float(np.linalg.norm(mat.ravel()))
+    scale = _scale(mat, rows)
     if scale == 0.0:
         return 0.0
 
@@ -335,21 +344,19 @@ def hermiticity_defect(kernel: MarginalKernel) -> float:
             right = mat[i:i + _TILE, strip].reshape(_TILE, full, _TILE)
             np.conjugate(below.transpose(0, 2, 1), out=diffs)
             np.subtract(right.transpose(1, 0, 2), diffs, out=diffs)
-        sums = [_sq_norm(diff) for diff in diffs]
+        squares = np.square(diffs.view(np.float64), out=diffs.view(np.float64))
+        sums = np.sum(squares.reshape(full, 2 * _TILE * _TILE), axis=1).tolist()
         for j in range(i + full * _TILE, rows, _TILE):
             tile = mat[i:i + _TILE, j:j + _TILE]
             diff = buf[:tile.size].reshape(tile.shape)
             np.conjugate(mat[j:j + _TILE, i:i + _TILE].T, out=diff)
             np.subtract(tile, diff, out=diff)
-            sums.append(_sq_norm(diff))
+            sums.append(_sq_norm(diff, diff))
         return [s * (1.0 if t == 0 else 2.0) for t, s in enumerate(sums)]
 
-    total = 0.0
-    for sums in blocks.map_items(tile_row_sums, range(0, rows, _TILE), mat.size,
-                                 lambda: np.empty(_TILE * rows, dtype=mat.dtype)):
-        for x in sums:
-            total += x
-    return math.sqrt(total) / scale
+    row_sums = blocks.map_items(tile_row_sums, range(0, rows, _TILE), mat.size,
+                                lambda: np.empty(_TILE * rows, dtype=mat.dtype))
+    return math.sqrt(sum(x for sums in row_sums for x in sums)) / scale
 
 
 def is_symmetric(kernel, tol: float = 1e-10) -> bool:

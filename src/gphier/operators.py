@@ -33,9 +33,10 @@ prefix products P_i = phi^(x i); the output is then the two outer products
 S_1 x conj(P_k) + P_k x conj(S_2).  It matches the dense path to rounding.
 
 Full-size passes (the free phase, both outer products) run over the
-(unprimed x primed) matrix view of a kernel in row blocks of about
-_BLOCK entries, so that no temporary grows with the kernel, and the row
-blocks are spread over the block pool.  The dense collapse builds each
+(unprimed x primed) matrix view of a kernel in the row blocks of
+blocks.rows, spread over the block pool.  The free phase can first write a
+sum of arrays into its target in the same pass, so a Duhamel node or a
+free-evolved copy is written once.  The dense collapse builds each
 contraction C_c plane by plane, adding t[.., p, .., p - c] over ascending
 p (the order np.trace adds in), with the shifts spread over the pool and
 the shift-adds into the output made serially in shift order.  Every output
@@ -51,13 +52,11 @@ import numpy as np
 from scipy.signal import convolve as _nd_convolve
 
 from . import blocks
-from .kernels import FactorizedKernel, MarginalKernel, check_budget, prefix_products
+from .kernels import FactorizedKernel, MarginalKernel, prefix_products
 from .spectral import GridSpec, variable_psq
 
 CUBIC = "cubic"
 QUINTIC = "quintic"
-
-_BLOCK = 1 << 16  # entries per row block of a full-size pass
 
 
 @dataclass(frozen=True)
@@ -81,32 +80,35 @@ class Interaction:
 
 # -- free evolution -----------------------------------------------------------
 
-def _row_step(rows: int) -> int:
-    return max(1, _BLOCK // rows)
+def apply_free_phase(data: np.ndarray, grid: GridSpec, k: int, t: float,
+                     *terms: np.ndarray) -> np.ndarray:
+    """Free-evolution phase on a C-contiguous raw kernel array; returns data.
 
-
-def apply_free_phase(data: np.ndarray, grid: GridSpec, k: int, t: float) -> np.ndarray:
-    """In-place free-evolution phase on a C-contiguous raw kernel array; returns data.
-
-    One pass over the (unprimed x primed) matrix view: row block r is
-    multiplied by P[r, None] * conj(P) with P the phase vector of k
-    particle variables.
+    One pass over the (unprimed x primed) matrix view: row block r is first
+    set to the sum of the terms' blocks (in term order) if terms are given,
+    then multiplied by P[r, None] * conj(P) with P the phase vector of k
+    particle variables.  Without terms data is phased in place.
     """
-    if t == 0.0:
+    if t == 0.0 and not terms:
         return data
-    one = np.exp(-1j * t * variable_psq(grid)).reshape(-1)
-    ph = prefix_products(one, k)[k]
-    ph_conj = np.conj(ph)
-    rows = ph.size
+    rows = grid.M ** (k * grid.n)
     mat = data.reshape(rows, rows, copy=False)
-    step = _row_step(rows)
+    mats = [term.reshape(rows, rows) for term in terms]
+    ph = prefix_products(np.exp(-1j * t * variable_psq(grid)).reshape(-1), k)[k]
+    ph_conj = np.conj(ph)
 
     def phase_block(r, phase):
-        block = mat[r:r + step]
-        block *= np.multiply.outer(ph[r:r + step], ph_conj, out=phase[:len(block)])
+        block = mat[r]
+        if len(mats) == 1:
+            np.copyto(block, mats[0][r])
+        elif mats:
+            np.add(mats[0][r], mats[1][r], out=block)
+            for m in mats[2:]:
+                block += m[r]
+        if t != 0.0:
+            block *= np.multiply.outer(ph[r], ph_conj, out=phase)
 
-    blocks.map_items(phase_block, range(0, rows, step), data.size,
-                     lambda: np.empty((min(step, rows), rows), dtype=np.complex128))
+    blocks.rows(phase_block, mat)
     return data
 
 
@@ -114,8 +116,7 @@ def free_evolve(kernel, t: float):
     """U0(t) applied to a dense or factorized kernel (new object)."""
     if isinstance(kernel, FactorizedKernel):
         return kernel.free_evolved(t)
-    out = kernel.data.copy()
-    apply_free_phase(out, kernel.grid, kernel.k, t)
+    out = apply_free_phase(np.empty_like(kernel.data), kernel.grid, kernel.k, t, kernel.data)
     return MarginalKernel(kernel.grid, kernel.k, out)
 
 
@@ -339,7 +340,6 @@ def quintic_collapse_profile(phi_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
 def _collapse_factorized(kernel: FactorizedKernel, terms, offset: int) -> MarginalKernel:
     grid = kernel.grid
     k = kernel.k - offset
-    check_budget(grid.kernel_bytes(k), what=f"k={k} collapse output")
     profile_fn = cubic_collapse_profile if offset == 1 else quintic_collapse_profile
     phi = kernel.phi_hat.reshape(-1)
     h = profile_fn(kernel.phi_hat, grid).reshape(-1)
@@ -359,15 +359,13 @@ def _collapse_factorized(kernel: FactorizedKernel, terms, offset: int) -> Margin
     out = np.zeros((rows, rows), dtype=np.complex128)
     p_conj = np.conj(p)
     s2_conj = np.conj(sums[2]) if 2 in sums else None
-    step = _row_step(rows)
 
     def outer_block(r, term):
-        block = out[r:r + step]
+        block = out[r]
         if 1 in sums:
-            np.multiply.outer(sums[1][r:r + step], p_conj, out=block)
+            np.multiply.outer(sums[1][r], p_conj, out=block)
         if s2_conj is not None:
-            block += np.multiply.outer(p[r:r + step], s2_conj, out=term[:len(block)])
+            block += np.multiply.outer(p[r], s2_conj, out=term)
 
-    blocks.map_items(outer_block, range(0, rows, step), out.size,
-                     lambda: np.empty((min(step, rows), rows), dtype=np.complex128))
+    blocks.rows(outer_block, out)
     return MarginalKernel(grid, k, out.reshape(grid.kernel_shape(k)))

@@ -17,11 +17,13 @@ of g values, so a Picard step never holds a whole level's source list.  The
 prefix is updated in place (bitwise the out-of-place trapezoid and Simpson
 formulas), so a push allocates no level-sized array, and the integrator
 keeps only the integrands its rule reads (2 for trapezoid, 4 for Simpson).
-Quadrature updates and the per-node copies and sums run in blocks on the
-block pool (gphier.blocks), bitwise as on one worker.  A
-source that is the same object at every node (the convention start, a
-zero_top closure, the remainder's R_0) is collapsed once and its collapse
-copied per node; any other source is collapsed node by node.
+Quadrature updates run in the row blocks of blocks.rows on the block pool,
+bitwise as on one worker.  Each node is written once, by the free phase
+pass that also sums gamma0 and the prefix into it (apply_free_phase's
+terms).  A source that is the same object at every node (the convention
+start, a zero_top closure, the remainder's R_0) is collapsed once, and each
+node's integrand is copied from that collapse in its own phase pass; any
+other source is collapsed node by node.
 
 The collapse is lower triangular and nilpotent, so iterates stabilize
 exactly after about K/off steps.  One schedule (_schedule) decides which
@@ -188,18 +190,6 @@ class BoundReport:
     delta_K: float
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "ratio": self.ratio,
-            "factor": self.factor,
-            "passed": self.passed,
-            "flagged": self.flagged,
-            "eta": self.eta,
-            "delta_K": self.delta_K,
-            "details": dict(self.details),
-        }
-
 
 @dataclass
 class RunReport:
@@ -220,40 +210,8 @@ class RunReport:
     closure: str
     duhamel: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        for name in ("residuals", "trace_drift", "hermiticity_defects", "symmetry_defects"):
-            out[name] = {str(k): v for k, v in out[name].items()}
-        return out
-
 
 # -- quadrature ---------------------------------------------------------------
-
-_BLOCK = 1 << 16  # entries per block of a quadrature update or node copy
-
-
-def _blockwise(panel, out: np.ndarray, *arrays) -> np.ndarray:
-    """panel(out_block, tmp, *blocks) over aligned _BLOCK-entry blocks of the
-    flat arrays, spread over the block pool; tmp is per-run scratch."""
-    flat = [a.reshape(-1) for a in arrays]
-    dest = out.reshape(-1)
-
-    def block(s, tmp):
-        e = min(s + _BLOCK, dest.size)
-        panel(dest[s:e], tmp[:e - s], *(a[s:e] for a in flat))
-
-    blocks.map_items(block, range(0, dest.size, _BLOCK), dest.size,
-                     lambda: np.empty(min(dest.size, _BLOCK), dtype=dest.dtype))
-    return out
-
-
-def _copy_panel(out, tmp, src):
-    np.copyto(out, src)
-
-
-def _add_panel(out, tmp, a, b):
-    np.add(a, b, out=out)
-
 
 def _trapezoid_panel(out, tmp, dt, prefix, g1, g0):
     """out = prefix + (dt / 2) * (g1 + g0)"""
@@ -310,9 +268,11 @@ class _PrefixIntegrator:
         self.out = None
 
     def _update(self, panel, out, *arrays):
-        """panel(out, tmp, dt, *arrays) over aligned blocks of the flat arrays."""
+        """panel(out, tmp, dt, *arrays) over aligned row blocks of the arrays."""
         dt = self.dt
-        return _blockwise(lambda o, tmp, *a: panel(o, tmp, dt, *a), out, *arrays)
+        dest, *mats = (a.reshape(-1, a.shape[-1]) for a in (out, *arrays))
+        blocks.rows(lambda r, tmp: panel(dest[r], tmp, dt, *(a[r] for a in mats)), dest)
+        return out
 
     def push(self, g: np.ndarray) -> np.ndarray:
         self.i += 1
@@ -353,20 +313,15 @@ def _integrate_duhamel(sources, times, rule, gamma0_data, grid, k, interaction):
     constant = None
     if all(src is sources[0] for src in sources):
         constant = apply_btilde(sources[0], interaction).data
+    base = () if gamma0_data is None else (gamma0_data,)
     out = []
     for i, src in enumerate(sources):
         if constant is None:
-            g = apply_btilde(src, interaction).data
+            g = apply_free_phase(apply_btilde(src, interaction).data, grid, k, -times[i])
         else:
-            g = _blockwise(_copy_panel, np.empty_like(constant), constant)
-        apply_free_phase(g, grid, k, -times[i])
+            g = apply_free_phase(np.empty_like(constant), grid, k, -times[i], constant)
         prefix = integ.push(g)
-        new = np.empty_like(prefix)
-        if gamma0_data is None:
-            _blockwise(_copy_panel, new, prefix)
-        else:
-            _blockwise(_add_panel, new, gamma0_data, prefix)
-        apply_free_phase(new, grid, k, times[i])
+        new = apply_free_phase(np.empty_like(prefix), grid, k, times[i], *base, prefix)
         out.append(MarginalKernel(grid, k, new))
     return out
 

@@ -94,9 +94,6 @@ class DivergenceReport:
     growth_ratios: list
     diverging: bool
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def lemma31_divergence_check(n: int, cutoffs=(4.0, 8.0, 16.0, 32.0),
                              points_per_unit: float = 8.0,
@@ -134,9 +131,6 @@ class SupCheckReport:
     max_value: float
     tail_spread: float
     stable: bool
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def lemma31_sup_check(beta: float, n: int, cutoff: float, p_values=None,
@@ -176,17 +170,6 @@ class ConstantEstimate:
     flat_in_k: bool
     trials: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "c_hat": self.c_hat,
-            "rows": [dict(r) for r in self.rows],
-            "k_spread": self.k_spread,
-            "flat_in_k": self.flat_in_k,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
 
 
 SAFETY_FACTOR = 1.5
@@ -298,13 +281,6 @@ class BinomialGrowthReport:
     rows: list
     decaying: bool
     ratio_tail_spread: float
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [dict(r) for r in self.rows],
-            "decaying": self.decaying,
-            "ratio_tail_spread": self.ratio_tail_spread,
-        }
 
 
 def binomial_growth_check(m_range=range(1, 26), tail: int = 5) -> BinomialGrowthReport:

@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from dataclasses import asdict
 
 from gphier import blocks
 from gphier.kernels import FactorizedKernel, HierarchySequence, random_test_kernel
@@ -103,6 +104,58 @@ class TestMapBlocks:
             assert {run for _, run in got} <= set(range(1, len(made) + 1))
 
 
+class TestRows:
+    @pytest.mark.parametrize("height, width", [(10, 1), (7, 1 << 14), (3, 1 << 17), (1, 5)])
+    def test_slices_in_row_order_cover_every_row(self, monkeypatch, height, width):
+        monkeypatch.setattr(blocks, "WORKERS", 2)
+        monkeypatch.setattr(blocks, "MIN_POOLED", 0)
+        mat = np.zeros((height, width))
+        got = blocks.rows(lambda r, buf: r, mat)
+        step = max(1, blocks.BLOCK // width)
+        assert got == [slice(s, s + step) for s in range(0, height, step)]
+        assert [i for r in got for i in range(height)[r]] == list(range(height))
+
+    def test_ragged_last_block(self):
+        width = blocks.BLOCK // 4  # four rows per block
+        mat = np.zeros((10, width))
+        shapes = blocks.rows(lambda r, buf: (mat[r].shape, buf.shape), mat)
+        assert [s for s, _ in shapes] == [(4, width), (4, width), (2, width)]
+        assert all(a == b for a, b in shapes)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_scratch_has_the_slice_shape_and_dtype(self, dtype):
+        mat = np.ones((300, 1000), dtype=dtype)
+        seen = blocks.rows(lambda r, buf: (buf.shape == mat[r].shape, buf.dtype), mat)
+        assert seen == [(True, np.dtype(dtype))] * len(seen)
+        assert len(seen) == 5  # 65 rows of 1000 entries per block
+
+    def test_small_pass_is_one_run_on_the_caller(self, monkeypatch):
+        monkeypatch.setattr(blocks, "WORKERS", 2)
+        mat = np.zeros((blocks.MIN_POOLED // 1000 - 1, 1000))
+        me = threading.get_ident()
+        got = blocks.rows(lambda r, buf: (threading.get_ident(), id(buf.base)), mat)
+        assert {ident for ident, _ in got} == {me}
+        assert len({base for _, base in got}) == 1
+
+    def test_output_independent_of_worker_count(self, monkeypatch):
+        monkeypatch.setattr(blocks, "MIN_POOLED", 0)
+        rng = np.random.default_rng(3)
+        src = rng.standard_normal((500, 700)) + 1j * rng.standard_normal((500, 700))
+        outs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(blocks, "WORKERS", workers)
+            out = np.empty_like(src)
+
+            def square_rows(r, buf):
+                np.multiply(src[r], src[r], out=buf)
+                np.add(buf, 1.0, out=out[r])
+                return float(np.sum(np.abs(buf)))
+
+            outs.append((out, blocks.rows(square_rows, out)))
+        assert np.array_equal(outs[0][0], outs[1][0])
+        assert outs[0][1] == outs[1][1]
+
+
 def band_profile(grid, seed, band=1):
     rng = np.random.default_rng(seed)
     shape = (grid.M,) * grid.n
@@ -159,7 +212,7 @@ def run_with_workers(monkeypatch, workers, gamma0, config):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         traj, report = solve(gamma0, config)
-    fields = report.to_dict()
+    fields = asdict(report)
     fields.pop("wall_seconds")
     return traj, fields
 

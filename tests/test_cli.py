@@ -86,9 +86,11 @@ class TestPreflight:
         assert report["preflight"]["collapse_ops"] == 20
         assert report["preflight"]["total_bytes"] == report["planned_bytes"]
 
-    def test_override_flag_accepts_oversize(self, tmp_path, monkeypatch):
-        # a planned peak of about 7e7 bytes, over a budget lowered to 1e7
-        monkeypatch.setenv(BUDGET_ENV_VAR, "1e7")
+    @pytest.mark.parametrize("budget", ["1e7", "3e6"])
+    def test_override_flag_accepts_oversize(self, tmp_path, monkeypatch, budget):
+        # a planned peak of about 7e7 bytes, over a budget lowered to 1e7;
+        # at 3e6 even one k=3 collapse output (4.2e6 bytes) is over it
+        monkeypatch.setenv(BUDGET_ENV_VAR, budget)
         cfg = solve_cfg(grid={"n": 1, "L": TWO_PI, "M": 8}, K=4, N_t=5,
                         m_max=4, tol_cauchy=1e-6)
         out = tmp_path / "out"
@@ -287,6 +289,42 @@ class TestErrorHandling:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "'K'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--quadrature", "foo"], "invalid choice: 'foo'"),
+        (["solve", "--bogus"], "unrecognized arguments: --bogus"),
+        (["solve", "--seed", "x"], "invalid int value"),
+        ([], "required: command"),
+    ])
+    def test_usage_errors_exit_1(self, capsys, argv, message):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("command, flag", [
+        *[("verify-lemmas", f) for f in ("--seed", "--override-budget", "--quadrature",
+                                         "--closure", "--emit-plots")],
+        *[("estimate-constant", f) for f in ("--quadrature", "--closure", "--emit-plots")],
+        ("compare-nls", "--emit-plots"),
+        ("compare-nls", "--seed"),
+    ])
+    def test_flags_a_subcommand_ignores_are_refused(self, capsys, command, flag):
+        value = {"--seed": ["1"], "--quadrature": ["simpson"], "--closure": ["zero_top"]}
+        assert main([command, flag, *value.get(flag, [])]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, argv", [
+        ("solve", ["--seed", "1", "--override-budget", "--quadrature", "simpson",
+                   "--closure", "zero_top", "--emit-plots"]),
+        ("verify-lemmas", []),
+        ("compare-nls", ["--override-budget", "--quadrature", "simpson",
+                         "--closure", "zero_top"]),
+        ("estimate-constant", ["--seed", "1", "--override-budget"]),
+    ])
+    def test_each_subcommand_takes_the_flags_it_reads(self, command, argv):
+        args = cli.build_parser().parse_args([command, "--config", "c.json",
+                                              "--out", "o", *argv])
+        assert args.handler is getattr(cli, "cmd_" + command.replace("-", "_"))
 
     def test_module_entry_point(self, tmp_path):
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))

@@ -1,8 +1,13 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gphier import blocks
 from gphier.spectral import GridSpec, forward_transform
 from gphier.kernels import (
     FactorizedKernel,
@@ -31,6 +36,7 @@ from gphier.kernels import (
 )
 
 GRID = GridSpec(1, 2 * np.pi, 6)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def gaussian_phi(grid, width=1.0, amp=1.0):
@@ -157,6 +163,44 @@ class TestDefects:
         kern = MarginalKernel.zeros(GridSpec(1, 2 * np.pi, 10), 3)
         assert hermiticity_defect(kern) == 0.0
         assert symmetry_defect(kern) == 0.0
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-9j])
+    def test_near_invariant_kernels_match_whole_array_differences(self, eps):
+        # an exactly Hermitian kernel with a rounding-level symmetry defect,
+        # then a Hermitian and an anti-Hermitian exchange-symmetric perturbation
+        grid = GridSpec(1, 2 * np.pi, 8)
+        a = random_test_kernel(grid, 3, alpha=1.0, seed=5).data
+        b = random_test_kernel(grid, 3, alpha=1.0, seed=6).data
+        kern = MarginalKernel(grid, 3, a + eps * np.conj(b))
+        herm, symm = reference_defects(kern)
+        assert 0.0 < symm < 1e-15 and (herm > 1e-10) == (eps == 1e-9j)
+        assert hermiticity_defect(kern) == pytest.approx(herm, rel=1e-12, abs=0.0)
+        assert symmetry_defect(kern) == pytest.approx(symm, rel=1e-12, abs=0.0)
+
+    @pytest.mark.skipif(blocks.WORKERS < 2, reason="needs 2 CPUs")
+    def test_independent_of_blas_thread_count(self):
+        script = (
+            "import numpy as np\n"
+            "from gphier.kernels import MarginalKernel, hermiticity_defect, "
+            "random_test_kernel, symmetry_defect\n"
+            "from gphier.spectral import GridSpec\n"
+            "grid = GridSpec(1, 2 * np.pi, 8)\n"
+            "a = random_test_kernel(grid, 3, alpha=1.0, seed=5).data\n"
+            "b = np.conj(random_test_kernel(grid, 3, alpha=1.0, seed=6).data)\n"
+            "for eps in (1e-9, 1e-9j):\n"
+            "    kern = MarginalKernel(grid, 3, a + eps * b)\n"
+            "    print(repr(hermiticity_defect(kern)), repr(symmetry_defect(kern)))\n"
+        )
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        outs = [
+            subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           check=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": path,
+                                "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")
+        ]
+        assert outs[0] == outs[1]
+        assert len(outs[0].split()) == 4
 
 
 class TestTraces:

@@ -487,13 +487,20 @@ class TestOnePassKernels:
         (GridSpec(n=2, L=3.0, M=4), 1),
         (GridSpec(n=2, L=3.0, M=4), 2),
     ])
-    @pytest.mark.parametrize("t", [0.37, -0.21])
-    def test_free_phase_matches_per_axis_passes(self, grid, k, t):
+    @pytest.mark.parametrize("t", [0.37, -0.21, 0.0])
+    @pytest.mark.parametrize("nterms", [0, 1, 2])
+    def test_free_phase_matches_per_axis_passes(self, grid, k, t, nterms):
+        # with terms, data is first overwritten by their sum; at t = 0 the
+        # result is exactly that sum (or data itself without terms)
         gamma = random_dense(grid, k, seed=50 + k)
-        want = per_axis_phase(gamma.data, grid, k, t)
+        terms = [random_dense(grid, k, seed=60 + i).data for i in range(nterms)]
+        source = gamma.data if not terms else terms[0] if nterms == 1 else terms[0] + terms[1]
         data = gamma.data.copy()
-        assert apply_free_phase(data, grid, k, t) is data
-        assert max_rel(data, want) <= 1e-14
+        assert apply_free_phase(data, grid, k, t, *terms) is data
+        if t == 0.0:
+            assert np.array_equal(data, source)
+        else:
+            assert max_rel(data, per_axis_phase(source, grid, k, t)) <= 1e-14
 
 
 # -- plane-wise contractions against nested np.trace -------------------------------

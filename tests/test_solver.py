@@ -8,6 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
+from dataclasses import asdict
 
 from gphier.kernels import (
     FactorizedKernel,
@@ -411,7 +412,7 @@ class TestSolve:
         assert all(v < 1e-12 for v in report.trace_drift.values())
         assert all(v < 1e-9 for v in report.hermiticity_defects.values())
         assert all(v < 1e-9 for v in report.symmetry_defects.values())
-        json.dumps(report.to_dict())
+        json.dumps(asdict(report))
 
     def test_linearity(self):
         config = config_for(K=3, T=0.2, N_t=4)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from dataclasses import asdict
 
 from gphier.kernels import random_test_kernel
 from gphier.norms import sobolev_norm
@@ -100,7 +101,7 @@ class TestCutoffLadder:
         assert rep.diverging
         assert all(r > 1.1 for r in rep.growth_ratios)
         assert rep.values == sorted(rep.values)
-        assert json.dumps(rep.to_dict())
+        assert json.dumps(asdict(rep))
 
 
 class TestSupCheck:
@@ -119,7 +120,7 @@ class TestSupCheck:
 
     def test_report_round_trips_to_json(self):
         rep = lemma31_sup_check(2.0, 1, cutoff=8.0, resolution=80)
-        blob = json.loads(json.dumps(rep.to_dict()))
+        blob = json.loads(json.dumps(asdict(rep)))
         assert blob["beta"] == 2.0 and len(blob["integrals"]) == 6
 
 
@@ -148,7 +149,7 @@ class TestConstantEstimate:
             peak = max(peak, row["max_full_ratio"], row["max_term_ratio"])
         assert est.c_hat == pytest.approx(1.5 * peak, rel=1e-12)
         assert est.k_spread >= 1.0
-        assert json.dumps(est.to_dict())
+        assert json.dumps(asdict(est))
 
     def test_battery_matches_single_alpha_estimates(self):
         # the battery reweights one set of projected draws per alpha; each
@@ -233,4 +234,4 @@ class TestBinomialGrowth:
         # Stirling limit of C(2m-1, m) / (4^m / sqrt(m)) is 1/(2 sqrt(pi))
         assert rep.rows[-1]["ratio"] == pytest.approx(0.5 / math.sqrt(math.pi),
                                                       rel=0.05)
-        assert json.dumps(rep.to_dict())
+        assert json.dumps(asdict(rep))
