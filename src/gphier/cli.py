@@ -334,6 +334,24 @@ def preflight(config: SolverConfig, gamma0: HierarchySequence, override: bool) -
 
 # -- subcommands -------------------------------------------------------------------
 
+def _write_trajectory(out: Path, trajectory, config: SolverConfig):
+    """norm_vs_time.csv and the final level files of a solve."""
+    alpha, grid = config.params.alpha, config.grid
+    norm_rows = []
+    for i, t in enumerate(trajectory.times):
+        for k in range(1, config.K + 1):
+            norm_rows.append((t, k, sobolev_norm(trajectory.states[i].level(k), alpha)))
+    write_csv(out / "norm_vs_time.csv", ("time", "level", "h_alpha_norm"), norm_rows)
+
+    final = trajectory.states[-1]
+    for k in range(1, config.K + 1):
+        level = final.level(k)
+        if isinstance(level, FactorizedKernel):
+            save_wavefunction(out / f"final_level{k}_profile.bin", level.phi_hat, grid)
+        else:
+            save_kernel(out / f"final_level{k}.bin", level)
+
+
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     config = build_solver_config(cfg, args)
@@ -353,21 +371,8 @@ def cmd_solve(args) -> int:
         ).c_hat
 
     trajectory, report = solve(gamma0, config, c_hat=c_hat)
-
-    alpha = config.params.alpha
-    norm_rows = []
-    for i, t in enumerate(trajectory.times):
-        for k in range(1, config.K + 1):
-            norm_rows.append((t, k, sobolev_norm(trajectory.states[i].level(k), alpha)))
-    write_csv(out / "norm_vs_time.csv", ("time", "level", "h_alpha_norm"), norm_rows)
-
-    final = trajectory.states[-1]
-    for k in range(1, config.K + 1):
-        level = final.level(k)
-        if isinstance(level, FactorizedKernel):
-            save_wavefunction(out / f"final_level{k}_profile.bin", level.phi_hat, grid)
-        else:
-            save_kernel(out / f"final_level{k}.bin", level)
+    _write_trajectory(out, trajectory, config)
+    del trajectory  # the Duhamel expansion below runs without the solve's node lists
 
     payload = asdict(report)
     payload["preflight"] = planned

@@ -15,8 +15,9 @@ Writing g(s) = U0(-s) Btilde gamma^(k+off)(s), the prefix integrals of g
 accumulate in O(N_t) array passes and each node needs only a short window
 of g values, so a Picard step never holds a whole level's source list.  The
 prefix is updated in place (bitwise the out-of-place trapezoid and Simpson
-formulas), so a push allocates no level-sized array, and the integrator
-keeps only the integrands its rule reads (2 for trapezoid, 4 for Simpson).
+formulas), so a push allocates no level-sized array, and between pushes
+the integrator keeps only the integrands its next push reads (1 for
+trapezoid, 3 for Simpson).
 Quadrature updates run in the row blocks of blocks.rows on the block pool,
 bitwise as on one worker.  Each node is written once, by the free phase
 pass that also sums gamma0 and the prefix into it (apply_free_phase's
@@ -34,11 +35,15 @@ Every other level keeps the previous iterate's kernel objects, so the
 result is bitwise that of full Duhamel steps (picard_step, which replaces
 every level).  A step (_step) replaces the node lists in place in ascending
 order, which is Jacobi order: level k reads level k+off before k+off is
-replaced.  A replaced list is released before the next level is
-integrated, and the step returns the per-node distances of the replaced
-levels only; the Cauchy distance and the residuals are formed from these,
-since a kept level's gap is exactly zero.  solve() walks the schedule for
-its steps and its residual step; plan() is the one resource model: it
+replaced.  Lists are released per node, not per level: _duhamel_nodes
+yields one node at a time, the step takes its gap to the old node and
+puts it in the old node's slot, so old node i is gone before node i+1's
+collapse and a step never holds two dense lists of one level.  The step
+returns the per-node distances of the replaced levels only; the Cauchy
+distance and the residuals are formed from these, since a kept level's
+gap is exactly zero.  solve() walks the schedule for its steps and its
+residual step, which keeps only the gaps and drops each new node;
+plan() is the one resource model: it
 walks the same schedule without arrays, reading each level's
 representation from the initial data, and yields the collapse count and the
 peak bytes.  solve() and the CLI check that peak against one budget,
@@ -253,8 +258,8 @@ class _PrefixIntegrator:
     out-of-place formulas, so the values are bitwise theirs and no temporary
     grows with g.  The returned array is one of the integrator's buffers: it
     is valid until the next push, and callers must not modify it.  Pushed
-    arrays are only read, and only the last 2 (trapezoid) or 4 (Simpson)
-    are kept.
+    arrays are only read; between pushes only the last 1 (trapezoid) or 3
+    (Simpson) are kept, the ones the next push reads.
     """
 
     def __init__(self, rule: str, dt: float):
@@ -262,7 +267,7 @@ class _PrefixIntegrator:
         self.dt = dt
         self.i = -1
         self.window = []
-        self.keep = 2 if rule == TRAPEZOID else 4
+        self.keep = 1 if rule == TRAPEZOID else 3
         self.prefix = None  # the trapezoid prefix, or Simpson's even chain
         self.even_prev = None
         self.out = None
@@ -276,10 +281,13 @@ class _PrefixIntegrator:
 
     def push(self, g: np.ndarray) -> np.ndarray:
         self.i += 1
-        i, dt = self.i, self.dt
         self.window.append(g)
-        if len(self.window) > self.keep:
-            self.window.pop(0)
+        prefix = self._advance(g)
+        del self.window[:-self.keep]  # keep only what the next push reads
+        return prefix
+
+    def _advance(self, g: np.ndarray) -> np.ndarray:
+        i, dt = self.i, self.dt
         if i == 0:
             self.prefix = np.zeros(g.shape, dtype=g.dtype)
             return self.prefix
@@ -302,11 +310,14 @@ class _PrefixIntegrator:
                             *self.window[-4:])
 
 
-def _integrate_duhamel(sources, times, rule, gamma0_data, grid, k, interaction):
-    """Per-node U0(t_i)(gamma0 + prefix integral of U0(-s) Btilde src(s)).
+def _duhamel_nodes(sources, times, rule, gamma0_data, grid, k, interaction):
+    """Yields U0(t_i)(gamma0 + prefix integral of U0(-s) Btilde src(s)), node by node.
 
     sources lists the (k+offset)-level kernel at each node; gamma0_data is
     the dense level-k initial array or None for the pure integral term.
+    Node i is yielded before source i+1 is collapsed, and the generator keeps
+    no reference to it, so a caller that drops or stores it controls when
+    the node it replaces is released.
     """
     dt = times[1] - times[0]
     integ = _PrefixIntegrator(rule, dt)
@@ -314,16 +325,14 @@ def _integrate_duhamel(sources, times, rule, gamma0_data, grid, k, interaction):
     if all(src is sources[0] for src in sources):
         constant = apply_btilde(sources[0], interaction).data
     base = () if gamma0_data is None else (gamma0_data,)
-    out = []
     for i, src in enumerate(sources):
         if constant is None:
             g = apply_free_phase(apply_btilde(src, interaction).data, grid, k, -times[i])
         else:
             g = apply_free_phase(np.empty_like(constant), grid, k, -times[i], constant)
         prefix = integ.push(g)
-        new = apply_free_phase(np.empty_like(prefix), grid, k, times[i], *base, prefix)
-        out.append(MarginalKernel(grid, k, new))
-    return out
+        yield MarginalKernel(
+            grid, k, apply_free_phase(np.empty_like(prefix), grid, k, times[i], *base, prefix))
 
 
 # -- closure and start trajectories -----------------------------------------------
@@ -375,11 +384,19 @@ class SolvePlan:
     peak_bytes: int
 
 
-# Transient bytes beside the levels' arrays, measured: a full-size pass's
-# 2^16-entry block buffer and its temporaries (up to 1.3 MB on one pool
-# run) and interpreter objects.  A streamed norm's part buffers (up to
-# 1.9 MB) are in use only between steps, when no integrator buffers are.
+# Transient bytes of a full-size pass beside the levels' arrays, measured:
+# its 2^16-entry block buffer and temporaries (up to 1.3 MB on one pool run)
+# and interpreter objects.
 _SCRATCH = 1_700_000
+
+
+def _gap_bytes(grid: GridSpec, k: int) -> int:
+    """Transient bytes of one streamed norm or gap of level-k kernels, a
+    bound on the measured ones (norms._weighted_sq_total on one pool run): a
+    part's complex and real buffers, a row buffer, the 2k weights, a
+    factorized side's rows and interpreter objects."""
+    R = grid.M ** (k * grid.n)
+    return 32 * min(R * R, 1 << 16) + 24 * k * R + 120_000
 
 
 def _contraction_bytes(grid: GridSpec, kp: int, offset: int) -> int:
@@ -417,13 +434,18 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
     a step that replaces nothing or after m_max steps, then adds the
     residual step, so solve() makes exactly these collapses unless it
     converges earlier.  The bytes held are the dense copies of factorized
-    sourced levels of gamma0, dense closure lists (free_top on dense data),
-    the previous iterate's lists and those this step re-integrated so far,
-    and for the level being integrated its list, the integrator's buffers
-    (3 trapezoid, 7 Simpson), the collapse output and a dense collapse's
-    contractions; plus _SCRATCH.  Each further pool run over a level of
-    2^19 entries or more holds up to 1.3 MB of scratch that the plan leaves
-    out, so that the plan does not depend on the worker count.
+    sourced levels of gamma0, dense closure lists (free_top on dense data)
+    and the node lists of the levels integrated so far.  Lists are released
+    per node: while level k is re-integrated, its list holds N_t+1 arrays,
+    old and new nodes together, and one new node is in flight until it takes
+    its slot (at step 1 the old list is the initial data and the new list
+    grows to N_t+1 nodes).  Beside them are the integrator's buffers (2
+    trapezoid, 6 Simpson) and, at a node's collapse, the collapse output, a
+    dense collapse's contractions and _SCRATCH, or at its gap the streamed
+    norm's buffers (_gap_bytes).  Each further pool run over a level of 2^19
+    entries or more holds up to 1.3 MB of block scratch, or 2.2 MB of norm
+    buffers, that the plan leaves out, so that the plan does not depend on
+    the worker count.
     """
     grid, off, nodes = config.grid, config.offset, config.N_t + 1
     size = grid.kernel_bytes
@@ -434,57 +456,73 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
 
     dense_closure = {k for k in closure if config.closure.kind == FREE_TOP and dense(k)}
     zero_closure = closure if config.closure.kind == ZERO_TOP else set()
-    buffers = 3 if config.quadrature == TRAPEZOID else 7
+    buffers = 2 if config.quadrature == TRAPEZOID else 6  # kept integrands, prefixes
     held = (sum(size(k) for k in sourced if not dense(k))
             + nodes * sum(size(k) for k in dense_closure))
-    peak, collapses = held, 0
+    peak, collapses = 0, 0
     schedule = _schedule(config)
     for step in range(config.m_max + 1):  # m_max steps, then the residual step
         changed = next(schedule)
         if not changed:
             break
         first = step == 0
-        live = held
         for k in sorted(changed & sourced):
             src = k + off
             dense_src = dense(src) if first else src in sourced | dense_closure
-            work = _contraction_bytes(grid, src, off) if dense_src else 0
-            body = (nodes + buffers) * size(k)  # list, buffers, one collapse output
+            work = _SCRATCH + (_contraction_bytes(grid, src, off) if dense_src else 0)
+            # buffers and the new nodes beside the held lists: the whole new
+            # list at step 1, later one node (or collapse output) in flight;
+            # each node's passes, then its gap
+            body = (buffers + (nodes if first else 1)) * size(k)
             if first or src in zero_closure:  # collapsed once, then copied per node
                 collapses += 1
-                top = size(k) + max(work, body)
+                top = size(k) + max(work, body + max(_SCRATCH, _gap_bytes(grid, k)))
             else:
                 collapses += nodes
-                top = work + body
-            peak = max(peak, live + top)
-            live += nodes * size(k)
-        if first:
-            held += nodes * sum(size(k) for k in sourced)
-    return SolvePlan(collapses, peak + _SCRATCH)
+                top = body + max(work, _gap_bytes(grid, k))
+            peak = max(peak, held + top)
+            if first:
+                held += nodes * size(k)
+        if first:  # the closure lists' gaps to the initial data
+            peak = max(peak, *(held + _gap_bytes(grid, k) for k in closure))
+    # the final norms and defects
+    peak = max(peak, held + _SCRATCH, *(held + _gap_bytes(grid, k) for k in sourced))
+    return SolvePlan(collapses, peak)
 
 
 def _step(levels: dict, changed: set, times: np.ndarray, gamma0_data: dict,
-          closure: dict, config: SolverConfig) -> dict:
+          closure: dict, config: SolverConfig, keep: bool = True) -> dict:
     """One Duhamel step: replace the node lists of the changed levels in
     place; returns level -> per-node level_diff_norm(new, old).
 
     Levels are replaced in ascending order, so a sourced level k reads level
     k+off before k+off is replaced (Jacobi order).  A closure level takes its
-    closure list.  A replaced list is released before the next level is
-    integrated.
+    closure list.  Each new node's gap to the old one is taken as the node
+    is produced; then the new node takes the old one's slot, so old node i
+    is released before node i+1's collapse.  With keep=False (the residual
+    step) the lists stay as they are and each new node is dropped after its
+    gap.
     """
     alpha = config.params.alpha
     gaps = {}
     for k in sorted(changed):
         if k in closure:
-            new = closure[k]
+            stream = iter(closure[k])
         else:
-            new = _integrate_duhamel(
+            stream = _duhamel_nodes(
                 levels[k + config.offset], times, config.quadrature, gamma0_data[k],
                 config.grid, k, config.interaction,
             )
-        gaps[k] = [level_diff_norm(a, b, alpha) for a, b in zip(new, levels[k])]
-        levels[k] = new
+        # no enumerate or zip, and the loop variable deleted: each would hold
+        # a node through the next node's collapse
+        nodes, gap = levels[k], []
+        for new in stream:
+            i = len(gap)
+            gap.append(level_diff_norm(new, nodes[i], alpha))
+            if keep:
+                nodes[i] = new
+            del new
+        gaps[k] = gap
     return gaps
 
 
@@ -520,10 +558,10 @@ def _chain(nodes: list, top: int, bottom: int, config: SolverConfig):
     integral term sourced by the one before it."""
     times = config.times()
     for lvl in range(top - config.offset, bottom - 1, -config.offset):
-        nodes = _integrate_duhamel(
+        nodes = list(_duhamel_nodes(
             nodes, times, config.quadrature, None, config.grid, lvl,
             config.interaction,
-        )
+        ))
         yield lvl, nodes
 
 
@@ -634,8 +672,9 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
             stacklevel=2,
         )
 
-    # self-consistency residual: one more step of the schedule, on a copy
-    extra = _step(dict(levels), next(schedule), times, gamma0_data, closure, config)
+    # self-consistency residual: one more step of the schedule, gaps only
+    extra = _step(levels, next(schedule), times, gamma0_data, closure, config,
+                  keep=False)
     # every final kernel normed once, for the residuals and the trajectory norm
     norms = {k: [sobolev_norm(kern, alpha) for kern in levels[k]]
              for k in range(1, config.K + 1)}

@@ -182,7 +182,7 @@ class TestPrefixIntegrator:
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
             assert all(np.array_equal(a, b) for a, b in zip(pushed, gs))
 
-    @pytest.mark.parametrize("rule, kept", [("trapezoid", 2), ("simpson", 4)])
+    @pytest.mark.parametrize("rule, kept", [("trapezoid", 1), ("simpson", 3)])
     def test_window_keeps_only_what_the_rule_reads(self, rule, kept):
         integ = _PrefixIntegrator(rule, 0.1)
         first = np.ones(10, dtype=np.complex128)
@@ -697,23 +697,89 @@ class TestStepRelease:
         # replaced, step 1's level-1 nodes must be gone before level 2 starts
         gamma0 = factorized_sequence(GRID, 4, seed=80)
         config = config_for(K=4, N_t=4)
-        original = solver_module._integrate_duhamel
+        original = solver_module._duhamel_nodes
         seen, first_level1, alive = [], [], []
 
         def tracking(sources, times, rule, gamma0_data, grid, k, interaction):
+            # a generator: this runs when the step starts reading the level
             seen.append(k)
             if seen == [1, 2, 3, 1, 2]:
                 alive.append(sum(ref() is not None for ref in first_level1))
-            out = original(sources, times, rule, gamma0_data, grid, k, interaction)
-            if seen == [1]:
-                first_level1.extend(weakref.ref(node) for node in out)
-            return out
+            for node in original(sources, times, rule, gamma0_data, grid, k, interaction):
+                if seen == [1]:
+                    first_level1.append(weakref.ref(node))
+                yield node
 
-        monkeypatch.setattr(solver_module, "_integrate_duhamel", tracking)
+        monkeypatch.setattr(solver_module, "_duhamel_nodes", tracking)
         solve(gamma0, config)
         assert seen[:5] == [1, 2, 3, 1, 2]
         assert len(first_level1) == config.N_t + 1
         assert alive == [0]
+
+    def test_old_node_freed_before_next_collapse(self, monkeypatch):
+        # in step 2, level 3 is re-integrated from the level-4 closure list,
+        # one collapse per node; old level-3 node i must be gone when node
+        # i+1's collapse starts, and old node i+1 still alive
+        gamma0 = factorized_sequence(GRID, 4, seed=81)
+        config = config_for(K=4, N_t=4)
+        nodes = config.N_t + 1
+        step1_level3, checks = [], []
+        original_gap = solver_module.level_diff_norm
+        original_collapse = solver_module.apply_btilde
+        top_collapses = []
+
+        def gap(new, old, alpha):
+            if new.k == 3 and len(step1_level3) < nodes:
+                step1_level3.append(weakref.ref(new))
+            return original_gap(new, old, alpha)
+
+        def collapse(kernel, interaction):
+            if kernel.k == 4:
+                top_collapses.append(kernel.k)
+                # collapse 1 is step 1's constant source; 2.. are step 2's nodes
+                i = len(top_collapses) - 3
+                if 0 <= i < nodes - 1:
+                    checks.append((step1_level3[i]() is None,
+                                   step1_level3[i + 1]() is not None))
+            return original_collapse(kernel, interaction)
+
+        monkeypatch.setattr(solver_module, "level_diff_norm", gap)
+        monkeypatch.setattr(solver_module, "apply_btilde", collapse)
+        solve(gamma0, config)
+        assert len(step1_level3) == nodes
+        assert checks == [(True, True)] * (nodes - 1)
+
+
+class TestResidualStep:
+    def test_residual_step_streams_gaps_and_keeps_final_nodes(self, monkeypatch):
+        # m_max=2 stops inside the schedule: the residual step re-integrates
+        # the dense levels 1 and 2 and must leave the final lists untouched
+        gamma0, config = schedule_case("cubic_m_max")
+        original = solver_module._step
+        calls, before = [], {}
+
+        def step(levels, changed, *args, **kwargs):
+            calls.append(sorted(changed))
+            if len(calls) == config.m_max + 1:
+                before.update({k: list(v) for k, v in levels.items()})
+            return original(levels, changed, *args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "_step", step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            traj, report = solve(gamma0, config)
+        assert calls[-1] == [1, 2]
+        for k in range(1, config.K + 1):
+            assert all(a is b for a, b in zip(traj.level_series(k), before[k]))
+        # full-list reference: one whole Duhamel step on the final trajectory
+        extra = picard_step(traj, gamma0, config)
+        residuals = {}
+        for k in config.sourced_levels:
+            denom = max(sobolev_norm(node, 1.0) for node in traj.level_series(k))
+            gap = max(level_diff_norm(a, b, 1.0) for a, b in
+                      zip(traj.level_series(k), extra.level_series(k)))
+            residuals[k] = gap / denom if denom > 0 else gap
+        assert report.residuals == residuals
 
 
 class TestTrajectoryType:
