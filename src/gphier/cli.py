@@ -2,7 +2,7 @@
 
 Subcommands map one-to-one onto the library workflows:
 
-    solve               Picard iteration of the truncated hierarchy
+    solve               mild solution of the truncated hierarchy (Duhamel sweep)
     verify-lemmas       integral-inequality and growth-rate checks
     compare-nls         hierarchy marginals against the split-step oracle
     estimate-constant   empirical collapse-operator constant

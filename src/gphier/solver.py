@@ -13,7 +13,7 @@ the initial data, identically zero, or the factorized NLS trajectory.
 The integral is evaluated by composite quadrature over the stored nodes.
 Writing g(s) = U0(-s) Btilde gamma^(k+off)(s), the prefix integrals of g
 accumulate in O(N_t) array passes and each node needs only a short window
-of g values, so a Picard step never holds a whole level's source list.  The
+of g values, so a step never holds a whole level's list of integrands.  The
 prefix is updated in place (bitwise the out-of-place trapezoid and Simpson
 formulas), so a push allocates no level-sized array, and between pushes
 the integrator keeps only the integrands its next push reads (1 for
@@ -26,35 +26,31 @@ start, a zero_top closure, the remainder's R_0) is collapsed once, and each
 node's integrand is copied from that collapse in its own phase pass; any
 other source is collapsed node by node.
 
-The collapse is lower triangular and nilpotent, so iterates stabilize
-exactly after about K/off steps.  One schedule (_schedule) decides which
-levels a step replaces: every level at step 1 (the sourced levels are
-integrated and the closure lists replace the convention start), then at
-step m > 1 each sourced level k whose level k+off changed at step m-1.
-Every other level keeps the previous iterate's kernel objects, so the
-result is bitwise that of full Duhamel steps (picard_step, which replaces
-every level).  A step (_step) replaces the node lists in place in ascending
-order, which is Jacobi order: level k reads level k+off before k+off is
-replaced.  Lists are released per node, not per level: _duhamel_nodes
-yields one node at a time, the step takes its gap to the old node and
-puts it in the old node's slot, so old node i is gone before node i+1's
-collapse and a step never holds two dense lists of one level.  The step
-returns the per-node distances of the replaced levels only; the Cauchy
-distance and the residuals are formed from these, since a kept level's
-gap is exactly zero.  solve() walks the schedule for its steps and its
-residual step, which keeps only the gaps and drops each new node;
-plan() is the one resource model: it
-walks the same schedule without arrays, reading each level's
-representation from the initial data, and yields the collapse count and the
-peak bytes.  solve() and the CLI check that peak against one budget,
-kernels.kernel_budget.
+The collapse is lower triangular and nilpotent, so the fixed point of the
+Duhamel map is a back substitution: level k = D_k(level k+off), from the
+closure down to level 1.  solve() reaches it in one step (_step) that
+replaces the levels in descending order: the closure lists replace the
+convention start, then each sourced level k integrates the new level k+off
+(a Gauss-Seidel sweep).  Its levels are bitwise those that full Duhamel
+steps (picard_step, the Jacobi map, which reads every source from the
+previous iterate) reach after about K/off steps.  A second step would
+replace nothing, so solve's second Cauchy distance is exactly 0.0 and its
+residuals are exactly zero; neither needs a further integration.  The
+step takes each new node's gap to the node it replaces as the node is
+produced, and returns the per-node gaps, from which solve() forms the
+Cauchy distance.  plan() is the one resource model: it walks the same
+sweep without arrays, reading each level's representation from the
+initial data, and yields the collapse count and the peak bytes.  solve()
+and the CLI check that peak against one budget, kernels.kernel_budget.
 
-The expansion terms are Duhamel chains: one helper (_chain) integrates a
-node list down from a top level in steps of off.  It gives duhamel_term,
-the convention-start remainder duhamel_remainder, and duhamel_bound_rows,
-which integrates each top level's chain once for all its rows.  The
-partial sums of Duhamel terms plus the remainder reproduce each iterate to
-rounding, which the tests use as a cross-check of the whole pipeline.
+The expansion terms are Duhamel chains: one helper (_chain) streams a node
+list down from a top level in steps of off, each level's node generator
+feeding the next level's integrator.  It gives duhamel_term, the
+convention-start remainder duhamel_remainder, and duhamel_bound_rows,
+which streams each top level's chain once for all its rows and keeps only
+each level's last node.  The partial sums of Duhamel terms plus the
+remainder reproduce each iterate to rounding, which the tests use as a
+cross-check of the whole pipeline.
 """
 
 from __future__ import annotations
@@ -313,16 +309,17 @@ class _PrefixIntegrator:
 def _duhamel_nodes(sources, times, rule, gamma0_data, grid, k, interaction):
     """Yields U0(t_i)(gamma0 + prefix integral of U0(-s) Btilde src(s)), node by node.
 
-    sources lists the (k+offset)-level kernel at each node; gamma0_data is
-    the dense level-k initial array or None for the pure integral term.
-    Node i is yielded before source i+1 is collapsed, and the generator keeps
-    no reference to it, so a caller that drops or stores it controls when
-    the node it replaces is released.
+    sources gives the (k+offset)-level kernel at each node: a list, or an
+    iterator such as another level's _duhamel_nodes, read one node at a
+    time; gamma0_data is the dense level-k initial array or None for the
+    pure integral term.  Node i is yielded before source i+1 is collapsed,
+    and the generator keeps no reference to it, so a caller that drops or
+    stores it controls when the node it replaces is released.
     """
     dt = times[1] - times[0]
     integ = _PrefixIntegrator(rule, dt)
     constant = None
-    if all(src is sources[0] for src in sources):
+    if isinstance(sources, list) and all(src is sources[0] for src in sources):
         constant = apply_btilde(sources[0], interaction).data
     base = () if gamma0_data is None else (gamma0_data,)
     for i, src in enumerate(sources):
@@ -410,39 +407,21 @@ def _contraction_bytes(grid: GridSpec, kp: int, offset: int) -> int:
     return int(share * grid.kernel_bytes(kp))
 
 
-def _schedule(config: SolverConfig):
-    """The levels each Picard step replaces, step after step.
-
-    Step 1 replaces every level: the sourced levels are integrated from the
-    convention start and the closure lists replace it.  Step m > 1 replaces
-    the sourced levels k whose source level k+off changed at step m-1; the
-    others keep their node lists, so their gaps are exactly zero.  Once a
-    step replaces nothing, every later one replaces nothing.
-    """
-    changed = set(range(1, config.K + 1))
-    while True:
-        yield changed
-        changed = {k for k in config.sourced_levels if k + config.offset in changed}
-
-
 def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
-    """Walk solve()'s schedule once, without building arrays.
+    """Walk solve()'s sweep once, without building arrays.
 
-    Step 1 collapses each sourced level's constant convention start once;
-    a later step re-integrates level k when level k+off changed, at one
-    collapse for a zero_top source and N_t+1 otherwise.  The walk stops at
-    a step that replaces nothing or after m_max steps, then adds the
-    residual step, so solve() makes exactly these collapses unless it
-    converges earlier.  The bytes held are the dense copies of factorized
-    sourced levels of gamma0, dense closure lists (free_top on dense data)
-    and the node lists of the levels integrated so far.  Lists are released
-    per node: while level k is re-integrated, its list holds N_t+1 arrays,
-    old and new nodes together, and one new node is in flight until it takes
-    its slot (at step 1 the old list is the initial data and the new list
-    grows to N_t+1 nodes).  Beside them are the integrator's buffers (2
-    trapezoid, 6 Simpson) and, at a node's collapse, the collapse output, a
-    dense collapse's contractions and _SCRATCH, or at its gap the streamed
-    norm's buffers (_gap_bytes).  Each further pool run over a level of 2^19
+    The closure lists replace the initial data first; then each sourced
+    level k, in descending order, is integrated once from the new level
+    k+off, at one collapse for a zero_top source and N_t+1 otherwise.  Later
+    steps replace nothing, so solve() makes exactly these collapses.  The
+    bytes held are the dense copies of factorized sourced levels of gamma0,
+    dense closure lists (free_top on dense data) and the node lists of the
+    levels integrated so far.  While level k is integrated its new list
+    grows to N_t+1 nodes, the last one in flight (the old list is the
+    initial data).  Beside them are the integrator's buffers (2 trapezoid,
+    6 Simpson) and, at a node's collapse, the collapse output, a dense
+    collapse's contractions and _SCRATCH, or at its gap the streamed norm's
+    buffers (_gap_bytes).  Each further pool run over a level of 2^19
     entries or more holds up to 1.3 MB of block scratch, or 2.2 MB of norm
     buffers, that the plan leaves out, so that the plan does not depend on
     the worker count.
@@ -455,62 +434,52 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
         return not isinstance(gamma0.level(k), FactorizedKernel)
 
     dense_closure = {k for k in closure if config.closure.kind == FREE_TOP and dense(k)}
-    zero_closure = closure if config.closure.kind == ZERO_TOP else set()
     buffers = 2 if config.quadrature == TRAPEZOID else 6  # kept integrands, prefixes
     held = (sum(size(k) for k in sourced if not dense(k))
             + nodes * sum(size(k) for k in dense_closure))
-    peak, collapses = 0, 0
-    schedule = _schedule(config)
-    for step in range(config.m_max + 1):  # m_max steps, then the residual step
-        changed = next(schedule)
-        if not changed:
-            break
-        first = step == 0
-        for k in sorted(changed & sourced):
-            src = k + off
-            dense_src = dense(src) if first else src in sourced | dense_closure
-            work = _SCRATCH + (_contraction_bytes(grid, src, off) if dense_src else 0)
-            # buffers and the new nodes beside the held lists: the whole new
-            # list at step 1, later one node (or collapse output) in flight;
-            # each node's passes, then its gap
-            body = (buffers + (nodes if first else 1)) * size(k)
-            if first or src in zero_closure:  # collapsed once, then copied per node
-                collapses += 1
-                top = size(k) + max(work, body + max(_SCRATCH, _gap_bytes(grid, k)))
-            else:
-                collapses += nodes
-                top = body + max(work, _gap_bytes(grid, k))
-            peak = max(peak, held + top)
-            if first:
-                held += nodes * size(k)
-        if first:  # the closure lists' gaps to the initial data
-            peak = max(peak, *(held + _gap_bytes(grid, k) for k in closure))
+    # the closure lists' gaps to the initial data
+    peak = max(held + _gap_bytes(grid, k) for k in closure)
+    collapses = 0
+    for k in sorted(sourced, reverse=True):
+        src = k + off
+        work = _SCRATCH + (_contraction_bytes(grid, src, off)
+                           if src in sourced | dense_closure else 0)
+        # the buffers and the growing new list; each node's passes, then its gap
+        body = (buffers + nodes) * size(k)
+        if config.closure.kind == ZERO_TOP and src in closure:
+            collapses += 1  # collapsed once, then copied per node
+            top = size(k) + max(work, body + max(_SCRATCH, _gap_bytes(grid, k)))
+        else:
+            collapses += nodes
+            top = body + max(work, _gap_bytes(grid, k))
+        peak = max(peak, held + top)
+        held += nodes * size(k)
     # the final norms and defects
     peak = max(peak, held + _SCRATCH, *(held + _gap_bytes(grid, k) for k in sourced))
     return SolvePlan(collapses, peak)
 
 
-def _step(levels: dict, changed: set, times: np.ndarray, gamma0_data: dict,
-          closure: dict, config: SolverConfig, keep: bool = True) -> dict:
-    """One Duhamel step: replace the node lists of the changed levels in
-    place; returns level -> per-node level_diff_norm(new, old).
+def _step(levels: dict, sources: dict, times: np.ndarray, gamma0_data: dict,
+          closure: dict, config: SolverConfig) -> dict:
+    """One Duhamel step: replace every level's node list in place; returns
+    level -> per-node level_diff_norm(new, old).
 
-    Levels are replaced in ascending order, so a sourced level k reads level
-    k+off before k+off is replaced (Jacobi order).  A closure level takes its
-    closure list.  Each new node's gap to the old one is taken as the node
-    is produced; then the new node takes the old one's slot, so old node i
-    is released before node i+1's collapse.  With keep=False (the residual
-    step) the lists stay as they are and each new node is dropped after its
-    gap.
+    Levels are replaced in descending order.  A closure level takes its
+    closure list; a sourced level k integrates sources[k+off].  With
+    sources=levels, level k reads the new level k+off, and the step is the
+    descending sweep that lands on the fixed point; with the previous
+    iterate's lists it is the Jacobi Duhamel map.  Each new node's gap to
+    the old one is taken as the node is produced; then the new node takes
+    the old one's slot.
     """
     alpha = config.params.alpha
     gaps = {}
-    for k in sorted(changed):
+    for k in sorted(levels, reverse=True):
         if k in closure:
             stream = iter(closure[k])
         else:
             stream = _duhamel_nodes(
-                levels[k + config.offset], times, config.quadrature, gamma0_data[k],
+                sources[k + config.offset], times, config.quadrature, gamma0_data[k],
                 config.grid, k, config.interaction,
             )
         # no enumerate or zip, and the loop variable deleted: each would hold
@@ -519,8 +488,7 @@ def _step(levels: dict, changed: set, times: np.ndarray, gamma0_data: dict,
         for new in stream:
             i = len(gap)
             gap.append(level_diff_norm(new, nodes[i], alpha))
-            if keep:
-                nodes[i] = new
+            nodes[i] = new
             del new
         gaps[k] = gap
     return gaps
@@ -539,30 +507,44 @@ def _trajectory(times: np.ndarray, levels: dict, config: SolverConfig) -> Trajec
 
 def picard_step(prev: Trajectory, gamma0: HierarchySequence,
                 config: SolverConfig) -> Trajectory:
-    """One application of the Duhamel map to a stored trajectory."""
+    """One application of the Duhamel map to a stored trajectory: every
+    level reads its source from prev (Jacobi), never from the new levels."""
     if len(prev.times) != config.N_t + 1 or not np.allclose(
         prev.times, config.times(), rtol=1e-12, atol=1e-15
     ):
         raise ValueError("trajectory nodes do not match the configuration")
-    levels = {k: prev.level_series(k) for k in range(1, config.K + 1)}
-    _step(levels, set(levels), prev.times, _dense_sourced(gamma0, config),
+    sources = {k: prev.level_series(k) for k in range(1, config.K + 1)}
+    levels = {k: list(nodes) for k, nodes in sources.items()}
+    _step(levels, sources, prev.times, _dense_sourced(gamma0, config),
           _closure_states(gamma0, config), config)
     return _trajectory(prev.times, levels, config)
 
 
 # -- Duhamel expansion terms -----------------------------------------------------
 
-def _chain(nodes: list, top: int, bottom: int, config: SolverConfig):
-    """The Duhamel chain below a level-top node list: yields (level, list) for
-    level = top-off, top-2off, ... down to bottom, each list the pure
-    integral term sourced by the one before it."""
+def _chain(nodes, top: int, bottom: int, config: SolverConfig, last=None):
+    """The Duhamel chain below level-top nodes (a list or an iterator): the
+    node stream of the pure integral term at level bottom, sourced by the
+    term one level up, and so on from level top-off.  Each level's node
+    generator feeds the next level's integrator, so the chain holds a few
+    nodes per level, never a whole list.  If last is a dict, last[level] is
+    each level's latest node as it passes."""
     times = config.times()
     for lvl in range(top - config.offset, bottom - 1, -config.offset):
-        nodes = list(_duhamel_nodes(
+        nodes = _duhamel_nodes(
             nodes, times, config.quadrature, None, config.grid, lvl,
             config.interaction,
-        ))
-        yield lvl, nodes
+        )
+        if last is not None:
+            nodes = _passing(nodes, last, lvl)
+    return nodes
+
+
+def _passing(stream, last: dict, lvl: int):
+    """stream, with last[lvl] set to each node as it passes."""
+    for node in stream:
+        last[lvl] = node
+        yield node
 
 
 def duhamel_term(j: int, k: int, gamma0: HierarchySequence,
@@ -579,9 +561,7 @@ def duhamel_term(j: int, k: int, gamma0: HierarchySequence,
             f"term (j={j}, k={k}) needs level {top} but truncation is K={config.K}"
         )
     term = [free_evolve(gamma0.level(top), t) for t in config.times()]
-    for _, term in _chain(term, top, k, config):
-        pass
-    return term
+    return list(_chain(term, top, k, config))
 
 
 def duhamel_remainder(m: int, k: int, gamma0: HierarchySequence,
@@ -602,19 +582,17 @@ def duhamel_remainder(m: int, k: int, gamma0: HierarchySequence,
     if top > config.K:
         zero = MarginalKernel.zeros(config.grid, k, budget=config.budget)
         return [zero] * (config.N_t + 1)
-    rest = [gamma0.level(top)] * (config.N_t + 1)
-    for _, rest in _chain(rest, top, k, config):
-        pass
-    return rest
+    return list(_chain([gamma0.level(top)] * (config.N_t + 1), top, k, config))
 
 
 # -- the solver -------------------------------------------------------------------
 
 def solve(gamma0: HierarchySequence, config: SolverConfig,
           c_hat: float | None = None):
-    """Iterate to the mild solution; returns (Trajectory, RunReport).
+    """Sweep to the mild solution; returns (Trajectory, RunReport).
 
-    Cauchy distances between successive iterates are measured in the
+    Step 1 is the descending sweep, step 2 confirms it (distance 0.0).
+    Cauchy distances between successive steps are measured in the
     weighted norm with weight eta = xi - c_hat*T when a collapse constant
     is supplied (and eta > 0), otherwise with xi itself.
     """
@@ -641,12 +619,13 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
     gamma0_data = _dense_sourced(gamma0, config)
     # the convention start, which differs from every iterate
     levels = {k: [gamma0.level(k)] * len(times) for k in range(1, config.K + 1)}
-    schedule = _schedule(config)
     distances = []
     converged = False
     last_norms = {}  # level -> norm of its last-node kernel, for the stop scale
-    for _ in range(config.m_max):
-        gaps = _step(levels, next(schedule), times, gamma0_data, closure, config)
+    for step in range(config.m_max):
+        # the first step's sweep lands on the fixed point; a later step
+        # replaces nothing, so its gaps are none and its distance is 0.0
+        gaps = {} if step else _step(levels, levels, times, gamma0_data, closure, config)
         d = max(
             math.fsum(stop_weight**k * gap[i] for k, gap in gaps.items())
             for i in range(len(times))
@@ -672,20 +651,17 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
             stacklevel=2,
         )
 
-    # self-consistency residual: one more step of the schedule, gaps only
-    extra = _step(levels, next(schedule), times, gamma0_data, closure, config,
-                  keep=False)
-    # every final kernel normed once, for the residuals and the trajectory norm
+    # every final kernel normed once, for the trajectory norm
     norms = {k: [sobolev_norm(kern, alpha) for kern in levels[k]]
              for k in range(1, config.K + 1)}
-    residuals = {}
+    # the levels are the fixed point of the Duhamel map, so one more step
+    # (picard_step) reproduces them bitwise: each self-consistency residual
+    # is exactly zero
+    residuals = dict.fromkeys(config.sourced_levels, 0.0)
     trace_drift = {}
     hermiticity = {}
     symmetry = {}
     for k in config.sourced_levels:
-        denom = max(norms[k], default=0.0)
-        gap = max(extra.get(k, [0.0]))
-        residuals[k] = gap / denom if denom > 0 else gap
         t0 = trace(levels[k][0])
         drift = max(abs(trace(kern) - t0) for kern in levels[k])
         trace_drift[k] = drift / max(1.0, abs(t0))
@@ -719,7 +695,8 @@ def duhamel_bound_rows(gamma0: HierarchySequence, config: SolverConfig,
                        c_hat: float, j_max: int = 3, k_max: int = 3) -> list:
     """Norm-vs-bound table for the expansion terms at the final time, rows
     sorted by k, then j.  Each top level's chain is integrated once and
-    yields the terms (j, top - j*off) for j = 1, 2, ..."""
+    yields the terms (j, top - j*off) for j = 1, 2, ..., of which only the
+    final-time nodes are kept."""
     alpha, off = config.params.alpha, config.offset
     rows = []
     for top in range(1 + off, config.K + 1):
@@ -727,12 +704,15 @@ def duhamel_bound_rows(gamma0: HierarchySequence, config: SolverConfig,
         if bottom > k_max:
             continue
         top_norm = sobolev_norm(gamma0.level(top), alpha)
-        free = [free_evolve(gamma0.level(top), t) for t in config.times()]
-        for k, term in _chain(free, top, bottom, config):
+        free = (free_evolve(gamma0.level(top), t) for t in config.times())
+        final = {}
+        for _ in _chain(free, top, bottom, config, last=final):
+            pass
+        for k, node in final.items():
             if k > k_max:
                 continue
             j = (top - k) // off
-            value = sobolev_norm(term[-1], alpha)
+            value = sobolev_norm(node, alpha)
             bound = math.comb(k + j - 1, j) * (c_hat * config.T) ** j * top_norm
             rows.append({
                 "j": j,

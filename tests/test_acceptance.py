@@ -24,14 +24,22 @@ from gphier.nls import (
     mass,
     split_step,
 )
-from gphier.norms import NormParams, level_diff_norm, sobolev_norm
+from gphier.norms import (
+    NormParams,
+    level_diff_norm,
+    sobolev_norm,
+    weighted_distance,
+    weighted_norm,
+)
 from gphier.operators import Interaction, collapse, free_evolve
 from gphier.solver import (
     ClosureRule,
     SolverConfig,
     apriori_bound_check,
     contraction_factor_check,
+    convention_trajectory,
     duhamel_bound_rows,
+    picard_step,
     solve,
 )
 from gphier.spectral import GridSpec, inverse_transform, kernel_to_momentum
@@ -76,6 +84,21 @@ def _worst_gap(coarse, fine, stride, k):
     return worst
 
 
+def _cubic12_config(mu, n_t):
+    """The paper's reference cubic run: M=12, K=4, free_top closure."""
+    return SolverConfig(
+        grid=GRID12,
+        interaction=Interaction("cubic", mu),
+        params=NormParams(alpha=ALPHA, xi=XI),
+        K=4,
+        T=HORIZON,
+        N_t=n_t,
+        m_max=12,
+        closure=ClosureRule("free_top"),
+        budget=SOLVER_BYTES,
+    )
+
+
 @pytest.fixture(scope="module")
 def cubic_runs():
     """Cubic solves at M=12, K=4: both coupling signs at N_t=8, then a
@@ -89,18 +112,8 @@ def cubic_runs():
     out = {"errors": {}, "reports": {}, "kept": {}}
     t0 = time.monotonic()
     for mu, n_t, want_oracle in ((1, 8, True), (-1, 8, True), (1, 16, True), (1, 32, False)):
-        inter = Interaction("cubic", mu)
-        cfg = SolverConfig(
-            grid=GRID12,
-            interaction=inter,
-            params=NormParams(alpha=ALPHA, xi=XI),
-            K=4,
-            T=HORIZON,
-            N_t=n_t,
-            m_max=12,
-            closure=ClosureRule("free_top"),
-            budget=SOLVER_BYTES,
-        )
+        cfg = _cubic12_config(mu, n_t)
+        inter = cfg.interaction
         gamma0 = factorized_sequence(phi, GRID12, 4, XI, dense_up_to=0)
         traj, report = solve(gamma0, cfg, c_hat=0.4)
         if want_oracle:
@@ -333,28 +346,42 @@ def test_06_expansion_term_bounds(constant_battery):
     )
 
 
-def test_07_picard_distance_decay(cubic_runs):
+def _picard_distances(mu, c_hat=0.4):
+    """Cauchy distances of full Duhamel steps (the Jacobi map picard_step)
+    from the convention start, in the eta = xi - c_hat*T weighted norm,
+    stopped by solve()'s rule: distance <= tol_cauchy * max(1, norm)."""
+    cfg = _cubic12_config(mu, 8)
+    phi = _gaussian(GRID12, CUBIC_WIDTH, CUBIC_AMPLITUDE)
+    gamma0 = factorized_sequence(phi, GRID12, 4, XI, dense_up_to=0)
+    weights = NormParams(alpha=ALPHA, xi=XI - c_hat * HORIZON)
+    traj = convention_trajectory(gamma0, cfg)
+    distances = []
+    for _ in range(cfg.m_max):
+        new = picard_step(traj, gamma0, cfg)
+        d = max(weighted_distance(a, b, weights) for a, b in zip(new.states, traj.states))
+        distances.append(d)
+        traj = new
+        if d <= cfg.tol_cauchy * max(1.0, weighted_norm(new.states[-1], weights)):
+            break
+    return distances
+
+
+def test_07_picard_distance_decay():
     """Successive Picard distances contract at least as fast as the level
     weight after the first refresh."""
-    for key in ((1, 8), (-1, 8)):
-        dist = cubic_runs["reports"][key].cauchy_distances
+    distances = {mu: _picard_distances(mu) for mu in (1, -1)}
+    for dist in distances.values():
         tail = dist[1:]
-        assert len(tail) >= 2, "solve stopped before a measurable tail"
+        assert len(tail) >= 2, "iteration stopped before a measurable tail"
         for a, b in zip(tail[:-1], tail[1:]):
             assert b < a, f"non-monotone tail {tail}"
             assert b / a <= XI
-    ratios = [
-        b / a
-        for a, b in zip(
-            cubic_runs["reports"][(1, 8)].cauchy_distances[1:-1],
-            cubic_runs["reports"][(1, 8)].cauchy_distances[2:],
-        )
-    ]
+    ratios = [b / a for a, b in zip(distances[1][1:-1], distances[1][2:])]
     _report_line(
         "07 picard-decay",
         True,
         f"tail ratios<={max(ratios):.3f} (need <={XI}), "
-        f"iterations={cubic_runs['reports'][(1, 8)].iterations}",
+        f"iterations={len(distances[1])}",
     )
 
 

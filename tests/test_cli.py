@@ -60,14 +60,14 @@ def read_csv_rows(path):
 
 class TestPreflight:
     def test_oversize_config_refused(self, tmp_path, capsys):
-        # the solver's plan for cubic M=16, K=4 is about 3.5 GB, over the
+        # the solver's plan for cubic M=16, K=4 is about 3.2 GB, over the
         # default budget, so the run stops before any level-sized allocation
         cfg = solve_cfg(grid={"n": 1, "L": TWO_PI, "M": 16}, K=4, N_t=8)
         rc = main(["solve", "--config", write_cfg(tmp_path, cfg),
                    "--out", str(tmp_path / "out")])
         captured = capsys.readouterr()
         assert rc == 1
-        assert "3.503e+09" in captured.out
+        assert "3.225e+09" in captured.out
         assert "override-budget" in captured.err
 
     def test_small_config_accepted(self, tmp_path, capsys):
@@ -78,17 +78,17 @@ class TestPreflight:
                    "--out", str(out)])
         captured = capsys.readouterr()
         assert rc == 0
-        assert "2.720e+06" in captured.out
+        assert "2.321e+06" in captured.out
         assert (out / "report.json").exists()
-        # the solver's schedule bound, which this run reaches exactly
-        assert "at most 20 collapse applications" in captured.out
+        # the solver's sweep, which this run makes exactly
+        assert "at most 12 collapse applications" in captured.out
         report = json.loads((out / "report.json").read_text())
-        assert report["preflight"]["collapse_ops"] == 20
+        assert report["preflight"]["collapse_ops"] == 12
         assert report["preflight"]["total_bytes"] == report["planned_bytes"]
 
     @pytest.mark.parametrize("budget", ["1e7", "3e6"])
     def test_override_flag_accepts_oversize(self, tmp_path, monkeypatch, budget):
-        # a planned peak of about 4.5e7 bytes, over a budget lowered to 1e7;
+        # a planned peak of about 4.0e7 bytes, over a budget lowered to 1e7;
         # at 3e6 even one k=3 collapse output (4.2e6 bytes) is over it
         monkeypatch.setenv(BUDGET_ENV_VAR, budget)
         cfg = solve_cfg(grid={"n": 1, "L": TWO_PI, "M": 8}, K=4, N_t=5,
@@ -136,7 +136,7 @@ class TestPreflight:
         rc = main(["solve", "--config", write_cfg(tmp_path, cfg),
                    "--out", str(out)])
         assert rc == 0
-        assert "5.745e+07" in capsys.readouterr().out
+        assert "5.265e+07" in capsys.readouterr().out
         report = json.loads((out / "report.json").read_text())
         assert report["preflight"]["overridden"] is False
         assert report["converged"] is True

@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from gphier.kernels import (
     FactorizedKernel,
@@ -238,6 +238,25 @@ class TestPicardStep:
         np.testing.assert_allclose(
             second.states[4].level(1).data, want, rtol=1e-12, atol=1e-13
         )
+
+    def test_reads_sources_from_the_previous_iterate(self):
+        # Jacobi: level 1 of the first iterate integrates the constant
+        # gamma0^(2) source, not the level 2 made in the same step
+        config = config_for(K=4, T=0.3, N_t=4)
+        gamma0 = random_sequence(GRID, 4, seed=39)
+        out = picard_step(convention_trajectory(gamma0, config), gamma0, config)
+        times = config.times()
+        for i in (1, 2, 4):
+            got = out.states[i].level(1).data
+            jacobi = direct_duhamel_at_node(
+                gamma0.level(1), [gamma0.level(2)] * len(times), times, i,
+                config.interaction,
+            )
+            np.testing.assert_allclose(got, jacobi, rtol=1e-12, atol=1e-13)
+            sweep = direct_duhamel_at_node(
+                gamma0.level(1), out.level_series(2), times, i, config.interaction
+            )
+            assert np.abs(got - sweep).max() > 1e-6 * np.abs(got).max()
 
     def test_zero_data_stays_zero(self):
         config = config_for(K=3)
@@ -537,7 +556,7 @@ def schedule_case(name):
     if name == "cubic_dense":
         return random_sequence(GRID, 3, seed=74), config_for(K=3)
     if name == "cubic_m_max":
-        return factorized_sequence(GRID, 4, seed=75), config_for(K=4, m_max=2)
+        return factorized_sequence(GRID, 4, seed=75), config_for(K=4, m_max=1)
     phi = band_profile(grid4, seed=76)
     gamma0 = HierarchySequence(
         5, 0.5, tuple(FactorizedKernel(grid4, k, phi) for k in range(1, 6))
@@ -568,15 +587,23 @@ class TestFrozenLevelSchedule:
         "cubic_dense", "cubic_m_max", "quintic_free", "quintic_simpson",
     ])
     def test_bitwise_equal_to_full_picard_steps(self, name):
+        # solve's one descending sweep lands bitwise on the fixed point that
+        # full Jacobi steps reach; m_max=1 stops before the step that would
+        # confirm it, so that case alone is not converged
         gamma0, config = schedule_case(name)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             traj, report = solve(gamma0, config)
-        ref, distances, residuals = reference_solve(gamma0, config)
-        assert report.iterations == len(distances)
-        assert report.converged == (name != "cubic_m_max")
-        assert report.cauchy_distances == distances
+        ref, _, residuals = reference_solve(gamma0, replace(config, m_max=10))
+        start = convention_trajectory(gamma0, config)
+        d1 = max(weighted_distance(a, b, config.params)
+                 for a, b in zip(ref.states, start.states))
+        converged = name != "cubic_m_max"
+        assert report.converged == converged
+        assert report.cauchy_distances == ([d1, 0.0] if converged else [d1])
+        assert report.iterations == len(report.cauchy_distances)
         assert report.residuals == residuals
+        assert set(residuals.values()) == {0.0}
         for got, want in zip(traj.states, ref.states):
             for k in range(1, config.K + 1):
                 a, b = got.level(k), want.level(k)
@@ -587,7 +614,7 @@ class TestFrozenLevelSchedule:
                     assert np.array_equal(a.data, b.data)
 
     @pytest.mark.parametrize("kind, K, expected", [
-        ("cubic", 4, 57), ("quintic", 5, 39), ("cubic", 3, 29),
+        ("cubic", 4, 27), ("quintic", 5, 27), ("cubic", 3, 18),
     ])
     def test_collapse_count(self, monkeypatch, kind, K, expected):
         grid = GridSpec(n=1, L=2 * np.pi, M=8)
@@ -606,12 +633,12 @@ class TestFrozenLevelSchedule:
         assert plan(config, gamma0).collapses == expected
 
     @pytest.mark.parametrize("closure, m_max, expected", [
-        ("free_top", 2, 48), ("zero_top", 10, 49),
+        ("free_top", 2, 27), ("zero_top", 10, 19),
     ])
     def test_planned_collapses_equal_executed(self, monkeypatch, closure, m_max,
                                               expected):
-        # m_max=2 stops inside the schedule, so the residual step re-integrates
-        # levels 1 and 2; a zero_top source is collapsed once
+        # each sourced level is integrated once, whatever m_max; a zero_top
+        # source is collapsed once
         grid = GridSpec(n=1, L=2 * np.pi, M=6)
         phi = band_profile(grid, seed=78)
         gamma0 = HierarchySequence(
@@ -691,87 +718,50 @@ class TestMemoryPlanning:
         assert peak <= report.planned_bytes <= 1.25 * peak
 
 
-class TestStepRelease:
-    def test_replaced_level_freed_before_next_level(self, monkeypatch):
-        # step 2 re-integrates levels 1, 2, 3 in that order; once level 1 is
-        # replaced, step 1's level-1 nodes must be gone before level 2 starts
+class TestSweep:
+    def test_each_level_once_descending_from_the_new_level_above(self, monkeypatch):
+        # the sweep integrates levels 3, 2, 1 once each, and level k
+        # collapses the node objects just made for level k+1 (level 3 the
+        # closure list), not the convention start
         gamma0 = factorized_sequence(GRID, 4, seed=80)
         config = config_for(K=4, N_t=4)
         original = solver_module._duhamel_nodes
-        seen, first_level1, alive = [], [], []
+        seen, made, collapsed = [], {}, {}
+        original_collapse = solver_module.apply_btilde
 
         def tracking(sources, times, rule, gamma0_data, grid, k, interaction):
-            # a generator: this runs when the step starts reading the level
             seen.append(k)
-            if seen == [1, 2, 3, 1, 2]:
-                alive.append(sum(ref() is not None for ref in first_level1))
+            made[k] = []
             for node in original(sources, times, rule, gamma0_data, grid, k, interaction):
-                if seen == [1]:
-                    first_level1.append(weakref.ref(node))
+                made[k].append(node)
                 yield node
 
-        monkeypatch.setattr(solver_module, "_duhamel_nodes", tracking)
-        solve(gamma0, config)
-        assert seen[:5] == [1, 2, 3, 1, 2]
-        assert len(first_level1) == config.N_t + 1
-        assert alive == [0]
-
-    def test_old_node_freed_before_next_collapse(self, monkeypatch):
-        # in step 2, level 3 is re-integrated from the level-4 closure list,
-        # one collapse per node; old level-3 node i must be gone when node
-        # i+1's collapse starts, and old node i+1 still alive
-        gamma0 = factorized_sequence(GRID, 4, seed=81)
-        config = config_for(K=4, N_t=4)
-        nodes = config.N_t + 1
-        step1_level3, checks = [], []
-        original_gap = solver_module.level_diff_norm
-        original_collapse = solver_module.apply_btilde
-        top_collapses = []
-
-        def gap(new, old, alpha):
-            if new.k == 3 and len(step1_level3) < nodes:
-                step1_level3.append(weakref.ref(new))
-            return original_gap(new, old, alpha)
-
         def collapse(kernel, interaction):
-            if kernel.k == 4:
-                top_collapses.append(kernel.k)
-                # collapse 1 is step 1's constant source; 2.. are step 2's nodes
-                i = len(top_collapses) - 3
-                if 0 <= i < nodes - 1:
-                    checks.append((step1_level3[i]() is None,
-                                   step1_level3[i + 1]() is not None))
+            collapsed.setdefault(kernel.k, []).append(kernel)
             return original_collapse(kernel, interaction)
 
-        monkeypatch.setattr(solver_module, "level_diff_norm", gap)
+        monkeypatch.setattr(solver_module, "_duhamel_nodes", tracking)
         monkeypatch.setattr(solver_module, "apply_btilde", collapse)
-        solve(gamma0, config)
-        assert len(step1_level3) == nodes
-        assert checks == [(True, True)] * (nodes - 1)
+        traj, report = solve(gamma0, config)
+        assert seen == [3, 2, 1]
+        assert report.iterations == 2 and report.cauchy_distances[1] == 0.0
+        want = {4: traj.level_series(4), 3: made[3], 2: made[2]}
+        assert sorted(collapsed) == sorted(want)
+        for k, nodes in want.items():
+            assert len(collapsed[k]) == config.N_t + 1
+            assert all(a is b for a, b in zip(collapsed[k], nodes))
+        for k in (1, 2, 3):
+            assert all(a is b for a, b in zip(traj.level_series(k), made[k]))
 
 
 class TestResidualStep:
-    def test_residual_step_streams_gaps_and_keeps_final_nodes(self, monkeypatch):
-        # m_max=2 stops inside the schedule: the residual step re-integrates
-        # the dense levels 1 and 2 and must leave the final lists untouched
+    def test_final_trajectory_is_a_fixed_point(self):
+        # m_max=1 stops after the sweep; one whole Jacobi Duhamel step on the
+        # final trajectory reproduces it bitwise, so the residuals are 0.0
         gamma0, config = schedule_case("cubic_m_max")
-        original = solver_module._step
-        calls, before = [], {}
-
-        def step(levels, changed, *args, **kwargs):
-            calls.append(sorted(changed))
-            if len(calls) == config.m_max + 1:
-                before.update({k: list(v) for k, v in levels.items()})
-            return original(levels, changed, *args, **kwargs)
-
-        monkeypatch.setattr(solver_module, "_step", step)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             traj, report = solve(gamma0, config)
-        assert calls[-1] == [1, 2]
-        for k in range(1, config.K + 1):
-            assert all(a is b for a, b in zip(traj.level_series(k), before[k]))
-        # full-list reference: one whole Duhamel step on the final trajectory
         extra = picard_step(traj, gamma0, config)
         residuals = {}
         for k in config.sourced_levels:
@@ -780,6 +770,10 @@ class TestResidualStep:
                       zip(traj.level_series(k), extra.level_series(k)))
             residuals[k] = gap / denom if denom > 0 else gap
         assert report.residuals == residuals
+        assert set(residuals.values()) == {0.0}
+        for k in range(1, config.K + 1):
+            for a, b in zip(traj.level_series(k), extra.level_series(k)):
+                assert np.array_equal(as_dense(a).data, as_dense(b).data)
 
 
 class TestTrajectoryType:
