@@ -349,7 +349,7 @@ def _write_trajectory(out: Path, trajectory, config: SolverConfig):
         if isinstance(level, FactorizedKernel):
             save_wavefunction(out / f"final_level{k}_profile.bin", level.phi_hat, grid)
         else:
-            save_kernel(out / f"final_level{k}.bin", level)
+            save_kernel(out / f"final_level{k}.bin", level, config.budget)
 
 
 def cmd_solve(args) -> int:

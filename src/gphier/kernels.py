@@ -5,10 +5,19 @@ array with 2*k*n axes of length M: the first k*n axes are the unprimed
 variables (n consecutive axes per particle), the last k*n the primed ones.
 Index order per axis follows GridSpec.modes (m = -M/2 .. M/2-1).
 
-Besides dense kernels there is a lazy factorized representation
-prod_j phi(p_j) conj(phi(p'_j)) that only stores the one-particle profile;
-free evolution, norms, traces and collapses all have exact closed forms for
-it, which is what makes deep hierarchy levels affordable.
+A kernel has one of three representations:
+
+- dense (MarginalKernel): the whole array;
+- factorized (FactorizedKernel): the lazy product prod_j phi(p_j)
+  conj(phi(p'_j)), which stores only the one-particle profile; free
+  evolution, norms, traces and collapses all have exact closed forms for it,
+  which is what makes deep hierarchy levels affordable;
+- low rank (LowRankKernel): the (unprimed x primed) matrix as U V^H, with
+  every column kept as built.  A collapse of a factorized kernel is one, and
+  so is a Duhamel node sourced by a factorized closure.  Free evolution
+  scales the rows of the factors; norms, distances and traces stream the
+  matrix row slice by row slice; everything else materializes one kernel
+  at a time (as_dense) and runs the dense code.
 """
 
 from __future__ import annotations
@@ -17,13 +26,11 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from itertools import permutations
-from math import factorial
 
 import numpy as np
 
 from . import blocks
-from .spectral import GridSpec, forward_transform, variable_bracket
+from .spectral import GridSpec, forward_transform, variable_bracket, variable_psq
 
 DEFAULT_KERNEL_BUDGET = 2_000_000_000
 BUDGET_ENV_VAR = "GPHIER_BUDGET_BYTES"
@@ -110,8 +117,6 @@ class FactorizedKernel:
         return cls(grid, k, forward_transform(np.asarray(phi, dtype=complex), grid))
 
     def free_evolved(self, t: float) -> "FactorizedKernel":
-        from .spectral import variable_psq
-
         phase = np.exp(-1j * t * variable_psq(self.grid))
         return FactorizedKernel(self.grid, self.k, self.phi_hat * phase)
 
@@ -135,8 +140,69 @@ def prefix_products(v: np.ndarray, k: int) -> list:
     return out
 
 
+def free_phase_vector(grid: GridSpec, k: int, t: float) -> np.ndarray:
+    """exp(-i t sum_j |p_j|^2) over the k unprimed variables, flat: the free
+    evolution U0(t) multiplies a kernel's (unprimed x primed) matrix by
+    P[:, None] * conj(P)."""
+    return prefix_products(np.exp(-1j * t * variable_psq(grid)).reshape(-1), k)[k]
+
+
+@dataclass(frozen=True)
+class LowRankKernel:
+    """Kernel whose (unprimed x primed) matrix is U @ V.conj().T.
+
+    U and V have shape (M^(kn), r).  The columns are kept as built, with no
+    compression, so r is the number of terms that made the kernel.
+    """
+
+    grid: GridSpec
+    k: int
+    U: np.ndarray
+    V: np.ndarray
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("particle number k must be >= 1")
+        rows = self.grid.M ** (self.k * self.grid.n)
+        if self.U.ndim != 2 or self.U.shape[0] != rows or self.V.shape != self.U.shape:
+            raise ValueError(f"factors have shapes {self.U.shape} and {self.V.shape}, "
+                             f"expected two ({rows}, r) arrays")
+        for name in ("U", "V"):
+            if getattr(self, name).dtype != np.complex128:
+                object.__setattr__(self, name, getattr(self, name).astype(np.complex128))
+
+    @classmethod
+    def from_factorized(cls, kernel: FactorizedKernel) -> "LowRankKernel":
+        """The rank-one factors P, P of prod phi(p_j) conj(phi(p'_j)), P = phi^(x k)."""
+        p = prefix_products(kernel.phi_hat.reshape(-1), kernel.k)[kernel.k][:, None]
+        return cls(kernel.grid, kernel.k, p, p.copy())
+
+    @property
+    def rank(self) -> int:
+        """The number of columns (an upper bound on the matrix rank)."""
+        return self.U.shape[1]
+
+    def free_evolved(self, t: float) -> "LowRankKernel":
+        ph = free_phase_vector(self.grid, self.k, t)[:, None]
+        return LowRankKernel(self.grid, self.k, self.U * ph, self.V * ph)
+
+    def dense(self) -> np.ndarray:
+        """U V^H as a dense kernel array, one matrix product per row block of
+        blocks.rows; no budget check."""
+        rows = self.U.shape[0]
+        out = np.empty((rows, rows), dtype=np.complex128)
+        vh = np.conj(self.V.T)
+        blocks.rows(lambda r, _: np.matmul(self.U[r], vh, out=out[r]), out)
+        return out.reshape(self.grid.kernel_shape(self.k))
+
+    def materialize(self, budget=None) -> MarginalKernel:
+        check_budget(self.grid.kernel_bytes(self.k), budget, what=f"k={self.k} kernel")
+        return MarginalKernel(self.grid, self.k, self.dense())
+
+
 def as_dense(kernel, budget=None) -> MarginalKernel:
-    if isinstance(kernel, FactorizedKernel):
+    """The kernel itself if dense, else its materialized copy."""
+    if isinstance(kernel, (FactorizedKernel, LowRankKernel)):
         return kernel.materialize(budget)
     return kernel
 
@@ -268,15 +334,6 @@ def symmetrize(kernel: MarginalKernel) -> MarginalKernel:
     return MarginalKernel(kernel.grid, kernel.k, out)
 
 
-def symmetrize_bruteforce(kernel: MarginalKernel) -> MarginalKernel:
-    """Straight group average, for cross-checking symmetrize on small k."""
-    k, n = kernel.k, kernel.grid.n
-    acc = np.zeros_like(kernel.data)
-    for sigma in permutations(range(k)):
-        acc += kernel.data.transpose(_sigma_axes(sigma, k, n))
-    return MarginalKernel(kernel.grid, kernel.k, acc / factorial(k))
-
-
 def _sq_norm(a: np.ndarray, out: np.ndarray) -> float:
     """sum |a|^2 of a C-contiguous block, squared into out (a's shape, may
     be a).  numpy's own pairwise sum, not BLAS, so the value does not
@@ -284,22 +341,26 @@ def _sq_norm(a: np.ndarray, out: np.ndarray) -> float:
     return float(np.sum(np.square(a.view(np.float64), out=out.view(np.float64))))
 
 
-def _scale(data: np.ndarray, rows: int) -> float:
-    """||data||, the row-block sums of the (rows x rows) view added in block order."""
-    mat = data.reshape(rows, rows)
+def frobenius_norm(kernel: MarginalKernel) -> float:
+    """||data||, the row-block sums of the (unprimed x primed) matrix added
+    in block order: the scale both defects divide by."""
+    rows = kernel.grid.M ** (kernel.k * kernel.grid.n)
+    mat = kernel.data.reshape(rows, rows)
     return math.sqrt(sum(blocks.rows(lambda r, buf: _sq_norm(mat[r], buf), mat)))
 
 
-def symmetry_defect(kernel: MarginalKernel) -> float:
+def symmetry_defect(kernel: MarginalKernel, scale: float | None = None) -> float:
     """Largest relative deviation from Theta_sigma invariance over swaps.
 
-    Each swap difference is formed one leading-axis slice at a time, in a
-    buffer per run of slices, the runs spread over the block pool; the
-    slice sums are added in slice order.
+    scale is frobenius_norm(kernel), computed here if not given.  Each swap
+    difference is formed one leading-axis slice at a time, in a buffer per
+    run of slices, the runs spread over the block pool; the slice sums are
+    added in slice order.
     """
     k, n = kernel.k, kernel.grid.n
     data = kernel.data
-    scale = _scale(data, kernel.grid.M ** (k * n))
+    if scale is None:
+        scale = frobenius_norm(kernel)
     if scale == 0.0:
         return 0.0
     worst = 0.0
@@ -317,9 +378,10 @@ def symmetry_defect(kernel: MarginalKernel) -> float:
     return worst
 
 
-def hermiticity_defect(kernel: MarginalKernel) -> float:
+def hermiticity_defect(kernel: MarginalKernel, scale: float | None = None) -> float:
     """||gamma - gamma^*|| / ||gamma||, without forming the adjoint.
 
+    scale is ||gamma|| = frobenius_norm(kernel), computed here if not given.
     The squared difference is summed over _TILE x _TILE tiles of the
     (unprimed, primed) matrix; tile (j, i) of gamma - gamma^* is minus the
     conjugate transpose of tile (i, j), so only tiles with j >= i are formed.
@@ -331,7 +393,8 @@ def hermiticity_defect(kernel: MarginalKernel) -> float:
     """
     rows = kernel.grid.M ** (kernel.k * kernel.grid.n)
     mat = kernel.data.reshape(rows, rows)
-    scale = _scale(mat, rows)
+    if scale is None:
+        scale = frobenius_norm(kernel)
     if scale == 0.0:
         return 0.0
 
@@ -359,44 +422,19 @@ def hermiticity_defect(kernel: MarginalKernel) -> float:
     return math.sqrt(sum(x for sums in row_sums for x in sums)) / scale
 
 
-def is_symmetric(kernel, tol: float = 1e-10) -> bool:
-    if isinstance(kernel, FactorizedKernel):
-        return True
-    return symmetry_defect(kernel) <= tol
-
-
-def is_hermitian(kernel, tol: float = 1e-10) -> bool:
-    if isinstance(kernel, FactorizedKernel):
-        return True
-    return hermiticity_defect(kernel) <= tol
-
-
 # -- traces ------------------------------------------------------------------
 
 def trace(kernel) -> complex:
     """Diagonal sum with weight 1/L^(kn); matches sum_x gamma(x;x) (L/M)^(kn)."""
     if isinstance(kernel, FactorizedKernel):
         return complex(kernel.mass() ** kernel.k)
+    if isinstance(kernel, LowRankKernel):
+        # diagonal entry i of U V^H is row i of U against row i of V
+        diagonal = np.einsum("ic,ic->i", kernel.U, np.conj(kernel.V))
+        return complex(np.sum(diagonal) * kernel.grid.measure_weight ** kernel.k)
     size = kernel.grid.lattice_size ** kernel.k
     flat = kernel.data.reshape(size, size)
     return complex(np.trace(flat) * kernel.grid.measure_weight ** kernel.k)
-
-
-def partial_trace_last(kernel) -> "MarginalKernel | FactorizedKernel":
-    """Contract the last particle pair on its diagonal, weight 1/L^n."""
-    if isinstance(kernel, FactorizedKernel):
-        if kernel.k < 2:
-            raise ValueError("partial trace needs k >= 2")
-        scale = kernel.mass() ** (1.0 / (2 * (kernel.k - 1)))
-        # fold the contracted pair's mass into the remaining profile
-        return FactorizedKernel(kernel.grid, kernel.k - 1, kernel.phi_hat * scale)
-    k, n = kernel.k, kernel.grid.n
-    if k < 2:
-        raise ValueError("partial trace needs k >= 2")
-    out = kernel.data
-    for i in range(n):
-        out = np.trace(out, axis1=k * n - 1 - i, axis2=out.ndim - 1)
-    return MarginalKernel(kernel.grid, k - 1, out * kernel.grid.measure_weight)
 
 
 # -- random test kernels ------------------------------------------------------

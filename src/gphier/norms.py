@@ -10,12 +10,14 @@ variable.  A factorized kernel never needs materializing:
 ||F(phi, k)||_{H^alpha} equals ||phi||_{H^alpha}^(2k), and differences of two
 factorized kernels reduce to one-particle inner products.
 
-A dense norm or a distance with a dense side is one streamed reduction: the
-weighted |a - b|^2 is formed part by part (the parts accurate_sum splits a
-whole array into), a factorized side included; the parts are spread over
-the block pool and their sums fsum'ed in order.  No level-sized temporary
-is built, and the total is bitwise that of the whole-array formula on any
-worker count.
+Every other norm or distance (dense or low-rank sides) is one streamed
+reduction: the weighted |a - b|^2 is formed part by part (the parts
+accurate_sum splits a whole array into), a factorized or low-rank side
+included; the parts are spread over the block pool and their sums fsum'ed
+in order.  No level-sized temporary is built, and the total is bitwise
+that of the whole-array formula on any worker count.  A low-rank side is
+never reduced through the r x r Gram matrices of its factors: that sum
+cancels when two kernels are close.
 
 Hierarchy sequences are measured by sum_k xi^k ||gamma^(k)||, trajectories
 by the maximum of that over time nodes.
@@ -29,7 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blocks
-from .kernels import FactorizedKernel, HierarchySequence, prefix_products
+from .kernels import (
+    FactorizedKernel,
+    HierarchySequence,
+    LowRankKernel,
+    MarginalKernel,
+    prefix_products,
+)
 from .spectral import GridSpec, variable_bracket
 
 _CHUNK = 1 << 16
@@ -110,8 +118,8 @@ def _factorized_rows(lead: np.ndarray, phi_conj: np.ndarray, k: int, out: np.nda
 
 def _weighted_sq_total(a, b, alpha: float) -> float:
     """sum of |a - b|^2 (|a|^2 if b is None) times the bracket weights of all 2k
-    variables; a and b are dense or factorized kernels of one level, not both
-    factorized.
+    variables; a and b are kernels of one level in any representation, not
+    both factorized.
 
     One streamed reduction over exactly the parts accurate_sum would split the
     whole weighted array into.  Each part's difference goes into a buffer and
@@ -120,7 +128,8 @@ def _weighted_sq_total(a, b, alpha: float) -> float:
     np.sum; the part sums are fsum'ed in order.  These are the whole-array
     formula's operations on the same values, so the total is bitwise its.  A
     factorized side is formed part by part (prefix product of phi, then the
-    conj(phi) factors), never materialized.
+    conj(phi) factors), and a low-rank side row slice by row slice (U[rows]
+    times V^H); neither is materialized.
     """
     grid, k = a.grid, a.k
     R = grid.M ** (k * grid.n)
@@ -129,36 +138,47 @@ def _weighted_sq_total(a, b, alpha: float) -> float:
         wb = (variable_bracket(grid) ** (2.0 * alpha)).reshape(-1)
         m = wb.size
         weights = [np.tile(np.repeat(wb, m ** (k - 1 - j)), m ** j) for j in range(k)]
-    # per side: its flat data, or the prefix product P_k of a factorized kernel
-    sides = [
-        (kern, prefix_products(kern.phi_hat.reshape(-1), k)[k]
-         if isinstance(kern, FactorizedKernel) else kern.data.reshape(-1))
-        for kern in (a, b) if kern is not None
-    ]
+
+    def source(kern):
+        """(kern, its flat data | prefix product P_k | (U, V^H))"""
+        if isinstance(kern, FactorizedKernel):
+            return kern, prefix_products(kern.phi_hat.reshape(-1), k)[k]
+        if isinstance(kern, LowRankKernel):
+            return kern, (kern.U, np.conj(kern.V.T))
+        return kern, kern.data.reshape(-1)
+
+    sides = [source(kern) for kern in (a, b) if kern is not None]
     parts = _parts(R * R)
     width = parts[0][1] - parts[0][0]
+    # a buffer per side formed part by part
+    formed = sum(not isinstance(kern, MarginalKernel) for kern, _ in sides)
+
+    def rows_into(kern, src, r, nr, out):
+        if isinstance(kern, FactorizedKernel):
+            _factorized_rows(src[r:r + nr], np.conj(kern.phi_hat).reshape(-1), k, out)
+        else:
+            np.matmul(src[0][r:r + nr], src[1], out=out.reshape(nr, R))
 
     def entries(side, s, e, pieces, vals, row):
         kern, src = side
-        if not isinstance(kern, FactorizedKernel):
+        if isinstance(kern, MarginalKernel):
             return src[s:e]
-        phi_conj = np.conj(kern.phi_hat).reshape(-1)
         for start, r, nr, c, w in pieces:
             dest = vals[start - s:start - s + nr * w]
             if w == R:
-                _factorized_rows(src[r:r + nr], phi_conj, k, dest)
+                rows_into(kern, src, r, nr, dest)
             else:
-                _factorized_rows(src[r:r + nr], phi_conj, k, row)
+                rows_into(kern, src, r, 1, row)
                 dest[:] = row[c:c + w]
         return vals[:e - s]
 
     def part_sum(part, buffers):
         (s, e), (vals, row, sq) = part, buffers
         pieces = _pieces(s, e, R)
-        x = entries(sides[0], s, e, pieces, vals, row)
+        x = entries(sides[0], s, e, pieces, vals[0], row)
         if len(sides) > 1:
-            x = np.subtract(x, entries(sides[1], s, e, pieces, vals, row),
-                            out=vals[:e - s])
+            x = np.subtract(x, entries(sides[1], s, e, pieces, vals[-1], row),
+                            out=vals[0][:e - s])
         y = np.abs(x, out=sq[:e - s])
         np.square(y, out=y)
         for start, r, nr, c, w in pieces:
@@ -170,14 +190,14 @@ def _weighted_sq_total(a, b, alpha: float) -> float:
         return float(np.sum(y))
 
     def scratch():
-        return (np.empty(width, dtype=np.complex128), np.empty(R, dtype=np.complex128),
-                np.empty(width))
+        vals = [np.empty(width, dtype=np.complex128) for _ in range(max(1, formed))]
+        return vals, np.empty(R, dtype=np.complex128), np.empty(width)
 
     return math.fsum(blocks.map_items(part_sum, parts, R * R, scratch))
 
 
 def sobolev_norm(kernel, alpha: float = 1.0) -> float:
-    """H^alpha norm of a dense or factorized kernel."""
+    """H^alpha norm of a kernel in any representation."""
     if isinstance(kernel, FactorizedKernel):
         return profile_norm_sq(kernel.phi_hat, kernel.grid, alpha) ** kernel.k
     total = _weighted_sq_total(kernel, None, alpha)
@@ -226,7 +246,7 @@ def _factorized_diff_norm(a: FactorizedKernel, b: FactorizedKernel,
 
 
 def level_diff_norm(a, b, alpha: float = 1.0) -> float:
-    """||a - b||_{H^alpha} for any mix of dense and factorized kernels."""
+    """||a - b||_{H^alpha} for any mix of representations."""
     if a is b:
         return 0.0
     if a.grid != b.grid or a.k != b.k:

@@ -24,23 +24,28 @@ total shift c, shift-adds each contraction C_c into the output for every
 term (contraction order first, then term order) and scales by the measure
 weight once at the end.
 
-Factorized kernels take a fast path that never materializes the input
-level.  Each collapse term of prod phi phi' replaces one factor by a
-modified one-particle profile h, a truncated convolution of profiles.
-Summing the terms of one side over j gives the one-level vector
-S = sum_j sign_j phi x .. h (slot j) .. x phi of size M^(kn), built from the
-prefix products P_i = phi^(x i); the output is then the two outer products
-S_1 x conj(P_k) + P_k x conj(S_2).  It matches the dense path to rounding.
+The three kernel representations (kernels: dense, factorized, low rank)
+flow through these operators as follows.  Factorized kernels take a fast
+path that never materializes the input level.  Each collapse term of
+prod phi phi' replaces one factor by a modified one-particle profile h, a
+truncated convolution of profiles.  Summing the terms of one side over j
+gives the one-level vector S = sum_j sign_j phi x .. h (slot j) .. x phi of
+size M^(kn), built from the prefix products P_i = phi^(x i); the output is
+the low-rank kernel S_1 x conj(P_k) + P_k x conj(S_2), with factors
+U = [S_1, P_k] and V = [P_k, S_2].  It matches the dense path to rounding.
+A low-rank input is materialized (one kernel at a time) and collapsed on
+the dense path.  free_evolve keeps the representation: it scales the
+profile of a factorized kernel, the rows of both factors of a low-rank one
+and the whole array of a dense one.
 
-Full-size passes (the free phase, both outer products) run over the
-(unprimed x primed) matrix view of a kernel in the row blocks of
-blocks.rows, spread over the block pool.  The free phase can first write a
-sum of arrays into its target in the same pass, so a Duhamel node or a
-free-evolved copy is written once.  The dense collapse builds each
-contraction C_c plane by plane, adding t[.., p, .., p - c] over ascending
-p (the order np.trace adds in), with the shifts spread over the pool and
-the shift-adds into the output made serially in shift order.  Every output
-is bitwise that of one worker.
+Full-size passes (the free phase) run over the (unprimed x primed) matrix
+view of a kernel in the row blocks of blocks.rows, spread over the block
+pool.  The free phase can first write a sum of arrays into its target in
+the same pass, so a Duhamel node or a free-evolved copy is written once.
+The dense collapse builds each contraction C_c plane by plane, adding
+t[.., p, .., p - c] over ascending p (the order np.trace adds in), with the
+shifts spread over the pool and the shift-adds into the output made
+serially in shift order.  Every output is bitwise that of one worker.
 """
 
 from __future__ import annotations
@@ -52,8 +57,14 @@ import numpy as np
 from scipy.signal import convolve as _nd_convolve
 
 from . import blocks
-from .kernels import FactorizedKernel, MarginalKernel, prefix_products
-from .spectral import GridSpec, variable_psq
+from .kernels import (
+    FactorizedKernel,
+    LowRankKernel,
+    MarginalKernel,
+    free_phase_vector,
+    prefix_products,
+)
+from .spectral import GridSpec
 
 CUBIC = "cubic"
 QUINTIC = "quintic"
@@ -94,7 +105,7 @@ def apply_free_phase(data: np.ndarray, grid: GridSpec, k: int, t: float,
     rows = grid.M ** (k * grid.n)
     mat = data.reshape(rows, rows, copy=False)
     mats = [term.reshape(rows, rows) for term in terms]
-    ph = prefix_products(np.exp(-1j * t * variable_psq(grid)).reshape(-1), k)[k]
+    ph = free_phase_vector(grid, k, t)
     ph_conj = np.conj(ph)
 
     def phase_block(r, phase):
@@ -113,8 +124,9 @@ def apply_free_phase(data: np.ndarray, grid: GridSpec, k: int, t: float,
 
 
 def free_evolve(kernel, t: float):
-    """U0(t) applied to a dense or factorized kernel (new object)."""
-    if isinstance(kernel, FactorizedKernel):
+    """U0(t) applied to a kernel of any representation (new object, same
+    representation)."""
+    if isinstance(kernel, (FactorizedKernel, LowRankKernel)):
         return kernel.free_evolved(t)
     out = apply_free_phase(np.empty_like(kernel.data), kernel.grid, kernel.k, t, kernel.data)
     return MarginalKernel(kernel.grid, kernel.k, out)
@@ -250,13 +262,16 @@ def _quintic_contractions(kernel: MarginalKernel) -> list:
 
 # -- the collapse -------------------------------------------------------------------
 
-def collapse(kernel, interaction: Interaction, terms=None, contractions=None) -> MarginalKernel:
+def collapse(kernel, interaction: Interaction, terms=None, contractions=None):
     """Un-prefixed sum of collapse terms on a (k + offset)-particle kernel.
 
     terms is a list of (j, side, sign): side 1 is the unprimed term (B1_j,
     or its quintic analogue), side 2 the primed one, and sign +1 or -1.  The
     default is B^(k) = sum_j (T1_j - T2_j).  contractions, if given, is
     cubic_contractions(kernel) for a dense kernel and a cubic interaction.
+    A factorized kernel gives a LowRankKernel, any other a MarginalKernel;
+    a low-rank kernel is materialized first, without a budget check (a
+    solve's plan counts it).
     """
     offset = interaction.source_offset
     k = kernel.k - offset
@@ -269,6 +284,8 @@ def collapse(kernel, interaction: Interaction, terms=None, contractions=None) ->
             raise ValueError(f"term index j={j} outside 1..{k}")
     if isinstance(kernel, FactorizedKernel):
         return _collapse_factorized(kernel, terms, offset)
+    if isinstance(kernel, LowRankKernel):
+        kernel = MarginalKernel(kernel.grid, kernel.k, kernel.dense())
     grid = kernel.grid
     n, M = grid.n, grid.M
     # the output is allocated below the contractions on the heap, so that
@@ -284,20 +301,21 @@ def collapse(kernel, interaction: Interaction, terms=None, contractions=None) ->
     return MarginalKernel(grid, k, out)
 
 
-def collapse_b1(j: int, kernel, contractions=None) -> MarginalKernel:
+def collapse_b1(j: int, kernel, contractions=None):
     """B1_{j,k} term applied to a (k+1)-particle kernel; contractions as in collapse."""
     return collapse(kernel, Interaction(), [(j, 1, 1)], contractions)
 
 
-def collapse_b2(j: int, kernel, contractions=None) -> MarginalKernel:
+def collapse_b2(j: int, kernel, contractions=None):
     """B2_{j,k} term (primed-side mirror); contractions as in collapse."""
     return collapse(kernel, Interaction(), [(j, 2, 1)], contractions)
 
 
-def apply_btilde(kernel, interaction: Interaction) -> MarginalKernel:
+def apply_btilde(kernel, interaction: Interaction):
     """Btilde^(k) = -i mu B^(k), the source operator of the hierarchy."""
     out = collapse(kernel, interaction)
-    np.multiply(out.data, -1j * interaction.mu, out=out.data)
+    scaled = out.U if isinstance(out, LowRankKernel) else out.data
+    np.multiply(scaled, -1j * interaction.mu, out=scaled)
     return out
 
 
@@ -337,7 +355,7 @@ def quintic_collapse_profile(phi_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
     return h * grid.measure_weight ** 4
 
 
-def _collapse_factorized(kernel: FactorizedKernel, terms, offset: int) -> MarginalKernel:
+def _collapse_factorized(kernel: FactorizedKernel, terms, offset: int) -> LowRankKernel:
     grid = kernel.grid
     k = kernel.k - offset
     profile_fn = cubic_collapse_profile if offset == 1 else quintic_collapse_profile
@@ -355,17 +373,9 @@ def _collapse_factorized(kernel: FactorizedKernel, terms, offset: int) -> Margin
         else:
             sums[side] -= term
     p = prefix[k]
-    rows = p.size
-    out = np.zeros((rows, rows), dtype=np.complex128)
-    p_conj = np.conj(p)
-    s2_conj = np.conj(sums[2]) if 2 in sums else None
-
-    def outer_block(r, term):
-        block = out[r]
-        if 1 in sums:
-            np.multiply.outer(sums[1][r], p_conj, out=block)
-        if s2_conj is not None:
-            block += np.multiply.outer(p[r], s2_conj, out=term)
-
-    blocks.rows(outer_block, out)
-    return MarginalKernel(grid, k, out.reshape(grid.kernel_shape(k)))
+    # S_1 P^H + P S_2^H, one column pair per side present
+    pairs = [(sums[1], p)] if 1 in sums else []
+    if 2 in sums:
+        pairs.append((p, sums[2]))
+    return LowRankKernel(grid, k, np.column_stack([u for u, _ in pairs]),
+                         np.column_stack([v for _, v in pairs]))

@@ -26,6 +26,16 @@ start, a zero_top closure, the remainder's R_0) is collapsed once, and each
 node's integrand is copied from that collapse in its own phase pass; any
 other source is collapsed node by node.
 
+Levels come in the three representations of kernels.  Closure levels are
+factorized, or dense when free_top evolves dense initial data.  A sourced
+level is dense or low rank, as plan() decides: low rank when its initial
+data and its source (a closure level) are factorized and its nodes' factors
+stay narrow.  The collapse of a factorized source is then a rank-two
+LowRankKernel, and node i is the initial data's column plus the quadrature-
+weighted integrand columns, phased by scaling the factors' rows, with no
+level-sized pass (_low_rank_nodes).  A dense level sourced by a low-rank one
+collapses each node materialized, one node at a time; so do the defects.
+
 The collapse is lower triangular and nilpotent, so the fixed point of the
 Duhamel map is a back substitution: level k = D_k(level k+off), from the
 closure down to level 1.  solve() reaches it in one step (_step) that
@@ -39,9 +49,10 @@ residuals are exactly zero; neither needs a further integration.  The
 step takes each new node's gap to the node it replaces as the node is
 produced, and returns the per-node gaps, from which solve() forms the
 Cauchy distance.  plan() is the one resource model: it walks the same
-sweep without arrays, reading each level's representation from the
-initial data, and yields the collapse count and the peak bytes.  solve()
-and the CLI check that peak against one budget, kernels.kernel_budget.
+sweep without arrays, picking each sourced level's representation from
+the initial data, and yields the collapse count, the peak bytes and the
+low-rank levels.  solve() and the CLI check that peak against one budget,
+kernels.kernel_budget.
 
 The expansion terms are Duhamel chains: one helper (_chain) streams a node
 list down from a top level in steps of off, each level's node generator
@@ -66,9 +77,11 @@ from . import blocks, nls
 from .kernels import (
     FactorizedKernel,
     HierarchySequence,
+    LowRankKernel,
     MarginalKernel,
     as_dense,
     check_budget,
+    frobenius_norm,
     hermiticity_defect,
     symmetry_defect,
     trace,
@@ -306,30 +319,71 @@ class _PrefixIntegrator:
                             *self.window[-4:])
 
 
-def _duhamel_nodes(sources, times, rule, gamma0_data, grid, k, interaction):
+def _integrands(sources, times, grid, k, interaction):
+    """Yields g_i = U0(-t_i) Btilde src_i, node by node: a LowRankKernel for
+    a factorized source, else a dense array.  A list source that is the same
+    object at every node is collapsed once."""
+    constant = None
+    if isinstance(sources, list) and all(src is sources[0] for src in sources):
+        constant = apply_btilde(sources[0], interaction)
+    for i, src in enumerate(sources):
+        out = constant if constant is not None else apply_btilde(src, interaction)
+        if isinstance(out, LowRankKernel):
+            yield free_evolve(out, -times[i])
+        elif constant is None:
+            yield apply_free_phase(out.data, grid, k, -times[i])
+        else:
+            yield apply_free_phase(np.empty_like(out.data), grid, k, -times[i], out.data)
+
+
+def _duhamel_nodes(sources, times, rule, start, grid, k, interaction):
     """Yields U0(t_i)(gamma0 + prefix integral of U0(-s) Btilde src(s)), node by node.
 
     sources gives the (k+offset)-level kernel at each node: a list, or an
     iterator such as another level's _duhamel_nodes, read one node at a
-    time; gamma0_data is the dense level-k initial array or None for the
-    pure integral term.  Node i is yielded before source i+1 is collapsed,
-    and the generator keeps no reference to it, so a caller that drops or
+    time.  start is the level-k initial data: a dense array, a LowRankKernel
+    (then every node is low rank, _low_rank_nodes), or None for the pure
+    integral term.  Node i is yielded before source i+1 is collapsed, and
+    the generator keeps no reference to it, so a caller that drops or
     stores it controls when the node it replaces is released.
     """
-    dt = times[1] - times[0]
-    integ = _PrefixIntegrator(rule, dt)
-    constant = None
-    if isinstance(sources, list) and all(src is sources[0] for src in sources):
-        constant = apply_btilde(sources[0], interaction).data
-    base = () if gamma0_data is None else (gamma0_data,)
-    for i, src in enumerate(sources):
-        if constant is None:
-            g = apply_free_phase(apply_btilde(src, interaction).data, grid, k, -times[i])
-        else:
-            g = apply_free_phase(np.empty_like(constant), grid, k, -times[i], constant)
+    if isinstance(start, LowRankKernel):
+        yield from _low_rank_nodes(sources, times, rule, start, interaction)
+        return
+    integ = _PrefixIntegrator(rule, times[1] - times[0])
+    base = () if start is None else (start,)
+    for i, g in enumerate(_integrands(sources, times, grid, k, interaction)):
+        if isinstance(g, LowRankKernel):
+            g = g.dense()
         prefix = integ.push(g)
         yield MarginalKernel(
             grid, k, apply_free_phase(np.empty_like(prefix), grid, k, times[i], *base, prefix))
+
+
+def _low_rank_nodes(sources, times, rule, start, interaction):
+    """_duhamel_nodes for a low-rank start and factorized sources.
+
+    Node i is U0(t_i) of the factors [start.U, w_i0 U_0, w_i1 U_1, ..] and
+    [start.V, V_0, V_1, ..], with g_j = U_j V_j^H and w_i the quadrature
+    weights of node i: _PrefixIntegrator's own rule, run on one-hot
+    integrands.  Zero weights are left out, so node i has at most 2i+3
+    columns (node 0 only start's).  The integrands' factors are kept until
+    the last node.
+    """
+    weights = _PrefixIntegrator(rule, times[1] - times[0])
+    onehot = np.eye(len(times))
+    us, vs = [], []
+    for i, g in enumerate(_integrands(sources, times, start.grid, start.k, interaction)):
+        if not isinstance(g, LowRankKernel):
+            raise TypeError("a low-rank level needs a factorized source at every node")
+        us.append(g.U)
+        vs.append(g.V)
+        w = weights.push(onehot[i])
+        kept = [j for j in range(i + 1) if w[j] != 0.0]
+        node = LowRankKernel(start.grid, start.k,
+                             np.column_stack([start.U] + [w[j] * us[j] for j in kept]),
+                             np.column_stack([start.V] + [vs[j] for j in kept]))
+        yield free_evolve(node, times[i])
 
 
 # -- closure and start trajectories -----------------------------------------------
@@ -358,9 +412,13 @@ def _closure_states(gamma0: HierarchySequence, config: SolverConfig) -> dict:
     return out
 
 
-def _dense_sourced(gamma0: HierarchySequence, config: SolverConfig) -> dict:
-    """Level -> dense array of gamma0 at every sourced level."""
-    return {k: as_dense(gamma0.level(k), config.budget).data for k in config.sourced_levels}
+def _initial_data(gamma0: HierarchySequence, config: SolverConfig, low_rank) -> dict:
+    """Level -> the start _duhamel_nodes takes at every sourced level: the
+    rank-one factors of a level in low_rank (factorized in gamma0), else
+    gamma0's dense array."""
+    return {k: LowRankKernel.from_factorized(gamma0.level(k)) if k in low_rank
+            else as_dense(gamma0.level(k), config.budget).data
+            for k in config.sourced_levels}
 
 
 def convention_trajectory(gamma0: HierarchySequence, config: SolverConfig) -> Trajectory:
@@ -375,10 +433,12 @@ def convention_trajectory(gamma0: HierarchySequence, config: SolverConfig) -> Tr
 
 @dataclass(frozen=True)
 class SolvePlan:
-    """What solve() will do at most: collapses made and bytes held at peak."""
+    """What solve() will do at most: collapses made and bytes held at peak,
+    and the sourced levels whose nodes it stores as low-rank factors."""
 
     collapses: int
     peak_bytes: int
+    low_rank: frozenset = frozenset()
 
 
 # Transient bytes of a full-size pass beside the levels' arrays, measured:
@@ -410,21 +470,32 @@ def _contraction_bytes(grid: GridSpec, kp: int, offset: int) -> int:
 def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
     """Walk solve()'s sweep once, without building arrays.
 
+    This is the one place that picks a level's representation.  A sourced
+    level k is stored low rank when its initial data are factorized, its
+    source level k+off is a closure level with factorized initial data (so
+    every source the level sees is factorized: the closure list or the
+    convention start), and its nodes' factors, at most 2N_t+3 columns each,
+    are narrower than half the M^(kn) rows.  Every other sourced level is
+    dense, so dense starts stay on the dense path.
+
     The closure lists replace the initial data first; then each sourced
     level k, in descending order, is integrated once from the new level
     k+off, at one collapse for a zero_top source and N_t+1 otherwise.  Later
     steps replace nothing, so solve() makes exactly these collapses.  The
-    bytes held are the dense copies of factorized sourced levels of gamma0,
-    dense closure lists (free_top on dense data) and the node lists of the
-    levels integrated so far.  While level k is integrated its new list
-    grows to N_t+1 nodes, the last one in flight (the old list is the
-    initial data).  Beside them are the integrator's buffers (2 trapezoid,
-    6 Simpson) and, at a node's collapse, the collapse output, a dense
+    bytes held are the dense copies of factorized sourced levels of gamma0
+    that are not low rank, dense closure lists (free_top on dense data) and
+    the node lists of the levels integrated so far.  While a dense level k
+    is integrated its new list grows to N_t+1 nodes, the last one in flight
+    (the old list is the initial data).  Beside them are the integrator's
+    buffers (2 trapezoid, 6 Simpson) and, at a node's collapse, the
+    collapse output, a materialized low-rank source node, a dense
     collapse's contractions and _SCRATCH, or at its gap the streamed norm's
-    buffers (_gap_bytes).  Each further pool run over a level of 2^19
-    entries or more holds up to 1.3 MB of block scratch, or 2.2 MB of norm
-    buffers, that the plan leaves out, so that the plan does not depend on
-    the worker count.
+    buffers (_gap_bytes).  A low-rank level holds its factors, its
+    integrands' factors and one node in the making.  The final defects of a
+    low-rank level hold one materialized node.  Each further pool run over a
+    level of 2^19 entries or more holds up to 1.3 MB of block scratch, or
+    2.2 MB of norm buffers, that the plan leaves out, so that the plan does
+    not depend on the worker count.
     """
     grid, off, nodes = config.grid, config.offset, config.N_t + 1
     size = grid.kernel_bytes
@@ -433,44 +504,66 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
     def dense(k):
         return not isinstance(gamma0.level(k), FactorizedKernel)
 
+    def rows(k):
+        return grid.M ** (k * grid.n)
+
+    widest = 2 * config.N_t + 3  # columns of the last node of a low-rank level
+    low_rank = frozenset(k for k in sourced if k + off in closure and not dense(k)
+                         and not dense(k + off) and 2 * widest < rows(k))
+
+    def factors(k, columns):
+        return 32 * rows(k) * columns  # U and V
+
     dense_closure = {k for k in closure if config.closure.kind == FREE_TOP and dense(k)}
     buffers = 2 if config.quadrature == TRAPEZOID else 6  # kept integrands, prefixes
-    held = (sum(size(k) for k in sourced if not dense(k))
+    held = (sum(size(k) for k in sourced if not dense(k) and k not in low_rank)
             + nodes * sum(size(k) for k in dense_closure))
     # the closure lists' gaps to the initial data
     peak = max(held + _gap_bytes(grid, k) for k in closure)
     collapses = 0
     for k in sorted(sourced, reverse=True):
         src = k + off
-        work = _SCRATCH + (_contraction_bytes(grid, src, off)
-                           if src in sourced | dense_closure else 0)
+        collapses += 1 if config.closure.kind == ZERO_TOP and src in closure else nodes
+        if k in low_rank:
+            kept = factors(k, 1 + sum(2 * i + 3 for i in range(1, nodes)))
+            # the list and integrands, then a node built, phased and gapped
+            top = (kept + factors(k, 2 * nodes) + 2 * factors(k, widest)
+                   + _gap_bytes(grid, k) + factors(k, widest) // 2
+                   + 16 * min(rows(k) ** 2, 1 << 16))
+            peak = max(peak, held + top)
+            held += kept
+            continue
+        work = _SCRATCH + (size(src) if src in low_rank else 0)  # the materialized node
+        if src in sourced | dense_closure:
+            work += _contraction_bytes(grid, src, off)
         # the buffers and the growing new list; each node's passes, then its gap
         body = (buffers + nodes) * size(k)
         if config.closure.kind == ZERO_TOP and src in closure:
-            collapses += 1  # collapsed once, then copied per node
+            # collapsed once, then copied per node
             top = size(k) + max(work, body + max(_SCRATCH, _gap_bytes(grid, k)))
         else:
-            collapses += nodes
             top = body + max(work, _gap_bytes(grid, k))
         peak = max(peak, held + top)
         held += nodes * size(k)
-    # the final norms and defects
-    peak = max(peak, held + _SCRATCH, *(held + _gap_bytes(grid, k) for k in sourced))
-    return SolvePlan(collapses, peak)
+    # the final norms and defects, a low-rank level's one node at a time
+    peak = max(peak, held + _SCRATCH, *(held + _gap_bytes(grid, k) for k in sourced),
+               *(held + size(k) + max(_SCRATCH, size(k) // grid.M ** grid.n)
+                 for k in low_rank))
+    return SolvePlan(collapses, peak, low_rank)
 
 
-def _step(levels: dict, sources: dict, times: np.ndarray, gamma0_data: dict,
+def _step(levels: dict, sources: dict, times: np.ndarray, start: dict,
           closure: dict, config: SolverConfig) -> dict:
     """One Duhamel step: replace every level's node list in place; returns
     level -> per-node level_diff_norm(new, old).
 
     Levels are replaced in descending order.  A closure level takes its
-    closure list; a sourced level k integrates sources[k+off].  With
-    sources=levels, level k reads the new level k+off, and the step is the
-    descending sweep that lands on the fixed point; with the previous
-    iterate's lists it is the Jacobi Duhamel map.  Each new node's gap to
-    the old one is taken as the node is produced; then the new node takes
-    the old one's slot.
+    closure list; a sourced level k integrates sources[k+off] from start[k]
+    (_initial_data).  With sources=levels, level k reads the new level
+    k+off, and the step is the descending sweep that lands on the fixed
+    point; with the previous iterate's lists it is the Jacobi Duhamel map.
+    Each new node's gap to the old one is taken as the node is produced;
+    then the new node takes the old one's slot.
     """
     alpha = config.params.alpha
     gaps = {}
@@ -479,7 +572,7 @@ def _step(levels: dict, sources: dict, times: np.ndarray, gamma0_data: dict,
             stream = iter(closure[k])
         else:
             stream = _duhamel_nodes(
-                sources[k + config.offset], times, config.quadrature, gamma0_data[k],
+                sources[k + config.offset], times, config.quadrature, start[k],
                 config.grid, k, config.interaction,
             )
         # no enumerate or zip, and the loop variable deleted: each would hold
@@ -515,8 +608,8 @@ def picard_step(prev: Trajectory, gamma0: HierarchySequence,
         raise ValueError("trajectory nodes do not match the configuration")
     sources = {k: prev.level_series(k) for k in range(1, config.K + 1)}
     levels = {k: list(nodes) for k, nodes in sources.items()}
-    _step(levels, sources, prev.times, _dense_sourced(gamma0, config),
-          _closure_states(gamma0, config), config)
+    start = _initial_data(gamma0, config, plan(config, gamma0).low_rank)
+    _step(levels, sources, prev.times, start, _closure_states(gamma0, config), config)
     return _trajectory(prev.times, levels, config)
 
 
@@ -587,6 +680,14 @@ def duhamel_remainder(m: int, k: int, gamma0: HierarchySequence,
 
 # -- the solver -------------------------------------------------------------------
 
+def _defects(kernel, budget) -> tuple:
+    """(hermiticity, symmetry) defect of one node, materialized once if low
+    rank, both divided by one frobenius_norm."""
+    dense = as_dense(kernel, budget)
+    scale = frobenius_norm(dense)
+    return hermiticity_defect(dense, scale), symmetry_defect(dense, scale)
+
+
 def solve(gamma0: HierarchySequence, config: SolverConfig,
           c_hat: float | None = None):
     """Sweep to the mild solution; returns (Trajectory, RunReport).
@@ -616,16 +717,16 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
 
     times = config.times()
     closure = _closure_states(gamma0, config)
-    gamma0_data = _dense_sourced(gamma0, config)
+    start = _initial_data(gamma0, config, planned.low_rank)
     # the convention start, which differs from every iterate
     levels = {k: [gamma0.level(k)] * len(times) for k in range(1, config.K + 1)}
     distances = []
     converged = False
-    last_norms = {}  # level -> norm of its last-node kernel, for the stop scale
+    norms = {}  # level -> norm of every node, taken when the level is replaced
     for step in range(config.m_max):
         # the first step's sweep lands on the fixed point; a later step
         # replaces nothing, so its gaps are none and its distance is 0.0
-        gaps = {} if step else _step(levels, levels, times, gamma0_data, closure, config)
+        gaps = {} if step else _step(levels, levels, times, start, closure, config)
         d = max(
             math.fsum(stop_weight**k * gap[i] for k, gap in gaps.items())
             for i in range(len(times))
@@ -636,9 +737,10 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
             )
         distances.append(d)
         for k in gaps:
-            last_norms[k] = sobolev_norm(levels[k][-1], alpha)
+            norms[k] = [sobolev_norm(kern, alpha) for kern in levels[k]]
+        # the stop scale reads each level's last node
         scale = max(1.0, math.fsum(
-            stop_weight**k * last_norms[k] for k in range(1, config.K + 1)
+            stop_weight**k * norms[k][-1] for k in range(1, config.K + 1)
         ))
         if d <= config.tol_cauchy * scale:
             converged = True
@@ -651,9 +753,6 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
             stacklevel=2,
         )
 
-    # every final kernel normed once, for the trajectory norm
-    norms = {k: [sobolev_norm(kern, alpha) for kern in levels[k]]
-             for k in range(1, config.K + 1)}
     # the levels are the fixed point of the Duhamel map, so one more step
     # (picard_step) reproduces them bitwise: each self-consistency residual
     # is exactly zero
@@ -665,8 +764,9 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
         t0 = trace(levels[k][0])
         drift = max(abs(trace(kern) - t0) for kern in levels[k])
         trace_drift[k] = drift / max(1.0, abs(t0))
-        hermiticity[k] = max(hermiticity_defect(kern) for kern in levels[k])
-        symmetry[k] = max(symmetry_defect(kern) for kern in levels[k])
+        herm, symm = zip(*(_defects(kern, config.budget) for kern in levels[k]))
+        hermiticity[k] = max(herm)
+        symmetry[k] = max(symm)
 
     report = RunReport(
         iterations=len(distances),

@@ -60,14 +60,15 @@ def read_csv_rows(path):
 
 class TestPreflight:
     def test_oversize_config_refused(self, tmp_path, capsys):
-        # the solver's plan for cubic M=16, K=4 is about 3.2 GB, over the
-        # default budget, so the run stops before any level-sized allocation
-        cfg = solve_cfg(grid={"n": 1, "L": TWO_PI, "M": 16}, K=4, N_t=8)
+        # the solver's plan for cubic M=16, K=5 is about 80 GB (level 3
+        # collapses materialized 69 GB level-4 nodes), over the default
+        # budget, so the run stops before any level-sized allocation
+        cfg = solve_cfg(grid={"n": 1, "L": TWO_PI, "M": 16}, K=5, N_t=8)
         rc = main(["solve", "--config", write_cfg(tmp_path, cfg),
                    "--out", str(tmp_path / "out")])
         captured = capsys.readouterr()
         assert rc == 1
-        assert "3.225e+09" in captured.out
+        assert "8.047e+10" in captured.out
         assert "override-budget" in captured.err
 
     def test_small_config_accepted(self, tmp_path, capsys):
@@ -78,7 +79,7 @@ class TestPreflight:
                    "--out", str(out)])
         captured = capsys.readouterr()
         assert rc == 0
-        assert "2.321e+06" in captured.out
+        assert "2.255e+06" in captured.out
         assert (out / "report.json").exists()
         # the solver's sweep, which this run makes exactly
         assert "at most 12 collapse applications" in captured.out
@@ -86,10 +87,10 @@ class TestPreflight:
         assert report["preflight"]["collapse_ops"] == 12
         assert report["preflight"]["total_bytes"] == report["planned_bytes"]
 
-    @pytest.mark.parametrize("budget", ["1e7", "3e6"])
+    @pytest.mark.parametrize("budget", ["5e6", "3e6"])
     def test_override_flag_accepts_oversize(self, tmp_path, monkeypatch, budget):
-        # a planned peak of about 4.0e7 bytes, over a budget lowered to 1e7;
-        # at 3e6 even one k=3 collapse output (4.2e6 bytes) is over it
+        # a planned peak of about 8.2e6 bytes, over a budget lowered to 5e6;
+        # at 3e6 even one materialized k=3 node (4.2e6 bytes) is over it
         monkeypatch.setenv(BUDGET_ENV_VAR, budget)
         cfg = solve_cfg(grid={"n": 1, "L": TWO_PI, "M": 8}, K=4, N_t=5,
                         m_max=4, tol_cauchy=1e-6)
@@ -105,7 +106,7 @@ class TestPreflight:
         cfg_path = write_cfg(tmp_path, solve_cfg(
             grid={"n": 1, "L": TWO_PI, "M": 8}, K=4, N_t=5, m_max=4,
             tol_cauchy=1e-6))
-        monkeypatch.setenv(BUDGET_ENV_VAR, "1e7")
+        monkeypatch.setenv(BUDGET_ENV_VAR, "5e6")
         assert main(["solve", "--config", cfg_path,
                      "--out", str(tmp_path / "refused")]) == 1
         monkeypatch.setenv(BUDGET_ENV_VAR, "200000000")
@@ -136,7 +137,7 @@ class TestPreflight:
         rc = main(["solve", "--config", write_cfg(tmp_path, cfg),
                    "--out", str(out)])
         assert rc == 0
-        assert "5.265e+07" in capsys.readouterr().out
+        assert "8.851e+06" in capsys.readouterr().out
         report = json.loads((out / "report.json").read_text())
         assert report["preflight"]["overridden"] is False
         assert report["converged"] is True

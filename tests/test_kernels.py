@@ -12,27 +12,33 @@ from gphier.spectral import GridSpec, forward_transform
 from gphier.kernels import (
     FactorizedKernel,
     HierarchySequence,
+    LowRankKernel,
     MarginalKernel,
     ResourceBudgetError,
     adjoint,
+    as_dense,
     factorized,
     factorized_sequence,
     hermitize,
     hermiticity_defect,
-    is_hermitian,
-    is_symmetric,
     kernel_budget,
     load_kernel,
     load_wavefunction,
-    partial_trace_last,
     permute_particles,
     random_test_kernel,
     save_kernel,
     save_wavefunction,
     symmetrize,
-    symmetrize_bruteforce,
     symmetry_defect,
     trace,
+)
+from gphier.norms import level_diff_norm, sobolev_norm
+from gphier.operators import Interaction, apply_btilde, collapse, free_evolve
+from kernel_oracles import (
+    is_hermitian,
+    is_symmetric,
+    partial_trace_last,
+    symmetrize_bruteforce,
 )
 
 GRID = GridSpec(1, 2 * np.pi, 6)
@@ -75,6 +81,109 @@ class TestFactorized:
         kern = factorized(gaussian_phi(GRID), GRID, 3)
         assert is_symmetric(kern)
         assert is_hermitian(kern)
+
+
+def random_low_rank(grid, k, r, seed):
+    rng = np.random.default_rng(seed)
+    shape = (grid.M ** (k * grid.n), r)
+    U, V = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    return LowRankKernel(grid, k, U, V)
+
+
+class TestLowRankKernel:
+    """Each operation on U V^H against the same operation on the
+    materialized kernel."""
+
+    GRIDS = [(GRID, 3), (GridSpec(2, 3.0, 4), 2)]
+
+    @pytest.mark.parametrize("grid, k", GRIDS)
+    def test_materialize_is_the_factor_product(self, grid, k):
+        lr = random_low_rank(grid, k, 5, seed=1)
+        rows = lr.U.shape[0]
+        dense = as_dense(lr)
+        assert dense.data.shape == grid.kernel_shape(k)
+        np.testing.assert_allclose(dense.data.reshape(rows, rows),
+                                   lr.U @ lr.V.conj().T, rtol=1e-14, atol=1e-14)
+        assert lr.rank == 5
+
+    def test_factor_shapes_validated(self):
+        lr = random_low_rank(GRID, 2, 3, seed=2)
+        with pytest.raises(ValueError):
+            LowRankKernel(GRID, 3, lr.U, lr.V)
+        with pytest.raises(ValueError):
+            LowRankKernel(GRID, 2, lr.U, lr.V[:, :2])
+        with pytest.raises(ValueError):
+            LowRankKernel(GRID, 0, lr.U, lr.V)
+
+    def test_materialize_checks_the_budget(self):
+        lr = random_low_rank(GRID, 3, 2, seed=3)
+        with pytest.raises(ResourceBudgetError):
+            lr.materialize(budget=GRID.kernel_bytes(3) - 1)
+
+    def test_from_factorized_is_the_product_state(self):
+        lazy = FactorizedKernel.from_position(gaussian_phi(GRID, amp=1.2), GRID, 3)
+        lr = LowRankKernel.from_factorized(lazy)
+        assert lr.rank == 1
+        np.testing.assert_allclose(lr.materialize().data, lazy.materialize().data,
+                                   rtol=1e-14)
+
+    @pytest.mark.parametrize("grid, k", GRIDS)
+    def test_free_phase(self, grid, k):
+        lr = random_low_rank(grid, k, 4, seed=4)
+        for t in (0.37, -0.21):
+            got = free_evolve(lr, t)
+            assert isinstance(got, LowRankKernel) and got.rank == 4
+            np.testing.assert_allclose(got.materialize().data,
+                                       free_evolve(lr.materialize(), t).data,
+                                       rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("grid, k", GRIDS)
+    def test_trace(self, grid, k):
+        lr = random_low_rank(grid, k, 4, seed=5)
+        assert trace(lr) == pytest.approx(trace(lr.materialize()), rel=1e-13)
+
+    @pytest.mark.parametrize("grid, k", GRIDS)
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_norm_and_gap(self, grid, k, alpha):
+        a = random_low_rank(grid, k, 4, seed=6)
+        b = random_low_rank(grid, k, 3, seed=7)
+        lazy = FactorizedKernel(grid, k, np.ones((grid.M,) * grid.n, dtype=complex))
+        dense_a = a.materialize()
+        assert sobolev_norm(a, alpha) == pytest.approx(sobolev_norm(dense_a, alpha),
+                                                       rel=1e-13)
+        for other in (b, lazy, b.materialize()):
+            want = level_diff_norm(dense_a, as_dense(other), alpha)
+            assert level_diff_norm(a, other, alpha) == pytest.approx(want, rel=1e-12)
+            assert level_diff_norm(other, a, alpha) == pytest.approx(want, rel=1e-12)
+
+    def test_gap_of_close_states_keeps_its_digits(self):
+        # two kernels 1e-9 apart: a Gram-matrix formula would cancel
+        # ||a||^2 + ||b||^2 - 2 Re<a, b> down to rounding noise
+        a = random_low_rank(GRID, 2, 4, seed=8)
+        dU = np.random.default_rng(9).standard_normal(a.U.shape) * 1e-9
+        b = LowRankKernel(GRID, 2, a.U + dU, a.V)
+        want = sobolev_norm(LowRankKernel(GRID, 2, dU, a.V), 1.0)
+        assert level_diff_norm(a, b, 1.0) == pytest.approx(want, rel=1e-5)
+
+    @pytest.mark.parametrize("kind, k", [("cubic", 3), ("quintic", 3)])
+    def test_collapse(self, kind, k):
+        lr = random_low_rank(GRID, k, 5, seed=10)
+        interaction = Interaction(kind, -1)
+        dense = lr.materialize()
+        for got, want in ((collapse(lr, interaction), collapse(dense, interaction)),
+                          (apply_btilde(lr, interaction), apply_btilde(dense, interaction))):
+            assert isinstance(got, MarginalKernel)
+            np.testing.assert_allclose(got.data, want.data, rtol=1e-13, atol=1e-13)
+
+    def test_factorized_collapse_is_two_columns(self):
+        # S_1 P^H + P S_2^H, with P the prefix product of the profile
+        lazy = FactorizedKernel.from_position(gaussian_phi(GRID), GRID, 3)
+        out = collapse(lazy, Interaction())
+        assert isinstance(out, LowRankKernel) and out.rank == 2
+        p = LowRankKernel.from_factorized(FactorizedKernel(GRID, 2, lazy.phi_hat)).U[:, 0]
+        assert np.array_equal(out.V[:, 0], p) and np.array_equal(out.U[:, 1], p)
+        one_side = collapse(lazy, Interaction(), [(1, 2, 1)])
+        assert one_side.rank == 1 and np.array_equal(one_side.U[:, 0], p)
 
 
 class TestSymmetryOps:

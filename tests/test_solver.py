@@ -13,9 +13,11 @@ from dataclasses import asdict, replace
 from gphier.kernels import (
     FactorizedKernel,
     HierarchySequence,
+    LowRankKernel,
     MarginalKernel,
     ResourceBudgetError,
     as_dense,
+    factorized_sequence as product_sequence,
     kernel_budget,
     random_test_kernel,
 )
@@ -44,6 +46,7 @@ from gphier.solver import (
     solve,
 )
 from gphier.spectral import GridSpec, inverse_transform
+from kernel_oracles import bitwise_equal
 
 GRID = GridSpec(n=1, L=2 * np.pi, M=6)
 PARAMS = NormParams(alpha=1.0, xi=0.5)
@@ -200,7 +203,7 @@ def direct_duhamel_at_node(gamma0_k, sources, times, i, interaction):
     """Independent evaluation: free term plus np.trapezoid of the integrand."""
     grid, k = gamma0_k.grid, gamma0_k.k
     vals = [
-        free_evolve(apply_btilde(sources[s], interaction), times[i] - times[s]).data
+        as_dense(free_evolve(apply_btilde(sources[s], interaction), times[i] - times[s])).data
         for s in range(i + 1)
     ]
     out = free_evolve(as_dense(gamma0_k), times[i]).data.copy()
@@ -606,12 +609,7 @@ class TestFrozenLevelSchedule:
         assert set(residuals.values()) == {0.0}
         for got, want in zip(traj.states, ref.states):
             for k in range(1, config.K + 1):
-                a, b = got.level(k), want.level(k)
-                assert type(a) is type(b)
-                if isinstance(a, FactorizedKernel):
-                    assert np.array_equal(a.phi_hat, b.phi_hat)
-                else:
-                    assert np.array_equal(a.data, b.data)
+                assert bitwise_equal(got.level(k), want.level(k))
 
     @pytest.mark.parametrize("kind, K, expected", [
         ("cubic", 4, 27), ("quintic", 5, 27), ("cubic", 3, 18),
@@ -654,6 +652,124 @@ class TestFrozenLevelSchedule:
             solve(gamma0, config)
         assert len(calls) == plan(config, gamma0).collapses == expected
 
+
+# Low-rank levels move values at rounding level against the dense path:
+# every level, per-node gap and RunReport number within this relative
+# tolerance.  A level and a gap are relative to the norm of the kernels
+# compared.  Report fields that are themselves relative errors (trace drift,
+# defects; about 1e-16 on both paths) are compared within it absolutely, on
+# their own unit scale.
+LOW_RANK_TOL = 1e-12
+
+
+def low_rank_case(name):
+    """A product state at M=8, N_t=8 and its configuration."""
+    grid = GridSpec(n=1, L=2 * np.pi, M=8)
+    phi = np.exp(-grid.positions**2 / 2.0) * (1.0 + 0.3j * np.sin(grid.positions))
+    kind, K, closure, quadrature = {
+        "cubic_free_top": ("cubic", 4, "free_top", "trapezoid"),
+        "cubic_factorized_top": ("cubic", 4, "factorized_top", "trapezoid"),
+        "quintic_trapezoid": ("quintic", 5, "free_top", "trapezoid"),
+        "quintic_simpson": ("quintic", 5, "free_top", "simpson"),
+    }[name]
+    config = SolverConfig(
+        grid=grid, interaction=Interaction(kind, 1), params=PARAMS, K=K, T=0.05,
+        N_t=8, quadrature=quadrature,
+        closure=ClosureRule(closure, phi0=phi if closure == "factorized_top" else None,
+                            substeps=8),
+    )
+    return phi, config
+
+
+def recorded_solve(monkeypatch, gamma0, config):
+    """solve() with every level_diff_norm it takes (the per-node Cauchy
+    gaps), each beside the larger norm of the two kernels compared."""
+    gaps = []
+    original = solver_module.level_diff_norm
+
+    def recording(a, b, alpha):
+        gap = original(a, b, alpha)
+        gaps.append((gap, max(sobolev_norm(a, alpha), sobolev_norm(b, alpha))))
+        return gap
+
+    monkeypatch.setattr(solver_module, "level_diff_norm", recording)
+    traj, report = solve(gamma0, config, c_hat=0.4)
+    monkeypatch.setattr(solver_module, "level_diff_norm", original)
+    return traj, report, gaps
+
+
+def assert_close(got, want, scale=None):
+    scale = abs(want) if scale is None else scale
+    assert abs(got - want) <= LOW_RANK_TOL * scale, (got, want)
+
+
+class TestLowRankLevels:
+    @pytest.mark.parametrize("name, low_rank", [
+        ("cubic_free_top", {3}), ("cubic_factorized_top", {3}),
+        ("quintic_trapezoid", {2, 3}), ("quintic_simpson", {2, 3}),
+    ])
+    def test_factorized_start_matches_the_dense_start(self, monkeypatch, name,
+                                                      low_rank):
+        # the dense start holds the same product state with dense sourced
+        # levels; its closure levels stay factorized, since a dense level 4
+        # is 268 MB per node at M=8 and a dense level 5 17 GB
+        phi, config = low_rank_case(name)
+        K, off = config.K, config.offset
+        lazy = product_sequence(phi, config.grid, K, 0.5, dense_up_to=0)
+        dense = product_sequence(phi, config.grid, K, 0.5, dense_up_to=K - off)
+        assert plan(config, lazy).low_rank == low_rank
+        assert plan(config, dense).low_rank == frozenset()
+        traj, report, gaps = recorded_solve(monkeypatch, lazy, config)
+        ref, ref_report, ref_gaps = recorded_solve(monkeypatch, dense, config)
+
+        for i, (got, want) in enumerate(zip(traj.states, ref.states)):
+            for k in range(1, K + 1):
+                a, b = got.level(k), want.level(k)
+                if k in low_rank:
+                    # the start's column and two per integrand up to node i
+                    assert isinstance(a, LowRankKernel) and a.rank <= 2 * i + 3
+                assert_close(level_diff_norm(a, b, 1.0), 0.0, sobolev_norm(b, 1.0))
+        assert len(gaps) == len(ref_gaps)
+        for (got, _), (want, scale) in zip(gaps, ref_gaps):
+            assert_close(got, want, scale)
+
+        fields, ref_fields = asdict(report), asdict(ref_report)
+        assert ref_fields["planned_bytes"] > fields.pop("planned_bytes")
+        del ref_fields["planned_bytes"], fields["wall_seconds"], ref_fields["wall_seconds"]
+        assert fields.keys() == ref_fields.keys()
+        for key in ("iterations", "converged", "stop_weight", "residuals", "c_hat",
+                    "quadrature", "closure", "duhamel"):
+            assert fields[key] == ref_fields[key]
+        for key in ("trajectory_norm", "initial_norm"):
+            assert_close(fields[key], ref_fields[key])
+        for got, want in zip(fields["cauchy_distances"], ref_fields["cauchy_distances"],
+                             strict=True):
+            assert_close(got, want)
+        for key in ("trace_drift", "hermiticity_defects", "symmetry_defects"):
+            assert fields[key].keys() == ref_fields[key].keys()
+            for k, value in fields[key].items():
+                assert_close(value, ref_fields[key][k], 1.0)
+
+    def test_representation_follows_the_plan(self):
+        # low rank only from factorized data, above a closure level whose
+        # initial data are factorized too, and while the widest node
+        # (2N_t+3 columns) is narrower than half the rows (36 at M=6, k=2)
+        phi = band_profile(GRID, seed=90)
+        lazy = product_sequence(phi, GRID, 3, 0.5, dense_up_to=0)
+        for N_t, low_rank in ((4, {2}), (8, set())):
+            config = config_for(K=3, N_t=N_t)
+            assert plan(config, lazy).low_rank == low_rank
+            traj, _ = solve(lazy, config)
+            for k in (1, 2):
+                assert isinstance(traj.states[-1].level(k), LowRankKernel) == (
+                    k in low_rank)
+        zero_top = config_for(K=3, N_t=4, closure=ClosureRule("zero_top"))
+        assert plan(zero_top, lazy).low_rank == {2}
+        # the convention start of a dense level 3 is a dense source
+        mixed = HierarchySequence(3, 0.5, lazy.levels[:2] + (as_dense(lazy.level(3)),))
+        assert plan(zero_top, mixed).low_rank == frozenset()
+        assert plan(config_for(K=3, N_t=4), product_sequence(phi, GRID, 3, 0.5)
+                    ).low_rank == frozenset()
 
 def plan_case(name):
     """Initial data and configuration of one tracemalloc bound case (M=8, N_t=8)."""
