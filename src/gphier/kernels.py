@@ -55,7 +55,7 @@ def kernel_budget(budget=None) -> int:
         return DEFAULT_KERNEL_BUDGET
     try:
         return int(float(env))
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ValueError(f"environment variable {BUDGET_ENV_VAR}={env!r} "
                          "is not a number of bytes") from None
 

@@ -19,8 +19,8 @@ that of the whole-array formula on any worker count.  A low-rank side is
 never reduced through the r x r Gram matrices of its factors: that sum
 cancels when two kernels are close.
 
-Hierarchy sequences are measured by sum_k xi^k ||gamma^(k)||, trajectories
-by the maximum of that over time nodes.
+Hierarchy sequences are measured by sum_k xi^k ||gamma^(k)||; solve()
+reports the maximum of that over time nodes.
 """
 
 from __future__ import annotations
@@ -275,11 +275,3 @@ def weighted_distance(seq_a: HierarchySequence, seq_b: HierarchySequence,
         params.xi**k * level_diff_norm(seq_a.level(k), seq_b.level(k), params.alpha)
         for k in range(1, seq_a.K + 1)
     )
-
-
-def trajectory_norm(sequences, params: NormParams) -> float:
-    """max over time nodes of the weighted hierarchy norm."""
-    values = [weighted_norm(seq, params) for seq in sequences]
-    if not values:
-        raise ValueError("empty trajectory")
-    return max(values)

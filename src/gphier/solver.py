@@ -1,14 +1,15 @@
-"""Picard iteration for the truncated hierarchy in Duhamel form.
+"""The truncated hierarchy in Duhamel form, solved by one sweep.
 
-The m-th iterate solves
+The Duhamel map takes a trajectory gamma to
 
-    gamma_m^(k)(t) = U0(t) gamma0^(k)
-                     + int_0^t U0(t-s) Btilde^(k) gamma_{m-1}^(k+off)(s) ds
+    gamma^(k)(t) = U0(t) gamma0^(k)
+                   + int_0^t U0(t-s) Btilde^(k) gamma^(k+off)(s) ds
 
-level by level, starting from the convention trajectory gamma_0^(k)(t) ==
-gamma0^(k) (constant in t).  Sourced levels are k <= K - off (off = 1 cubic,
-2 quintic); the top off levels follow the closure rule: free evolution of
-the initial data, identically zero, or the factorized NLS trajectory.
+level by level; its Picard iterates start from the convention trajectory
+gamma_0^(k)(t) == gamma0^(k) (constant in t).  Sourced levels are
+k <= K - off (off = 1 cubic, 2 quintic); the top off levels follow the
+closure rule: free evolution of the initial data, identically zero, or the
+factorized NLS trajectory.
 
 The integral is evaluated by composite quadrature over the stored nodes.
 Writing g(s) = U0(-s) Btilde gamma^(k+off)(s), the prefix integrals of g
@@ -38,20 +39,18 @@ collapses each node materialized, one node at a time; so do the defects.
 
 The collapse is lower triangular and nilpotent, so the fixed point of the
 Duhamel map is a back substitution: level k = D_k(level k+off), from the
-closure down to level 1.  solve() reaches it in one step (_step) that
+closure down to level 1.  solve() is that one sweep (_step), which
 replaces the levels in descending order: the closure lists replace the
 convention start, then each sourced level k integrates the new level k+off
 (a Gauss-Seidel sweep).  Its levels are bitwise those that full Duhamel
 steps (picard_step, the Jacobi map, which reads every source from the
-previous iterate) reach after about K/off steps.  A second step would
-replace nothing, so solve's second Cauchy distance is exactly 0.0 and its
-residuals are exactly zero; neither needs a further integration.  The
-step takes each new node's gap to the node it replaces as the node is
-produced, and returns the per-node gaps, from which solve() forms the
-Cauchy distance.  plan() is the one resource model: it walks the same
-sweep without arrays, picking each sourced level's representation from
-the initial data, and yields the collapse count, the peak bytes and the
-low-rank levels.  solve() and the CLI check that peak against one budget,
+previous iterate) reach after about K/off steps.  The step takes each new
+node's gap to the node it replaces as the node is produced, and returns
+the per-node gaps, from which solve() forms the Cauchy distance from the
+start.  plan() is the one resource model: it walks the same sweep without
+arrays, picking each sourced level's representation from the initial
+data, and yields the collapse count, the peak bytes and the low-rank
+levels.  solve() and the CLI check that peak against one budget,
 kernels.kernel_budget.
 
 The expansion terms are Duhamel chains: one helper (_chain) streams a node
@@ -115,6 +114,11 @@ class ClosureRule:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """A solve: grid, interaction, norm weights, depth K, horizon T on N_t
+    intervals, closure, quadrature and budget.  solve() makes one sweep and
+    does not read m_max; the field stays, checked >= 1, for callers that
+    still pass it."""
+
     grid: GridSpec
     interaction: Interaction
     params: NormParams
@@ -124,7 +128,6 @@ class SolverConfig:
     m_max: int = 10
     closure: ClosureRule = field(default_factory=ClosureRule)
     quadrature: str = TRAPEZOID
-    tol_cauchy: float = 1e-10
     budget: float | None = None
 
     def __post_init__(self):
@@ -207,11 +210,15 @@ class BoundReport:
 
 @dataclass
 class RunReport:
+    """What solve() measured.  The sweep lands on the fixed point of the
+    Duhamel map, so iterations is 1 and converged is True; the one Cauchy
+    distance is the sweep's from the convention start, in the weight
+    stop_weight."""
+
     iterations: int
     converged: bool
     cauchy_distances: list
     stop_weight: float
-    residuals: dict
     trace_drift: dict
     hermiticity_defects: dict
     symmetry_defects: dict
@@ -480,13 +487,13 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
 
     The closure lists replace the initial data first; then each sourced
     level k, in descending order, is integrated once from the new level
-    k+off, at one collapse for a zero_top source and N_t+1 otherwise.  Later
-    steps replace nothing, so solve() makes exactly these collapses.  The
-    bytes held are the dense copies of factorized sourced levels of gamma0
-    that are not low rank, dense closure lists (free_top on dense data) and
-    the node lists of the levels integrated so far.  While a dense level k
-    is integrated its new list grows to N_t+1 nodes, the last one in flight
-    (the old list is the initial data).  Beside them are the integrator's
+    k+off, at one collapse for a zero_top source and N_t+1 otherwise, so
+    solve() makes exactly these collapses.  The bytes held are the dense
+    copies of factorized sourced levels of gamma0 that are not low rank,
+    dense closure lists (free_top on dense data) and the node lists of the
+    levels integrated so far.  While a dense level k is integrated its new
+    list grows to N_t+1 nodes, the last one in flight (the old list is the
+    initial data).  Beside them are the integrator's
     buffers (2 trapezoid, 6 Simpson) and, at a node's collapse, the
     collapse output, a materialized low-rank source node, a dense
     collapse's contractions and _SCRATCH, or at its gap the streamed norm's
@@ -692,10 +699,10 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
           c_hat: float | None = None):
     """Sweep to the mild solution; returns (Trajectory, RunReport).
 
-    Step 1 is the descending sweep, step 2 confirms it (distance 0.0).
-    Cauchy distances between successive steps are measured in the
-    weighted norm with weight eta = xi - c_hat*T when a collapse constant
-    is supplied (and eta > 0), otherwise with xi itself.
+    The one descending sweep lands on the fixed point.  Its Cauchy distance
+    from the convention start is measured in the weighted norm with weight
+    eta = xi - c_hat*T when a collapse constant is supplied (and eta > 0),
+    otherwise with xi itself.
     """
     t_start = time.perf_counter()
     if gamma0.grid != config.grid:
@@ -712,7 +719,7 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
         if eta > 0:
             stop_weight = eta
         else:
-            warnings.warn("eta = xi - c_hat*T is not positive; stopping in xi norm",
+            warnings.warn("eta = xi - c_hat*T is not positive; measuring in xi norm",
                           stacklevel=2)
 
     times = config.times()
@@ -720,43 +727,15 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
     start = _initial_data(gamma0, config, planned.low_rank)
     # the convention start, which differs from every iterate
     levels = {k: [gamma0.level(k)] * len(times) for k in range(1, config.K + 1)}
-    distances = []
-    converged = False
-    norms = {}  # level -> norm of every node, taken when the level is replaced
-    for step in range(config.m_max):
-        # the first step's sweep lands on the fixed point; a later step
-        # replaces nothing, so its gaps are none and its distance is 0.0
-        gaps = {} if step else _step(levels, levels, times, start, closure, config)
-        d = max(
-            math.fsum(stop_weight**k * gap[i] for k, gap in gaps.items())
-            for i in range(len(times))
-        )
-        if not math.isfinite(d):
-            raise FloatingPointError(
-                f"non-finite Cauchy distance at iteration {len(distances) + 1}"
-            )
-        distances.append(d)
-        for k in gaps:
-            norms[k] = [sobolev_norm(kern, alpha) for kern in levels[k]]
-        # the stop scale reads each level's last node
-        scale = max(1.0, math.fsum(
-            stop_weight**k * norms[k][-1] for k in range(1, config.K + 1)
-        ))
-        if d <= config.tol_cauchy * scale:
-            converged = True
-            break
+    gaps = _step(levels, levels, times, start, closure, config)
+    d = max(
+        math.fsum(stop_weight**k * gap[i] for k, gap in gaps.items())
+        for i in range(len(times))
+    )
+    if not math.isfinite(d):
+        raise FloatingPointError("non-finite Cauchy distance")
+    norms = {k: [sobolev_norm(kern, alpha) for kern in levels[k]] for k in gaps}
 
-    if not converged:
-        warnings.warn(
-            f"Picard iteration did not reach tol_cauchy in {config.m_max} steps "
-            f"(last distance {distances[-1]:.3e})",
-            stacklevel=2,
-        )
-
-    # the levels are the fixed point of the Duhamel map, so one more step
-    # (picard_step) reproduces them bitwise: each self-consistency residual
-    # is exactly zero
-    residuals = dict.fromkeys(config.sourced_levels, 0.0)
     trace_drift = {}
     hermiticity = {}
     symmetry = {}
@@ -769,11 +748,10 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
         symmetry[k] = max(symm)
 
     report = RunReport(
-        iterations=len(distances),
-        converged=converged,
-        cauchy_distances=distances,
+        iterations=1,
+        converged=True,
+        cauchy_distances=[d],
         stop_weight=stop_weight,
-        residuals=residuals,
         trace_drift=trace_drift,
         hermiticity_defects=hermiticity,
         symmetry_defects=symmetry,

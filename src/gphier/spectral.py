@@ -29,7 +29,7 @@ class GridSpec:
     Parameters
     ----------
     n : spatial dimension (>= 1)
-    L : box side length (> 0)
+    L : box side length (positive and finite)
     M : grid points per axis, even and >= 4.  The mode -M/2 is kept
         unpaired, as usual for even-length real FFT lattices.
     """
@@ -41,8 +41,8 @@ class GridSpec:
     def __post_init__(self):
         if int(self.n) < 1:
             raise ValueError("dimension n must be a positive integer")
-        if not self.L > 0:
-            raise ValueError("box length L must be positive")
+        if not 0 < self.L < np.inf:
+            raise ValueError("box length L must be positive and finite")
         if int(self.M) < 4 or int(self.M) % 2 != 0:
             raise ValueError("M must be an even integer >= 4")
 
@@ -91,11 +91,6 @@ class GridSpec:
     def kernel_bytes(self, k: int) -> int:
         """complex128 storage for one k-particle kernel."""
         return 16 * self.kernel_entries(k)
-
-
-def quadrature_weight(grid: GridSpec) -> float:
-    """Momentum cell volume (2*pi/L)^n of the grid."""
-    return grid.cell_volume
 
 
 def bracket(p):

@@ -93,7 +93,6 @@ def _cubic12_config(mu, n_t):
         K=4,
         T=HORIZON,
         N_t=n_t,
-        m_max=12,
         closure=ClosureRule("free_top"),
         budget=SOLVER_BYTES,
     )
@@ -144,7 +143,6 @@ def quintic_run():
             K=5,
             T=HORIZON,
             N_t=8,
-            m_max=12,
             closure=ClosureRule("free_top"),
             budget=SOLVER_BYTES,
         )
@@ -326,7 +324,6 @@ def test_06_expansion_term_bounds(constant_battery):
         K=4,
         T=HORIZON,
         N_t=8,
-        m_max=12,
         closure=ClosureRule("free_top"),
         budget=SOLVER_BYTES,
     )
@@ -346,22 +343,28 @@ def test_06_expansion_term_bounds(constant_battery):
     )
 
 
+# Test 07's Jacobi iteration: at most JACOBI_CAP steps, stopped once a
+# distance is within JACOBI_TOL of max(1, norm).
+JACOBI_CAP = 12
+JACOBI_TOL = 1e-10
+
+
 def _picard_distances(mu, c_hat=0.4):
     """Cauchy distances of full Duhamel steps (the Jacobi map picard_step)
     from the convention start, in the eta = xi - c_hat*T weighted norm,
-    stopped by solve()'s rule: distance <= tol_cauchy * max(1, norm)."""
+    stopped once distance <= JACOBI_TOL * max(1, norm)."""
     cfg = _cubic12_config(mu, 8)
     phi = _gaussian(GRID12, CUBIC_WIDTH, CUBIC_AMPLITUDE)
     gamma0 = factorized_sequence(phi, GRID12, 4, XI, dense_up_to=0)
     weights = NormParams(alpha=ALPHA, xi=XI - c_hat * HORIZON)
     traj = convention_trajectory(gamma0, cfg)
     distances = []
-    for _ in range(cfg.m_max):
+    for _ in range(JACOBI_CAP):
         new = picard_step(traj, gamma0, cfg)
         d = max(weighted_distance(a, b, weights) for a, b in zip(new.states, traj.states))
         distances.append(d)
         traj = new
-        if d <= cfg.tol_cauchy * max(1.0, weighted_norm(new.states[-1], weights)):
+        if d <= JACOBI_TOL * max(1.0, weighted_norm(new.states[-1], weights)):
             break
     return distances
 
@@ -409,7 +412,6 @@ def test_08_horizon_bounds(constant_battery):
             K=K,
             T=horizon,
             N_t=16,
-            m_max=12,
             closure=ClosureRule("free_top"),
             budget=SOLVER_BYTES,
         )

@@ -41,7 +41,6 @@ def solve_cfg(**overrides):
         "K": 3,
         "T": 0.02,
         "N_t": 4,
-        "m_max": 8,
         "seed": 3,
         "initial_data": {
             "kind": "factorized",
@@ -72,8 +71,7 @@ class TestPreflight:
         assert "override-budget" in captured.err
 
     def test_small_config_accepted(self, tmp_path, capsys):
-        cfg = solve_cfg(grid={"n": 1, "L": TWO_PI, "M": 8}, K=3, N_t=5,
-                        m_max=6)
+        cfg = solve_cfg(grid={"n": 1, "L": TWO_PI, "M": 8}, K=3, N_t=5)
         out = tmp_path / "out"
         rc = main(["solve", "--config", write_cfg(tmp_path, cfg),
                    "--out", str(out)])
@@ -92,8 +90,7 @@ class TestPreflight:
         # a planned peak of about 8.2e6 bytes, over a budget lowered to 5e6;
         # at 3e6 even one materialized k=3 node (4.2e6 bytes) is over it
         monkeypatch.setenv(BUDGET_ENV_VAR, budget)
-        cfg = solve_cfg(grid={"n": 1, "L": TWO_PI, "M": 8}, K=4, N_t=5,
-                        m_max=4, tol_cauchy=1e-6)
+        cfg = solve_cfg(grid={"n": 1, "L": TWO_PI, "M": 8}, K=4, N_t=5)
         out = tmp_path / "out"
         with pytest.warns(UserWarning):
             rc = main(["solve", "--config", write_cfg(tmp_path, cfg),
@@ -104,8 +101,7 @@ class TestPreflight:
 
     def test_env_var_raises_budget(self, tmp_path, monkeypatch):
         cfg_path = write_cfg(tmp_path, solve_cfg(
-            grid={"n": 1, "L": TWO_PI, "M": 8}, K=4, N_t=5, m_max=4,
-            tol_cauchy=1e-6))
+            grid={"n": 1, "L": TWO_PI, "M": 8}, K=4, N_t=5))
         monkeypatch.setenv(BUDGET_ENV_VAR, "5e6")
         assert main(["solve", "--config", cfg_path,
                      "--out", str(tmp_path / "refused")]) == 1
@@ -129,6 +125,17 @@ class TestPreflight:
         assert BUDGET_ENV_VAR in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("value", ["inf", "1e400", "-inf"])
+    def test_unbounded_env_var_is_a_clean_error(self, tmp_path, monkeypatch, capsys,
+                                                value):
+        # float() takes these, int() of the float overflows
+        monkeypatch.setenv(BUDGET_ENV_VAR, value)
+        rc = main(["solve", "--config", write_cfg(tmp_path, solve_cfg()),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is not a number of bytes" in err
+
     def test_quintic_m8_runs_under_default_budget(self, tmp_path, capsys):
         # the closure levels 4 and 5 stay factorized and cost the plan next to nothing
         cfg = solve_cfg(grid={"n": 1, "L": TWO_PI, "M": 8},
@@ -151,7 +158,8 @@ class TestSolveCommand:
                    "--out", str(out)])
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["iterations"] == 1
+        assert report["iterations"] == 1 and report["converged"] is True
+        assert "residuals" not in report
         header, rows = read_csv_rows(out / "norm_vs_time.csv")
         assert header == ["time", "level", "h_alpha_norm"]
         assert all(float(r[2]) == 0.0 for r in rows)
@@ -191,7 +199,10 @@ class TestSolveCommand:
         assert header == ["j", "k", "norm", "bound", "ratio"]
         # cubic K=3: (j,k) with k + j <= 3, sorted by k, then j
         assert [(int(r[0]), int(r[1])) for r in rows] == [(1, 1), (2, 1), (1, 2)]
-        assert (out / "cauchy_distances.csv").exists()
+        # one row: the sweep's distance from the convention start
+        header, rows = read_csv_rows(out / "cauchy_distances.csv")
+        assert header == ["iteration", "distance"]
+        assert len(rows) == 1 and rows[0][0] == "1" and float(rows[0][1]) > 0.0
 
     def test_plane_wave_initial_data(self, tmp_path):
         cfg = solve_cfg(initial_data={
@@ -250,7 +261,8 @@ class TestSolveCommand:
         (b"", "truncated kernel file header"),
         (b"\x01\x00\x00\x00\x00", "truncated kernel file header"),
         (struct.pack("<idii", 1, TWO_PI, 4, 2**30), "budget"),
-    ], ids=["empty", "five_bytes", "absurd_k"])
+        (struct.pack("<idii", 1, math.inf, 4, 1), "finite"),
+    ], ids=["empty", "five_bytes", "absurd_k", "infinite_L"])
     def test_malformed_level_file_is_diagnosed(self, tmp_path, capsys, raw, message):
         path = tmp_path / "level1.bin"
         path.write_bytes(raw)
@@ -290,6 +302,55 @@ class TestErrorHandling:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "'K'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [4.7, True], ids=["fraction", "bool"])
+    @pytest.mark.parametrize("command, section, name", [
+        ("solve", None, "K"), ("solve", None, "N_t"), ("solve", "grid", "M"),
+        ("solve", "grid", "n"), ("solve", None, "mu"), ("solve", None, "seed"),
+        ("solve", None, "closure_substeps"), ("compare-nls", None, "oracle_substeps"),
+        ("compare-nls", None, "levels_compared"), ("estimate-constant", None, "trials"),
+    ])
+    def test_integer_field_refuses_fractions_and_bools(self, tmp_path, capsys,
+                                                       monkeypatch, command,
+                                                       section, name, value):
+        # int() would run 4.7 as 4 and true as 1
+        calls = []
+        monkeypatch.setattr(cli, "solve", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(cli, "estimate_collapse_constant",
+                            lambda *a, **kw: calls.append(a))
+        cfg = solve_cfg(trials=4, grid={"n": 1, "L": TWO_PI, "M": 6})
+        (cfg[section] if section else cfg)[name] = value
+        rc = main([command, "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field {name!r} is invalid")
+        assert calls == []
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        cfg = solve_cfg(K=3.0, N_t=4.0, grid={"n": 1.0, "L": TWO_PI, "M": 6.0})
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+
+    def test_infinite_box_length_refused(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(solve_cfg()).replace(str(TWO_PI), "1e999"))
+        rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'grid' is invalid")
+        assert "finite" in err
+
+    def test_overflowing_run_is_a_clean_error(self, tmp_path, capsys):
+        cfg = solve_cfg(c_hat=0.4, initial_data={
+            "kind": "factorized",
+            "profile": {"kind": "gaussian", "width": 0.8, "amplitude": 1e200},
+        })
+        with np.errstate(all="ignore"):
+            rc = main(["solve", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: non-finite")
 
     @pytest.mark.parametrize("argv, message", [
         (["solve", "--quadrature", "foo"], "invalid choice: 'foo'"),

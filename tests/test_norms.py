@@ -19,7 +19,6 @@ from gphier.norms import (
     level_diff_norm,
     profile_norm_sq,
     sobolev_norm,
-    trajectory_norm,
     weighted_distance,
     weighted_norm,
 )
@@ -283,9 +282,3 @@ class TestWeightedNorms:
         )
         np.testing.assert_allclose(d, expect, rtol=1e-10)
         assert weighted_distance(mk(phi), mk(phi), params) == 0.0
-
-        traj = [mk(phi), mk(psi)]
-        expect_max = max(weighted_norm(s, params) for s in traj)
-        assert trajectory_norm(traj, params) == expect_max
-        with pytest.raises(ValueError):
-            trajectory_norm([], params)

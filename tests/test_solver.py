@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from gphier.kernels import (
     FactorizedKernel,
@@ -417,15 +417,27 @@ class TestSolve:
         for state in traj.states:
             assert sobolev_norm(state.level(1), 1.0) == 0.0
 
-    def test_converges_and_is_self_consistent(self):
-        config = config_for(K=4, T=0.2, N_t=4, m_max=8)
+    def test_converges_in_one_sweep(self):
+        config = config_for(K=4, T=0.2, N_t=4)
         gamma0 = random_sequence(GRID, 4, seed=50)
-        traj, report = solve(gamma0, config)
-        assert report.converged
-        assert all(r < 1e-10 for r in report.residuals.values())
-        assert report.iterations <= 6
-        d = report.cauchy_distances
-        assert all(b <= a for a, b in zip(d[1:-1], d[2:]))
+        _, report = solve(gamma0, config)
+        assert report.converged and report.iterations == 1
+        (d,) = report.cauchy_distances
+        assert 0.0 < d < math.inf
+
+    def test_m_max_one_is_converged_without_warning(self):
+        # solve does not read m_max: one sweep is the fixed point, whatever
+        # the cap, and nothing warns about it
+        gamma0 = factorized_sequence(GRID, 4, seed=75)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj, report = solve(gamma0, config_for(K=4, m_max=1))
+        assert report.converged and report.iterations == 1
+        ref, ref_report = solve(gamma0, config_for(K=4))
+        assert report.cauchy_distances == ref_report.cauchy_distances
+        for got, want in zip(traj.states, ref.states):
+            for k in range(1, 5):
+                assert bitwise_equal(got.level(k), want.level(k))
 
     def test_invariant_preservation_reported(self):
         config = config_for(K=3, T=0.2, N_t=4)
@@ -517,28 +529,27 @@ class TestSolve:
         )
 
 
+# The Jacobi reference iteration: at most JACOBI_CAP full Duhamel steps,
+# stopped once a distance is within JACOBI_TOL of max(1, norm).
+JACOBI_CAP = 10
+JACOBI_TOL = 1e-10
+
+
 def reference_solve(gamma0, config):
-    """solve() spelled out with full Duhamel steps: every sourced level is
-    re-integrated at every step, including the residual step."""
+    """The fixed point reached by full Duhamel steps (picard_step, the
+    Jacobi map): every sourced level is re-integrated at every step."""
     params = config.params
     traj = convention_trajectory(gamma0, config)
     distances = []
-    for _ in range(config.m_max):
+    for _ in range(JACOBI_CAP):
         new = picard_step(traj, gamma0, config)
         d = max(weighted_distance(a, b, params)
                 for a, b in zip(new.states, traj.states))
         distances.append(d)
         traj = new
-        if d <= config.tol_cauchy * max(1.0, weighted_norm(new.states[-1], params)):
+        if d <= JACOBI_TOL * max(1.0, weighted_norm(new.states[-1], params)):
             break
-    extra = picard_step(traj, gamma0, config)
-    residuals = {}
-    for k in config.sourced_levels:
-        denom = max(sobolev_norm(s.level(k), params.alpha) for s in traj.states)
-        gap = max(level_diff_norm(a.level(k), b.level(k), params.alpha)
-                  for a, b in zip(traj.states, extra.states))
-        residuals[k] = gap / denom if denom > 0 else gap
-    return traj, distances, residuals
+    return traj, distances
 
 
 def schedule_case(name):
@@ -558,8 +569,6 @@ def schedule_case(name):
             K=3, closure=ClosureRule("factorized_top", phi0=phi_x, substeps=8))
     if name == "cubic_dense":
         return random_sequence(GRID, 3, seed=74), config_for(K=3)
-    if name == "cubic_m_max":
-        return factorized_sequence(GRID, 4, seed=75), config_for(K=4, m_max=1)
     phi = band_profile(grid4, seed=76)
     gamma0 = HierarchySequence(
         5, 0.5, tuple(FactorizedKernel(grid4, k, phi) for k in range(1, 6))
@@ -587,26 +596,19 @@ def count_collapses(monkeypatch) -> list:
 class TestFrozenLevelSchedule:
     @pytest.mark.parametrize("name", [
         "cubic_free", "cubic_simpson", "cubic_zero_top", "cubic_factorized_top",
-        "cubic_dense", "cubic_m_max", "quintic_free", "quintic_simpson",
+        "cubic_dense", "quintic_free", "quintic_simpson",
     ])
     def test_bitwise_equal_to_full_picard_steps(self, name):
         # solve's one descending sweep lands bitwise on the fixed point that
-        # full Jacobi steps reach; m_max=1 stops before the step that would
-        # confirm it, so that case alone is not converged
+        # full Jacobi steps reach
         gamma0, config = schedule_case(name)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            traj, report = solve(gamma0, config)
-        ref, _, residuals = reference_solve(gamma0, replace(config, m_max=10))
+        traj, report = solve(gamma0, config)
+        ref, _ = reference_solve(gamma0, config)
         start = convention_trajectory(gamma0, config)
         d1 = max(weighted_distance(a, b, config.params)
                  for a, b in zip(ref.states, start.states))
-        converged = name != "cubic_m_max"
-        assert report.converged == converged
-        assert report.cauchy_distances == ([d1, 0.0] if converged else [d1])
-        assert report.iterations == len(report.cauchy_distances)
-        assert report.residuals == residuals
-        assert set(residuals.values()) == {0.0}
+        assert report.converged and report.iterations == 1
+        assert report.cauchy_distances == [d1]
         for got, want in zip(traj.states, ref.states):
             for k in range(1, config.K + 1):
                 assert bitwise_equal(got.level(k), want.level(k))
@@ -737,7 +739,7 @@ class TestLowRankLevels:
         assert ref_fields["planned_bytes"] > fields.pop("planned_bytes")
         del ref_fields["planned_bytes"], fields["wall_seconds"], ref_fields["wall_seconds"]
         assert fields.keys() == ref_fields.keys()
-        for key in ("iterations", "converged", "stop_weight", "residuals", "c_hat",
+        for key in ("iterations", "converged", "stop_weight", "c_hat",
                     "quadrature", "closure", "duhamel"):
             assert fields[key] == ref_fields[key]
         for key in ("trajectory_norm", "initial_norm"):
@@ -860,7 +862,7 @@ class TestSweep:
         monkeypatch.setattr(solver_module, "apply_btilde", collapse)
         traj, report = solve(gamma0, config)
         assert seen == [3, 2, 1]
-        assert report.iterations == 2 and report.cauchy_distances[1] == 0.0
+        assert report.iterations == 1 and len(report.cauchy_distances) == 1
         want = {4: traj.level_series(4), 3: made[3], 2: made[2]}
         assert sorted(collapsed) == sorted(want)
         for k, nodes in want.items():
@@ -870,14 +872,27 @@ class TestSweep:
             assert all(a is b for a, b in zip(traj.level_series(k), made[k]))
 
 
+    def test_solve_takes_one_step(self, monkeypatch):
+        calls = []
+        original = solver_module._step
+
+        def counting(*args):
+            calls.append(args[0] is args[1])  # the sweep reads the new levels
+            return original(*args)
+
+        monkeypatch.setattr(solver_module, "_step", counting)
+        _, report = solve(factorized_sequence(GRID, 4, seed=81), config_for(K=4))
+        assert calls == [True]
+        assert report.iterations == 1
+
+
 class TestResidualStep:
     def test_final_trajectory_is_a_fixed_point(self):
-        # m_max=1 stops after the sweep; one whole Jacobi Duhamel step on the
-        # final trajectory reproduces it bitwise, so the residuals are 0.0
-        gamma0, config = schedule_case("cubic_m_max")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            traj, report = solve(gamma0, config)
+        # one whole Jacobi Duhamel step on the swept trajectory reproduces
+        # it bitwise, so the residuals are 0.0
+        gamma0 = factorized_sequence(GRID, 4, seed=75)
+        config = config_for(K=4)
+        traj, _ = solve(gamma0, config)
         extra = picard_step(traj, gamma0, config)
         residuals = {}
         for k in config.sourced_levels:
@@ -885,7 +900,6 @@ class TestResidualStep:
             gap = max(level_diff_norm(a, b, 1.0) for a, b in
                       zip(traj.level_series(k), extra.level_series(k)))
             residuals[k] = gap / denom if denom > 0 else gap
-        assert report.residuals == residuals
         assert set(residuals.values()) == {0.0}
         for k in range(1, config.K + 1):
             for a, b in zip(traj.level_series(k), extra.level_series(k)):

@@ -9,7 +9,6 @@ from gphier.spectral import (
     inverse_transform,
     kernel_to_momentum,
     kernel_to_position,
-    quadrature_weight,
     variable_bracket,
 )
 
@@ -37,11 +36,14 @@ class TestGridSpec:
             GridSpec(0, 2 * np.pi, 8)
         with pytest.raises(ValueError):
             GridSpec(1, -1.0, 8)
+        for L in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                GridSpec(1, L, 8)
 
     def test_quadrature_weight(self):
-        assert quadrature_weight(GridSpec(1, 2 * np.pi, 8)) == pytest.approx(1.0)
-        assert quadrature_weight(GridSpec(2, 2 * np.pi, 8)) == pytest.approx(1.0)
-        assert quadrature_weight(GridSpec(1, 4 * np.pi, 8)) == pytest.approx(0.5)
+        assert GridSpec(1, 2 * np.pi, 8).cell_volume == pytest.approx(1.0)
+        assert GridSpec(2, 2 * np.pi, 8).cell_volume == pytest.approx(1.0)
+        assert GridSpec(1, 4 * np.pi, 8).cell_volume == pytest.approx(0.5)
 
     def test_kernel_bookkeeping(self):
         g = GridSpec(1, 2 * np.pi, 8)
