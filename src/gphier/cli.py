@@ -104,6 +104,8 @@ def _typed(section: dict, name: str, cast, default=None, required: bool = False)
     """Read a field and cast it, naming the field when the type is wrong."""
     value = _field(section, name, default, required)
     if value is None:
+        if required:
+            raise CliError(f"config field {name!r} is invalid: null")
         return None
     try:
         return cast(value)
@@ -118,7 +120,7 @@ def build_grid(cfg: dict) -> GridSpec:
     M = _typed(section, "M", _integer, required=True)
     try:
         return GridSpec(n, L, M)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise CliError(f"config field 'grid' is invalid: {exc}") from exc
 
 

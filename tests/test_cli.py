@@ -327,6 +327,20 @@ class TestErrorHandling:
         assert err.startswith(f"error: config field {name!r} is invalid")
         assert calls == []
 
+    @pytest.mark.parametrize("section, name, named", [
+        ("grid", "L", "L"), ("grid", "M", "M"), ("grid", "n", "grid"),
+        (None, "K", "K"), (None, "N_t", "N_t"),
+    ])
+    def test_null_field_is_named(self, tmp_path, capsys, section, name, named):
+        # an explicit JSON null must not reach GridSpec or SolverConfig as None
+        cfg = solve_cfg()
+        (cfg[section] if section else cfg)[name] = None
+        rc = main(["solve", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field {named!r} is invalid")
+
     def test_integral_float_is_an_integer(self, tmp_path):
         cfg = solve_cfg(K=3.0, N_t=4.0, grid={"n": 1.0, "L": TWO_PI, "M": 6.0})
         assert main(["solve", "--config", write_cfg(tmp_path, cfg),

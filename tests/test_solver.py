@@ -612,6 +612,12 @@ class TestFrozenLevelSchedule:
         for got, want in zip(traj.states, ref.states):
             for k in range(1, config.K + 1):
                 assert bitwise_equal(got.level(k), want.level(k))
+        # converged=True is earned: one more whole Jacobi step reproduces the
+        # swept trajectory bitwise at every level and node
+        extra = picard_step(traj, gamma0, config)
+        for got, again in zip(traj.states, extra.states):
+            for k in range(1, config.K + 1):
+                assert bitwise_equal(got.level(k), again.level(k))
 
     @pytest.mark.parametrize("kind, K, expected", [
         ("cubic", 4, 27), ("quintic", 5, 27), ("cubic", 3, 18),
