@@ -94,15 +94,18 @@ def map_items(fn, items, entries: int, scratch=lambda: None) -> list:
     return [done[i % len(runs)][i // len(runs)] for i in range(len(items))]
 
 
-def rows(fn, mat: np.ndarray) -> list:
-    """[fn(r, buf)] for the row slices r of the 2-d array mat, in row order.
+def rows(fn, mat: np.ndarray, scratch=None) -> list:
+    """[fn(r, *bufs)] for the row slices r of the 2-d array mat, in row order.
 
-    Each slice holds about BLOCK entries (at least one row).  buf is the
-    run's scratch with mat[r]'s shape and dtype, made on the calling thread.
+    Each slice holds about BLOCK entries (at least one row).  bufs are the
+    run's buffers, made on the calling thread by scratch(shape) for the
+    widest slice's shape and cut to r's rows; by default one buffer with
+    mat[r]'s shape and dtype.
     """
     height, width = mat.shape
     step = max(1, BLOCK // width)
+    shape = (min(step, height), width)
+    scratch = scratch or (lambda shape: (np.empty(shape, dtype=mat.dtype),))
     return map_items(
-        lambda s, buf: fn(slice(s, s + step), buf[:min(step, height - s)]),
-        range(0, height, step), mat.size,
-        lambda: np.empty((min(step, height), width), dtype=mat.dtype))
+        lambda s, bufs: fn(slice(s, s + step), *(b[:min(step, height - s)] for b in bufs)),
+        range(0, height, step), mat.size, lambda: scratch(shape))

@@ -94,19 +94,30 @@ def _field(cfg: dict, name: str, default=None, required: bool = False):
 
 
 def _integer(value) -> int:
-    """int(value), refusing a bool and a number with a fractional part."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """int(value), refusing a number with a fractional part."""
+    if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
 
+def _flag(cfg: dict, name: str, default: bool) -> bool:
+    """A field that must be a JSON true or false."""
+    value = _field(cfg, name, default)
+    if not isinstance(value, bool):
+        raise CliError(f"config field {name!r} is invalid: {value!r} is not true or false")
+    return value
+
+
 def _typed(section: dict, name: str, cast, default=None, required: bool = False):
-    """Read a field and cast it, naming the field when the type is wrong."""
+    """Read a field and cast it, naming the field when the type is wrong.  A
+    JSON bool, alone or in a list, is no number (float() would read 1 or 0)."""
     value = _field(section, name, default, required)
     if value is None:
         if required:
             raise CliError(f"config field {name!r} is invalid: null")
         return None
+    if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
+        raise CliError(f"config field {name!r} is invalid: {value!r} holds a bool")
     try:
         return cast(value)
     except (TypeError, ValueError) as exc:
@@ -361,6 +372,7 @@ def _write_trajectory(out: Path, trajectory, config: SolverConfig):
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     config = build_solver_config(cfg, args)
+    emit_plots = _flag(cfg, "emit_plots", False) or args.emit_plots
     grid = config.grid
     out = prepare_output(args, cfg, "solve")
     gamma0 = build_initial_sequence(cfg, grid, config.K, config.params.xi,
@@ -383,7 +395,7 @@ def cmd_solve(args) -> int:
     payload = asdict(report)
     payload["preflight"] = planned
     payload["seed"] = seed
-    if args.emit_plots or _field(cfg, "emit_plots", False):
+    if emit_plots:
         write_csv(
             out / "cauchy_distances.csv", ("iteration", "distance"),
             [(i + 1, d) for i, d in enumerate(report.cauchy_distances)],
@@ -407,7 +419,7 @@ def cmd_verify_lemmas(args) -> int:
     beta = _typed(cfg, "beta", float, n + 1)
     cutoff = _typed(cfg, "cutoff", float, 32.0)
     resolution = _typed(cfg, "resolution", _integer, 640 if n == 1 else 40)
-    include_endpoint = bool(_field(cfg, "include_endpoint", True)) or beta == n
+    include_endpoint = _flag(cfg, "include_endpoint", True) or beta == n
     out = prepare_output(args, cfg, "verify-lemmas")
 
     rows = []

@@ -10,14 +10,16 @@ variable.  A factorized kernel never needs materializing:
 ||F(phi, k)||_{H^alpha} equals ||phi||_{H^alpha}^(2k), and differences of two
 factorized kernels reduce to one-particle inner products.
 
-Every other norm or distance (dense or low-rank sides) is one streamed
-reduction: the weighted |a - b|^2 is formed part by part (the parts
-accurate_sum splits a whole array into), a factorized or low-rank side
-included; the parts are spread over the block pool and their sums fsum'ed
-in order.  No level-sized temporary is built, and the total is bitwise
-that of the whole-array formula on any worker count.  A low-rank side is
-never reduced through the r x r Gram matrices of its factors: that sum
-cancels when two kernels are close.
+Every other norm or distance (dense, low-rank or factorized sides) is one
+reduction over the row blocks of blocks.rows of the (unprimed x primed)
+matrix: each side's rows (a view of dense data, or the product of low-rank
+or rank-one factors) are subtracted entry by entry, and |a - b|^2 is
+weighted along rows and columns by the weight of one variable group and
+summed per block; the block sums are fsum'ed in row order.  No
+level-sized temporary is built, and the total does not depend on the
+worker count.  Factors are never concatenated and a low-rank side is
+never reduced through the r x r Gram matrices of its factors: both
+cancel when two kernels are close.
 
 Hierarchy sequences are measured by sum_k xi^k ||gamma^(k)||; solve()
 reports the maximum of that over time nodes.
@@ -36,7 +38,7 @@ from .kernels import (
     HierarchySequence,
     LowRankKernel,
     MarginalKernel,
-    prefix_products,
+    bracket_envelope,
 )
 from .spectral import GridSpec, variable_bracket
 
@@ -82,127 +84,55 @@ def profile_inner(phi_hat: np.ndarray, psi_hat: np.ndarray, grid: GridSpec,
     )
 
 
-def _parts(size: int) -> list:
-    """(start, stop) of the parts accurate_sum splits a flat array of this size into."""
-    nparts = max(1, -(-size // _CHUNK))
-    q, extra = divmod(size, nparts)
-    starts = [i * q + min(i, extra) for i in range(nparts + 1)]
-    return list(zip(starts[:-1], starts[1:]))
-
-
-def _pieces(s: int, e: int, R: int) -> list:
-    """Flat range [s, e) of an (R x R) matrix as (start, row, nrows, col, ncols)
-    pieces: whole rows, or a run of columns within one row."""
-    out = []
-    while s < e:
-        r, c = divmod(s, R)
-        if c or e - s < R:
-            w = min(R - c, e - s)
-            out.append((s, r, 1, c, w))
-            s += w
-        else:
-            nr = (e - s) // R
-            out.append((s, r, nr, 0, R))
-            s += nr * R
-    return out
-
-
-def _factorized_rows(lead: np.ndarray, phi_conj: np.ndarray, k: int, out: np.ndarray):
-    """out[r] = lead[r] x conj(phi) x .. x conj(phi) (k factors), the rows of a
-    factorized kernel's matrix multiplied in materialize()'s order."""
-    rows = lead
-    for _ in range(k - 1):
-        rows = np.multiply.outer(rows, phi_conj).reshape(lead.size, -1)
-    np.multiply.outer(rows, phi_conj, out=out.reshape(rows.shape + phi_conj.shape))
-
-
-def _weighted_sq_total(a, b, alpha: float) -> float:
-    """sum of |a - b|^2 (|a|^2 if b is None) times the bracket weights of all 2k
-    variables; a and b are kernels of one level in any representation, not
-    both factorized.
-
-    One streamed reduction over exactly the parts accurate_sum would split the
-    whole weighted array into.  Each part's difference goes into a buffer and
-    gets np.abs, np.square and the 2k weights in variable order (unprimed ones
-    per row, primed ones per column of the (unprimed x primed) matrix), then
-    np.sum; the part sums are fsum'ed in order.  These are the whole-array
-    formula's operations on the same values, so the total is bitwise its.  A
-    factorized side is formed part by part (prefix product of phi, then the
-    conj(phi) factors), and a low-rank side row slice by row slice (U[rows]
-    times V^H); neither is materialized.
-    """
-    grid, k = a.grid, a.k
+def _streamed_norm(alpha: float, *pair) -> float:
+    """||a - b||_{H^alpha} of a pair of level-k kernels in any representation,
+    not both factorized, or ||a|| of one: the row-block reduction of the
+    module docstring.  Per block, a side multiplied out fills a complex
+    buffer of its own, the difference goes into a complex buffer and
+    |a - b|^2 into a real one, which is weighted in place and summed."""
+    grid, k = pair[0].grid, pair[0].k
     R = grid.M ** (k * grid.n)
-    weights = []
-    if alpha != 0:
-        wb = (variable_bracket(grid) ** (2.0 * alpha)).reshape(-1)
-        m = wb.size
-        weights = [np.tile(np.repeat(wb, m ** (k - 1 - j)), m ** j) for j in range(k)]
+    w = bracket_envelope(grid, k, 2.0 * alpha).reshape(-1)
 
-    def source(kern):
-        """(kern, its flat data | prefix product P_k | (U, V^H))"""
-        if isinstance(kern, FactorizedKernel):
-            return kern, prefix_products(kern.phi_hat.reshape(-1), k)[k]
-        if isinstance(kern, LowRankKernel):
-            return kern, (kern.U, np.conj(kern.V.T))
-        return kern, kern.data.reshape(-1)
-
-    sides = [source(kern) for kern in (a, b) if kern is not None]
-    parts = _parts(R * R)
-    width = parts[0][1] - parts[0][0]
-    # a buffer per side formed part by part
-    formed = sum(not isinstance(kern, MarginalKernel) for kern, _ in sides)
-
-    def rows_into(kern, src, r, nr, out):
-        if isinstance(kern, FactorizedKernel):
-            _factorized_rows(src[r:r + nr], np.conj(kern.phi_hat).reshape(-1), k, out)
-        else:
-            np.matmul(src[0][r:r + nr], src[1], out=out.reshape(nr, R))
-
-    def entries(side, s, e, pieces, vals, row):
-        kern, src = side
+    def rows_of(kern):
         if isinstance(kern, MarginalKernel):
-            return src[s:e]
-        for start, r, nr, c, w in pieces:
-            dest = vals[start - s:start - s + nr * w]
-            if w == R:
-                rows_into(kern, src, r, nr, dest)
-            else:
-                rows_into(kern, src, r, 1, row)
-                dest[:] = row[c:c + w]
-        return vals[:e - s]
+            mat = kern.data.reshape(R, R)
+            return lambda r, out: mat[r]
+        if isinstance(kern, FactorizedKernel):
+            kern = LowRankKernel.from_factorized(kern)
+        U, vh = kern.U, np.conj(kern.V.T)
+        return lambda r, out: np.matmul(U[r], vh, out=out)
 
-    def part_sum(part, buffers):
-        (s, e), (vals, row, sq) = part, buffers
-        pieces = _pieces(s, e, R)
-        x = entries(sides[0], s, e, pieces, vals[0], row)
+    sides = [rows_of(kern) for kern in pair]
+    # a complex buffer per side multiplied out, at least one for a difference
+    ncomplex = max(sum(not isinstance(kern, MarginalKernel) for kern in pair),
+                   len(sides) - 1)
+
+    def block_sum(r, *bufs):
+        *vals, sq = bufs
+        x = sides[0](r, vals[0] if vals else None)
         if len(sides) > 1:
-            x = np.subtract(x, entries(sides[1], s, e, pieces, vals[-1], row),
-                            out=vals[0][:e - s])
-        y = np.abs(x, out=sq[:e - s])
+            x = np.subtract(x, sides[1](r, vals[-1]), out=vals[-1])
+        y = np.abs(x, out=sq)
         np.square(y, out=y)
-        for start, r, nr, c, w in pieces:
-            block = y[start - s:start - s + nr * w].reshape(nr, w)
-            for v in weights:
-                block *= v[r:r + nr, None]
-            for v in weights:
-                block *= v[c:c + w]
+        y *= w[r, None]
+        y *= w
         return float(np.sum(y))
 
-    def scratch():
-        vals = [np.empty(width, dtype=np.complex128) for _ in range(max(1, formed))]
-        return vals, np.empty(R, dtype=np.complex128), np.empty(width)
+    def scratch(shape):
+        return (*(np.empty(shape, dtype=np.complex128) for _ in range(ncomplex)),
+                np.empty(shape))
 
-    return math.fsum(blocks.map_items(part_sum, parts, R * R, scratch))
+    # the column weights as a matrix view: blocks.rows cuts its rows
+    total = math.fsum(blocks.rows(block_sum, np.broadcast_to(w, (R, R)), scratch))
+    return math.sqrt(total * grid.measure_weight ** (2 * k))
 
 
 def sobolev_norm(kernel, alpha: float = 1.0) -> float:
     """H^alpha norm of a kernel in any representation."""
     if isinstance(kernel, FactorizedKernel):
         return profile_norm_sq(kernel.phi_hat, kernel.grid, alpha) ** kernel.k
-    total = _weighted_sq_total(kernel, None, alpha)
-    scale = kernel.grid.measure_weight ** (2 * kernel.k)
-    return math.sqrt(total * scale)
+    return _streamed_norm(alpha, kernel)
 
 
 def _lagrange_gap(phi: np.ndarray, delta: np.ndarray, w: np.ndarray) -> float:
@@ -255,8 +185,7 @@ def level_diff_norm(a, b, alpha: float = 1.0) -> float:
         if np.array_equal(a.phi_hat, b.phi_hat):
             return 0.0
         return _factorized_diff_norm(a, b, alpha)
-    total = _weighted_sq_total(a, b, alpha)
-    return math.sqrt(total * a.grid.measure_weight ** (2 * a.k))
+    return _streamed_norm(alpha, a, b)
 
 
 def weighted_norm(seq: HierarchySequence, params: NormParams) -> float:

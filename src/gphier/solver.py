@@ -448,19 +448,14 @@ class SolvePlan:
     low_rank: frozenset = frozenset()
 
 
-# Transient bytes of a full-size pass beside the levels' arrays, measured:
-# its 2^16-entry block buffer and temporaries (up to 1.3 MB on one pool run)
-# and interpreter objects.
-_SCRATCH = 1_700_000
-
-
-def _gap_bytes(grid: GridSpec, k: int) -> int:
-    """Transient bytes of one streamed norm or gap of level-k kernels, a
-    bound on the measured ones (norms._weighted_sq_total on one pool run): a
-    part's complex and real buffers, a row buffer, the 2k weights, a
-    factorized side's rows and interpreter objects."""
+def _pass_bytes(grid: GridSpec, k: int, buffers: int = 1) -> int:
+    """Transient bytes of one blocks.rows pass or streamed norm over level-k
+    kernels, a bound on the measured ones on one pool run: per row-block
+    entry 16 per complex buffer and 8 for temporaries or a norm's real
+    buffer, the norm weights and rank-one factors (64 per row) and
+    interpreter objects.  A low-rank side's V^H is the caller's."""
     R = grid.M ** (k * grid.n)
-    return 32 * min(R * R, 1 << 16) + 24 * k * R + 120_000
+    return (8 + 16 * buffers) * min(R * R, max(R, blocks.BLOCK)) + 64 * R + 120_000
 
 
 def _contraction_bytes(grid: GridSpec, kp: int, offset: int) -> int:
@@ -496,13 +491,13 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
     initial data).  Beside them are the integrator's
     buffers (2 trapezoid, 6 Simpson) and, at a node's collapse, the
     collapse output, a materialized low-rank source node, a dense
-    collapse's contractions and _SCRATCH, or at its gap the streamed norm's
-    buffers (_gap_bytes).  A low-rank level holds its factors, its
-    integrands' factors and one node in the making.  The final defects of a
-    low-rank level hold one materialized node.  Each further pool run over a
-    level of 2^19 entries or more holds up to 1.3 MB of block scratch, or
-    2.2 MB of norm buffers, that the plan leaves out, so that the plan does
-    not depend on the worker count.
+    collapse's contractions and a pass's block buffers, or at its gap the
+    streamed norm's buffers (both _pass_bytes).  A low-rank level holds its
+    factors, its integrands' factors and one node in the making.  The final
+    defects of a low-rank level hold one materialized node.  Each further
+    pool run over a level of 2^19 entries or more holds up to 1.6 MB of
+    block scratch, or 2.6 MB of norm buffers, that the plan leaves out, so
+    that the plan does not depend on the worker count.
     """
     grid, off, nodes = config.grid, config.offset, config.N_t + 1
     size = grid.kernel_bytes
@@ -526,7 +521,7 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
     held = (sum(size(k) for k in sourced if not dense(k) and k not in low_rank)
             + nodes * sum(size(k) for k in dense_closure))
     # the closure lists' gaps to the initial data
-    peak = max(held + _gap_bytes(grid, k) for k in closure)
+    peak = max(held + _pass_bytes(grid, k) for k in closure)
     collapses = 0
     for k in sorted(sourced, reverse=True):
         src = k + off
@@ -535,26 +530,31 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
             kept = factors(k, 1 + sum(2 * i + 3 for i in range(1, nodes)))
             # the list and integrands, then a node built, phased and gapped
             top = (kept + factors(k, 2 * nodes) + 2 * factors(k, widest)
-                   + _gap_bytes(grid, k) + factors(k, widest) // 2
-                   + 16 * min(rows(k) ** 2, 1 << 16))
+                   + _pass_bytes(grid, k, buffers=2) + factors(k, widest) // 2)
             peak = max(peak, held + top)
             held += kept
             continue
-        work = _SCRATCH + (size(src) if src in low_rank else 0)  # the materialized node
-        if src in sourced | dense_closure:
+        # a dense collapse passes over the source level, other passes over
+        # level k
+        collapse = src in sourced | dense_closure
+        work = (_pass_bytes(grid, src if collapse else k)
+                + (size(src) if src in low_rank else 0))  # the materialized node
+        if collapse:
             work += _contraction_bytes(grid, src, off)
         # the buffers and the growing new list; each node's passes, then its gap
         body = (buffers + nodes) * size(k)
         if config.closure.kind == ZERO_TOP and src in closure:
             # collapsed once, then copied per node
-            top = size(k) + max(work, body + max(_SCRATCH, _gap_bytes(grid, k)))
+            top = size(k) + max(work, body + _pass_bytes(grid, k))
         else:
-            top = body + max(work, _gap_bytes(grid, k))
+            top = body + max(work, _pass_bytes(grid, k))
         peak = max(peak, held + top)
         held += nodes * size(k)
-    # the final norms and defects, a low-rank level's one node at a time
-    peak = max(peak, held + _SCRATCH, *(held + _gap_bytes(grid, k) for k in sourced),
-               *(held + size(k) + max(_SCRATCH, size(k) // grid.M ** grid.n)
+    # the final norms of every level (a dense norm needs no complex buffer)
+    # and the sourced levels' defects, a low-rank level's one node at a time
+    peak = max(peak, *(held + _pass_bytes(grid, k, int(k in sourced))
+                       for k in range(1, config.K + 1)),
+               *(held + size(k) + max(_pass_bytes(grid, k), size(k) // grid.M ** grid.n)
                  for k in low_rank))
     return SolvePlan(collapses, peak, low_rank)
 

@@ -77,7 +77,7 @@ class TestPreflight:
                    "--out", str(out)])
         captured = capsys.readouterr()
         assert rc == 0
-        assert "2.255e+06" in captured.out
+        assert "1.727e+06" in captured.out
         assert (out / "report.json").exists()
         # the solver's sweep, which this run makes exactly
         assert "at most 12 collapse applications" in captured.out
@@ -144,7 +144,7 @@ class TestPreflight:
         rc = main(["solve", "--config", write_cfg(tmp_path, cfg),
                    "--out", str(out)])
         assert rc == 0
-        assert "8.851e+06" in capsys.readouterr().out
+        assert "8.876e+06" in capsys.readouterr().out
         report = json.loads((out / "report.json").read_text())
         assert report["preflight"]["overridden"] is False
         assert report["converged"] is True
@@ -340,6 +340,53 @@ class TestErrorHandling:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: config field {named!r} is invalid")
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("command, section, name", [
+        ("solve", None, "alpha"), ("solve", None, "xi"), ("solve", None, "T"),
+        ("solve", "grid", "L"), ("solve", "profile", "width"),
+        ("solve", "profile", "amplitude"), ("solve", "profile", "center"),
+        ("solve", "profile", "normalize_mass"), ("solve", "profile", "p0"),
+        ("solve", None, "c_hat"), ("compare-nls", None, "compare_alpha"),
+        ("compare-nls", None, "tolerance"), ("verify-lemmas", None, "beta"),
+        ("verify-lemmas", None, "cutoff"), ("estimate-constant", None, "alpha"),
+    ])
+    def test_bool_is_not_a_number(self, tmp_path, capsys, monkeypatch, command,
+                                  section, name, value):
+        # float() would run true as 1.0 and false as 0.0: "normalize_mass":
+        # false scaled the profile to zero
+        calls = []
+        monkeypatch.setattr(cli, "solve", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(cli, "estimate_collapse_constant",
+                            lambda *a, **kw: calls.append(a))
+        cfg = solve_cfg(trials=4)
+        profile = cfg["initial_data"]["profile"]
+        if name == "p0":
+            profile.update(kind="plane_wave", p0=[value])
+        else:
+            {"profile": profile, "grid": cfg["grid"], None: cfg}[section][name] = value
+        rc = main([command, "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: config field {name!r} is invalid")
+        assert calls == []
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    @pytest.mark.parametrize("command, name", [
+        ("solve", "emit_plots"), ("verify-lemmas", "include_endpoint"),
+    ])
+    def test_flag_is_a_json_bool(self, tmp_path, capsys, monkeypatch, command, name,
+                                 value):
+        # read by truthiness, "false" switched the flag on
+        calls = []
+        monkeypatch.setattr(cli, "solve", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(cli, "lemma31_sup_check", lambda *a, **kw: calls.append(a))
+        cfg = solve_cfg(**{name: value})
+        out = tmp_path / "out"
+        rc = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: config field {name!r} is invalid")
+        assert calls == [] and not list(out.glob("*.csv"))
 
     def test_integral_float_is_an_integer(self, tmp_path):
         cfg = solve_cfg(K=3.0, N_t=4.0, grid={"n": 1.0, "L": TWO_PI, "M": 6.0})

@@ -9,6 +9,7 @@ from gphier import blocks
 from gphier.kernels import (
     FactorizedKernel,
     HierarchySequence,
+    LowRankKernel,
     MarginalKernel,
     permute_particles,
     random_test_kernel,
@@ -199,27 +200,30 @@ class TestDiffNorm:
             level_diff_norm(random_dense(GRID, 1, 11), random_dense(GRID, 2, 12))
 
 
-def whole_array_norm(data, grid, k, alpha):
-    """The H^alpha norm as a whole-array formula: |data|^2, the 2k weight
-    passes in variable order, accurate_sum."""
-    acc = np.abs(data) ** 2
-    if alpha != 0:
-        w = variable_bracket(grid) ** (2.0 * alpha)
-        for var in range(2 * k):
-            shape = [1] * (2 * k * grid.n)
-            shape[var * grid.n:(var + 1) * grid.n] = w.shape
-            acc *= w.reshape(shape)
-    return math.sqrt(accurate_sum(acc) * grid.measure_weight ** (2 * k))
+def row_block_norm(data, grid, k, alpha):
+    """The H^alpha norm in the streamed order: |data|^2 times the row, then
+    the column weights of the (unprimed x primed) matrix, summed per
+    blocks.rows row block, the block sums fsum'ed in row order."""
+    R = grid.M ** (k * grid.n)
+    w = np.array(1.0)
+    for _ in range(k):
+        w = np.multiply.outer(w, variable_bracket(grid) ** (2.0 * alpha))
+    w = w.reshape(-1)
+    acc = np.abs(data.reshape(R, R)) ** 2
+    acc *= w[:, None]
+    acc *= w
+    step = max(1, blocks.BLOCK // R)
+    total = math.fsum(float(np.sum(acc[s:s + step])) for s in range(0, R, step))
+    return math.sqrt(total * grid.measure_weight ** (2 * k))
 
 
 class TestStreamedReduction:
-    """Norms and distances streamed part by part equal the whole-array
-    formulas exactly, on one worker or several."""
+    """Norms and distances streamed row block by row block equal the
+    row-block formula exactly for dense sides, and are the same on one
+    worker or several."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("n, M, k", [(1, 10, 3), (2, 4, 2)])
-    def test_bitwise_whole_array_formulas(self, monkeypatch, workers, n, M, k):
-        monkeypatch.setattr(blocks, "WORKERS", workers)
+    def test_row_block_formulas_on_any_worker_count(self, monkeypatch, n, M, k):
         monkeypatch.setattr(blocks, "MIN_POOLED", 0)
         grid = GridSpec(n=n, L=2 * np.pi, M=M)
         a = random_dense(grid, k, seed=20)
@@ -227,15 +231,85 @@ class TestStreamedReduction:
         rng = np.random.default_rng(22)
         lazy = FactorizedKernel(
             grid, k, rng.standard_normal((M,) * n) + 1j * rng.standard_normal((M,) * n))
-        dense_lazy = lazy.materialize().data
-        for alpha in (0.0, 0.6, 1.0, 2.0):
-            assert sobolev_norm(a, alpha) == whole_array_norm(a.data, grid, k, alpha)
-            assert level_diff_norm(a, b, alpha) == whole_array_norm(
-                a.data - b.data, grid, k, alpha)
-            assert level_diff_norm(lazy, a, alpha) == whole_array_norm(
-                dense_lazy - a.data, grid, k, alpha)
-            assert level_diff_norm(a, lazy, alpha) == whole_array_norm(
-                a.data - dense_lazy, grid, k, alpha)
+        dense_lazy = lazy.materialize()
+        mixed = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(blocks, "WORKERS", workers)
+            for alpha in (0.0, 0.6, 1.0, 2.0):
+                assert sobolev_norm(a, alpha) == row_block_norm(a.data, grid, k, alpha)
+                assert level_diff_norm(a, b, alpha) == row_block_norm(
+                    a.data - b.data, grid, k, alpha)
+                # a factorized side's entries are its rank-one product, not
+                # materialize()'s chain of outer products
+                got = (level_diff_norm(lazy, a, alpha), level_diff_norm(a, lazy, alpha))
+                np.testing.assert_allclose(
+                    got, level_diff_norm(dense_lazy, a, alpha), rtol=1e-13)
+                mixed.setdefault(alpha, []).append(got)
+        assert all(one == two for one, two in mixed.values())
+
+
+def long_double_norm(mat, grid, k, alpha):
+    """||mat||_{H^alpha} of a level-k (unprimed x primed) matrix, evaluated
+    in long double."""
+    p2 = np.zeros((grid.M,) * grid.n, dtype=np.longdouble)
+    for p in np.meshgrid(*[grid.momenta] * grid.n, indexing="ij"):
+        p2 += p.astype(np.longdouble) ** 2
+    w1 = ((1 + p2) ** np.longdouble(alpha)).reshape(-1)
+    w = np.ones(1, dtype=np.longdouble)
+    for _ in range(k):
+        w = np.multiply.outer(w, w1).reshape(-1)
+    total = np.sum((mat.real ** 2 + mat.imag ** 2) * w[:, None] * w[None, :])
+    return float(np.sqrt(total * np.longdouble(grid.measure_weight) ** (2 * k)))
+
+
+def long_double_product(phi, k):
+    """The (unprimed x primed) matrix of F(phi, k) in long double."""
+    p = np.ones(1, dtype=np.clongdouble)
+    for _ in range(k):
+        p = np.multiply.outer(p, phi.reshape(-1).astype(np.clongdouble)).reshape(-1)
+    return np.multiply.outer(p, np.conj(p))
+
+
+class TestLongDoubleReference:
+    """Streamed norms and distances agree with a long-double evaluation."""
+
+    @pytest.mark.parametrize("n, M, k", [(1, 8, 3), (2, 4, 2)])
+    @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.0, 2.0])
+    def test_every_pairing_of_sides(self, n, M, k, alpha):
+        grid = GridSpec(n=n, L=2 * np.pi, M=M)
+        R = grid.lattice_size ** k
+        rng = np.random.default_rng(30)
+
+        def cnormal(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        a = random_dense(grid, k, seed=31)
+        b = MarginalKernel(grid, k, a.data + 1e-9 * cnormal(*a.data.shape))
+        lazy = FactorizedKernel(grid, k, cnormal(*(M,) * n))
+        low = LowRankKernel(grid, k, cnormal(R, 3), cnormal(R, 3))
+        exact = {
+            id(a): a.data.reshape(R, R).astype(np.clongdouble),
+            id(b): b.data.reshape(R, R).astype(np.clongdouble),
+            id(lazy): long_double_product(lazy.phi_hat, k),
+            id(low): low.U.astype(np.clongdouble) @ np.conj(low.V.T.astype(np.clongdouble)),
+        }
+        for x in (a, low):
+            np.testing.assert_allclose(
+                sobolev_norm(x, alpha), long_double_norm(exact[id(x)], grid, k, alpha),
+                rtol=1e-13)
+        for x, y in ((a, b), (a, lazy), (low, lazy)):
+            np.testing.assert_allclose(
+                level_diff_norm(x, y, alpha),
+                long_double_norm(exact[id(x)] - exact[id(y)], grid, k, alpha), rtol=1e-13)
+
+    def test_equal_low_rank_factors_are_zero_distance(self):
+        grid = GridSpec(n=1, L=2 * np.pi, M=8)
+        rng = np.random.default_rng(32)
+        U = rng.standard_normal((512, 4)) + 1j * rng.standard_normal((512, 4))
+        V = rng.standard_normal((512, 4)) + 1j * rng.standard_normal((512, 4))
+        a = LowRankKernel(grid, 3, U, V)
+        b = LowRankKernel(grid, 3, U.copy(), V.copy())
+        assert level_diff_norm(a, b, 1.0) == 0.0
 
 
 class TestWeightedNorms:
