@@ -100,6 +100,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _positive(value) -> float:
+    """float(value), refusing a value that is not finite and > 0."""
+    if not 0 < float(value) < np.inf:
+        raise ValueError(f"{value!r} is not a finite positive number")
+    return float(value)
+
+
 def _flag(cfg: dict, name: str, default: bool) -> bool:
     """A field that must be a JSON true or false."""
     value = _field(cfg, name, default)
@@ -145,11 +152,9 @@ def build_interaction(cfg: dict) -> Interaction:
 
 
 def _gaussian_profile(profile: dict, grid: GridSpec) -> np.ndarray:
-    width = _typed(profile, "width", float, required=True)
+    width = _typed(profile, "width", _positive, required=True)
     amplitude = _typed(profile, "amplitude", complex, 1.0)
     center = _typed(profile, "center", float, 0.0)
-    if width <= 0:
-        raise CliError("config field 'initial_data.profile.width' must be positive")
     x = grid.positions - center
     rsq = np.zeros((grid.M,) * grid.n)
     for axis in range(grid.n):
@@ -157,7 +162,7 @@ def _gaussian_profile(profile: dict, grid: GridSpec) -> np.ndarray:
         shape[axis] = grid.M
         rsq = rsq + (x**2).reshape(shape)
     values = amplitude * np.exp(-rsq / (2.0 * width**2))
-    target = _typed(profile, "normalize_mass", float)
+    target = _typed(profile, "normalize_mass", _positive)
     if target is not None:
         have = float(np.sum(np.abs(values) ** 2)) * grid.dx
         if have == 0.0:
@@ -315,6 +320,7 @@ def prepare_output(args, cfg: dict, subcommand: str) -> Path:
             "quadrature": getattr(args, "quadrature", None),
             "closure": getattr(args, "closure", None),
             "override_budget": getattr(args, "override_budget", False),
+            "emit_plots": getattr(args, "emit_plots", False),
         },
     }
     write_json(out / "config_snapshot.json", _jsonable(snapshot))
@@ -377,11 +383,10 @@ def cmd_solve(args) -> int:
     out = prepare_output(args, cfg, "solve")
     gamma0 = build_initial_sequence(cfg, grid, config.K, config.params.xi,
                                     config.budget)
+    c_hat = _typed(cfg, "c_hat", _positive)
     planned = preflight(config, gamma0, args.override_budget)
 
     seed = args.seed if args.seed is not None else _typed(cfg, "seed", _integer, 0)
-
-    c_hat = _typed(cfg, "c_hat", float)
     if c_hat is None:
         c_hat = estimate_collapse_constant(
             config.params.alpha, grid, k_range=(1,), trials=6, seed=seed,
@@ -396,10 +401,6 @@ def cmd_solve(args) -> int:
     payload["preflight"] = planned
     payload["seed"] = seed
     if emit_plots:
-        write_csv(
-            out / "cauchy_distances.csv", ("iteration", "distance"),
-            [(i + 1, d) for i, d in enumerate(report.cauchy_distances)],
-        )
         bound_rows = duhamel_bound_rows(gamma0, config, c_hat)
         write_csv(
             out / "bound_ratio_vs_jk.csv", ("j", "k", "norm", "bound", "ratio"),
@@ -408,7 +409,7 @@ def cmd_solve(args) -> int:
         payload["duhamel"] = bound_rows
     write_json(out / "report.json", _jsonable(payload))
 
-    print(f"solve: one sweep, Cauchy distance {report.cauchy_distances[0]:.3e}, "
+    print(f"solve: one sweep, trajectory norm {report.trajectory_norm:.3e}, "
           f"artifacts in {out}")
     return EXIT_OK
 
@@ -485,7 +486,7 @@ def cmd_compare_nls(args) -> int:
     if _field(data, "kind", "factorized") != "factorized":
         raise CliError("compare-nls requires factorized initial data")
     phi = build_profile(cfg, grid)
-    c_hat = _typed(cfg, "c_hat", float)
+    c_hat = _typed(cfg, "c_hat", _positive)
     substeps = _typed(cfg, "oracle_substeps", _integer, 64)
     if substeps < 1:
         raise CliError("config field 'oracle_substeps' must be >= 1")

@@ -192,7 +192,7 @@ class LowRankKernel:
         rows = self.U.shape[0]
         out = np.empty((rows, rows), dtype=np.complex128)
         vh = np.conj(self.V.T)
-        blocks.rows(lambda r, _: np.matmul(self.U[r], vh, out=out[r]), out)
+        blocks.rows(lambda r: np.matmul(self.U[r], vh, out=out[r]), out, lambda shape: ())
         return out.reshape(self.grid.kernel_shape(self.k))
 
     def materialize(self, budget=None) -> MarginalKernel:

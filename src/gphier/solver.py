@@ -39,18 +39,17 @@ collapses each node materialized, one node at a time; so do the defects.
 
 The collapse is lower triangular and nilpotent, so the fixed point of the
 Duhamel map is a back substitution: level k = D_k(level k+off), from the
-closure down to level 1.  solve() is that one sweep (_step), which
-replaces the levels in descending order: the closure lists replace the
-convention start, then each sourced level k integrates the new level k+off
-(a Gauss-Seidel sweep).  Its levels are bitwise those that full Duhamel
+closure down to level 1.  solve() is that one sweep (_step), which fills
+the levels in descending order: the closure lists first, then each
+sourced level k integrates the new level k+off (a Gauss-Seidel sweep).  Its levels are bitwise those that full Duhamel
 steps (picard_step, the Jacobi map, which reads every source from the
-previous iterate) reach after about K/off steps.  The step takes each new
-node's gap to the node it replaces as the node is produced, and returns
-the per-node gaps, from which solve() forms the Cauchy distance from the
-start.  plan() is the one resource model: it walks the same sweep without
-arrays, picking each sourced level's representation from the initial
-data, and yields the collapse count, the peak bytes and the low-rank
-levels.  solve() and the CLI check that peak against one budget,
+previous iterate) reach after about K/off steps.  A sweep has no
+successive iterates, so solve() measures no distance between them; the
+contraction estimates are checked on picard_step's iterates instead.
+plan() is the one resource model: it walks the same sweep without arrays,
+picking each sourced level's representation from the initial data, and
+yields the collapse count, the peak bytes and the low-rank levels.
+solve() and the CLI check that peak against one budget,
 kernels.kernel_budget.
 
 The expansion terms are Duhamel chains: one helper (_chain) streams a node
@@ -85,6 +84,7 @@ from .kernels import (
     symmetry_defect,
     trace,
 )
+# solve() takes no level_diff_norm; the name stays bound for perfbench/spans.py
 from .norms import NormParams, level_diff_norm, sobolev_norm, weighted_distance, weighted_norm
 from .operators import CUBIC, QUINTIC, Interaction, apply_btilde, apply_free_phase, free_evolve
 from .spectral import GridSpec
@@ -211,13 +211,11 @@ class BoundReport:
 @dataclass
 class RunReport:
     """What solve() measured.  The sweep lands on the fixed point of the
-    Duhamel map, so iterations is 1 and converged is True; the one Cauchy
-    distance is the sweep's from the convention start, in the weight
-    stop_weight."""
+    Duhamel map, so iterations is 1 and converged is True; trajectory_norm
+    is the largest weighted norm over the nodes, in the weight stop_weight."""
 
     iterations: int
     converged: bool
-    cauchy_distances: list
     stop_weight: float
     trace_drift: dict
     hermiticity_defects: dict
@@ -229,7 +227,6 @@ class RunReport:
     planned_bytes: int
     quadrature: str
     closure: str
-    duhamel: list = field(default_factory=list)
 
 
 # -- quadrature ---------------------------------------------------------------
@@ -480,21 +477,22 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
     are narrower than half the M^(kn) rows.  Every other sourced level is
     dense, so dense starts stay on the dense path.
 
-    The closure lists replace the initial data first; then each sourced
+    The closure lists fill their slots first; then each sourced
     level k, in descending order, is integrated once from the new level
     k+off, at one collapse for a zero_top source and N_t+1 otherwise, so
     solve() makes exactly these collapses.  The bytes held are the dense
     copies of factorized sourced levels of gamma0 that are not low rank,
     dense closure lists (free_top on dense data) and the node lists of the
     levels integrated so far.  While a dense level k is integrated its new
-    list grows to N_t+1 nodes, the last one in flight (the old list is the
-    initial data).  Beside them are the integrator's
-    buffers (2 trapezoid, 6 Simpson) and, at a node's collapse, the
-    collapse output, a materialized low-rank source node, a dense
-    collapse's contractions and a pass's block buffers, or at its gap the
-    streamed norm's buffers (both _pass_bytes).  A low-rank level holds its
-    factors, its integrands' factors and one node in the making.  The final
-    defects of a low-rank level hold one materialized node.  Each further
+    list grows to N_t+1 nodes, the last one in flight (solve()'s slots
+    start empty).  Beside them are the integrator's buffers (2 trapezoid,
+    6 Simpson) and, at a node's collapse, the collapse output, a
+    materialized low-rank source node, a dense collapse's contractions and
+    a pass's block buffers, or the node's phase pass (both _pass_bytes).  A
+    low-rank level holds its factors, its integrands' factors and one node
+    in the making.  The final norms of a sourced level, or of a closure
+    level with dense initial data, hold a streamed norm's buffers; the
+    final defects of a low-rank level, one materialized node.  Each further
     pool run over a level of 2^19 entries or more holds up to 1.6 MB of
     block scratch, or 2.6 MB of norm buffers, that the plan leaves out, so
     that the plan does not depend on the worker count.
@@ -520,17 +518,15 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
     buffers = 2 if config.quadrature == TRAPEZOID else 6  # kept integrands, prefixes
     held = (sum(size(k) for k in sourced if not dense(k) and k not in low_rank)
             + nodes * sum(size(k) for k in dense_closure))
-    # the closure lists' gaps to the initial data
-    peak = max(held + _pass_bytes(grid, k) for k in closure)
-    collapses = 0
+    peak, collapses = held, 0
     for k in sorted(sourced, reverse=True):
         src = k + off
         collapses += 1 if config.closure.kind == ZERO_TOP and src in closure else nodes
         if k in low_rank:
             kept = factors(k, 1 + sum(2 * i + 3 for i in range(1, nodes)))
-            # the list and integrands, then a node built, phased and gapped
+            # the list and integrands, then a node built and phased
             top = (kept + factors(k, 2 * nodes) + 2 * factors(k, widest)
-                   + _pass_bytes(grid, k, buffers=2) + factors(k, widest) // 2)
+                   + factors(k, widest) // 2)
             peak = max(peak, held + top)
             held += kept
             continue
@@ -541,7 +537,7 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
                 + (size(src) if src in low_rank else 0))  # the materialized node
         if collapse:
             work += _contraction_bytes(grid, src, off)
-        # the buffers and the growing new list; each node's passes, then its gap
+        # the buffers and the growing new list, then each node's passes
         body = (buffers + nodes) * size(k)
         if config.closure.kind == ZERO_TOP and src in closure:
             # collapsed once, then copied per node
@@ -550,30 +546,28 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
             top = body + max(work, _pass_bytes(grid, k))
         peak = max(peak, held + top)
         held += nodes * size(k)
-    # the final norms of every level (a dense norm needs no complex buffer)
-    # and the sourced levels' defects, a low-rank level's one node at a time
+    # the final norms of the solution and of gamma0 (a dense norm needs no
+    # complex buffer; closure levels of factorized data stay factorized, in
+    # closed form) and the sourced levels' defects, a low-rank level's one
+    # node at a time
     peak = max(peak, *(held + _pass_bytes(grid, k, int(k in sourced))
-                       for k in range(1, config.K + 1)),
+                       for k in range(1, config.K + 1) if k in sourced or dense(k)),
                *(held + size(k) + max(_pass_bytes(grid, k), size(k) // grid.M ** grid.n)
                  for k in low_rank))
     return SolvePlan(collapses, peak, low_rank)
 
 
 def _step(levels: dict, sources: dict, times: np.ndarray, start: dict,
-          closure: dict, config: SolverConfig) -> dict:
-    """One Duhamel step: replace every level's node list in place; returns
-    level -> per-node level_diff_norm(new, old).
+          closure: dict, config: SolverConfig) -> None:
+    """One Duhamel step: replace every level's node list in place.
 
     Levels are replaced in descending order.  A closure level takes its
     closure list; a sourced level k integrates sources[k+off] from start[k]
     (_initial_data).  With sources=levels, level k reads the new level
     k+off, and the step is the descending sweep that lands on the fixed
     point; with the previous iterate's lists it is the Jacobi Duhamel map.
-    Each new node's gap to the old one is taken as the node is produced;
-    then the new node takes the old one's slot.
+    Each new node takes the old one's slot as it is produced.
     """
-    alpha = config.params.alpha
-    gaps = {}
     for k in sorted(levels, reverse=True):
         if k in closure:
             stream = iter(closure[k])
@@ -582,16 +576,11 @@ def _step(levels: dict, sources: dict, times: np.ndarray, start: dict,
                 sources[k + config.offset], times, config.quadrature, start[k],
                 config.grid, k, config.interaction,
             )
-        # no enumerate or zip, and the loop variable deleted: each would hold
-        # a node through the next node's collapse
-        nodes, gap = levels[k], []
-        for new in stream:
-            i = len(gap)
-            gap.append(level_diff_norm(new, nodes[i], alpha))
-            nodes[i] = new
-            del new
-        gaps[k] = gap
-    return gaps
+        # slot by slot: slice assignment, enumerate, zip or a loop variable
+        # would hold a node through the next node's collapse
+        nodes = levels[k]
+        for i in range(len(nodes)):
+            nodes[i] = next(stream)
 
 
 def _trajectory(times: np.ndarray, levels: dict, config: SolverConfig) -> Trajectory:
@@ -699,10 +688,10 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
           c_hat: float | None = None):
     """Sweep to the mild solution; returns (Trajectory, RunReport).
 
-    The one descending sweep lands on the fixed point.  Its Cauchy distance
-    from the convention start is measured in the weighted norm with weight
-    eta = xi - c_hat*T when a collapse constant is supplied (and eta > 0),
-    otherwise with xi itself.
+    The one descending sweep lands on the fixed point.  Every node's
+    H^alpha norm is taken once; a non-finite one is a FloatingPointError.
+    The trajectory norm weighs them with eta = xi - c_hat*T when a collapse
+    constant is supplied (and eta > 0), otherwise with xi itself.
     """
     t_start = time.perf_counter()
     if gamma0.grid != config.grid:
@@ -725,16 +714,11 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
     times = config.times()
     closure = _closure_states(gamma0, config)
     start = _initial_data(gamma0, config, planned.low_rank)
-    # the convention start, which differs from every iterate
-    levels = {k: [gamma0.level(k)] * len(times) for k in range(1, config.K + 1)}
-    gaps = _step(levels, levels, times, start, closure, config)
-    d = max(
-        math.fsum(stop_weight**k * gap[i] for k, gap in gaps.items())
-        for i in range(len(times))
-    )
-    if not math.isfinite(d):
-        raise FloatingPointError("non-finite Cauchy distance")
-    norms = {k: [sobolev_norm(kern, alpha) for kern in levels[k]] for k in gaps}
+    levels = {k: [None] * len(times) for k in range(1, config.K + 1)}
+    _step(levels, levels, times, start, closure, config)
+    norms = {k: [sobolev_norm(kern, alpha) for kern in levels[k]] for k in levels}
+    if not all(math.isfinite(v) for values in norms.values() for v in values):
+        raise FloatingPointError("non-finite trajectory norm")
 
     trace_drift = {}
     hermiticity = {}
@@ -750,7 +734,6 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
     report = RunReport(
         iterations=1,
         converged=True,
-        cauchy_distances=[d],
         stop_weight=stop_weight,
         trace_drift=trace_drift,
         hermiticity_defects=hermiticity,

@@ -77,7 +77,7 @@ class TestPreflight:
                    "--out", str(out)])
         captured = capsys.readouterr()
         assert rc == 0
-        assert "1.727e+06" in captured.out
+        assert "4.067e+05" in captured.out
         assert (out / "report.json").exists()
         # the solver's sweep, which this run makes exactly
         assert "at most 12 collapse applications" in captured.out
@@ -184,8 +184,7 @@ class TestSolveCommand:
             assert main(["solve", "--config", cfg_path, "--out", str(out),
                          "--emit-plots"]) == 0
         names = sorted(path.name for path in out_a.glob("*.csv"))
-        assert names == ["bound_ratio_vs_jk.csv", "cauchy_distances.csv",
-                         "norm_vs_time.csv"]
+        assert names == ["bound_ratio_vs_jk.csv", "norm_vs_time.csv"]
         for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
@@ -199,10 +198,19 @@ class TestSolveCommand:
         assert header == ["j", "k", "norm", "bound", "ratio"]
         # cubic K=3: (j,k) with k + j <= 3, sorted by k, then j
         assert [(int(r[0]), int(r[1])) for r in rows] == [(1, 1), (2, 1), (1, 2)]
-        # one row: the sweep's distance from the convention start
-        header, rows = read_csv_rows(out / "cauchy_distances.csv")
-        assert header == ["iteration", "distance"]
-        assert len(rows) == 1 and rows[0][0] == "1" and float(rows[0][1]) > 0.0
+        report = json.loads((out / "report.json").read_text())
+        assert [(row["j"], row["k"]) for row in report["duhamel"]] == [(1, 1), (2, 1), (1, 2)]
+
+    @pytest.mark.parametrize("emit_plots", [True, False])
+    def test_snapshot_records_emit_plots(self, tmp_path, emit_plots):
+        # re-running a snapshot writes the same tables only if it knows the flag
+        out = tmp_path / "out"
+        rc = main(["solve", "--config", write_cfg(tmp_path, solve_cfg()),
+                   "--out", str(out)] + ["--emit-plots"] * emit_plots)
+        assert rc == 0
+        snapshot = json.loads((out / "config_snapshot.json").read_text())
+        assert snapshot["overrides"]["emit_plots"] is emit_plots
+        assert (out / "bound_ratio_vs_jk.csv").exists() is emit_plots
 
     def test_plane_wave_initial_data(self, tmp_path):
         cfg = solve_cfg(initial_data={
@@ -387,6 +395,28 @@ class TestErrorHandling:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: config field {name!r} is invalid")
         assert calls == [] and not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("command, section, name, value", [
+        ("solve", None, "c_hat", -1.0), ("solve", None, "c_hat", 0.0),
+        ("solve", None, "c_hat", math.inf), ("solve", None, "c_hat", math.nan),
+        ("compare-nls", None, "c_hat", -1.0),
+        ("solve", "profile", "normalize_mass", -1.0),
+        ("solve", "profile", "normalize_mass", 0.0),
+        ("solve", "profile", "normalize_mass", math.inf),
+        ("compare-nls", "profile", "normalize_mass", -1.0),
+    ])
+    def test_positive_field_refuses_other_numbers(self, tmp_path, capsys, command,
+                                                  section, name, value):
+        # c_hat = -1 made every odd-j Duhamel bound negative; normalize_mass
+        # = -1 ran the whole solve on a NaN profile
+        cfg = solve_cfg()
+        (cfg["initial_data"]["profile"] if section else cfg)[name] = value
+        rc = main([command, "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config field {name!r} is invalid")
+        assert "preflight" not in captured.out
 
     def test_integral_float_is_an_integer(self, tmp_path):
         cfg = solve_cfg(K=3.0, N_t=4.0, grid={"n": 1.0, "L": TWO_PI, "M": 6.0})

@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,22 @@ class TestLowRankKernel:
         np.testing.assert_allclose(dense.data.reshape(rows, rows),
                                    lr.U @ lr.V.conj().T, rtol=1e-14, atol=1e-14)
         assert lr.rank == 5
+
+    def test_materialize_allocates_only_its_output(self):
+        # an M=8, k=3, rank-19 node: the row-block products need no scratch
+        lr = random_low_rank(GridSpec(1, 2 * np.pi, 8), 3, 19, seed=4)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            dense = lr.dense()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - dense.nbytes < 500_000
 
     def test_factor_shapes_validated(self):
         lr = random_low_rank(GRID, 2, 3, seed=2)

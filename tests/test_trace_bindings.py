@@ -69,7 +69,7 @@ def test_traced_calls_stay_on_the_calling_thread(monkeypatch):
 
     names = {name for name, _ in calls}
     for expected in ("gphier.solver.apply_btilde", "gphier.solver.apply_free_phase",
-                     "gphier.solver.level_diff_norm", "gphier.solver.hermiticity_defect",
+                     "gphier.solver.sobolev_norm", "gphier.solver.hermiticity_defect",
                      "gphier.verify.collapse_b1", "gphier.verify.random_test_kernel"):
         assert expected in names
     assert {ident for _, ident in calls} == {threading.get_ident()}
