@@ -13,11 +13,15 @@ A kernel has one of three representations:
   evolution, norms, traces and collapses all have exact closed forms for it,
   which is what makes deep hierarchy levels affordable;
 - low rank (LowRankKernel): the (unprimed x primed) matrix as U V^H, with
-  every column kept as built.  A collapse of a factorized kernel is one, and
-  so is a Duhamel node sourced by a factorized closure.  Free evolution
-  scales the rows of the factors; norms, distances and traces stream the
-  matrix row slice by row slice; everything else materializes one kernel
-  at a time (as_dense) and runs the dense code.
+  every column kept as built.  A collapse of a factorized or low-rank
+  kernel is one, and so is a Duhamel node sourced by a factorized closure.
+  Free evolution scales the rows of the factors and traces pair their
+  rows; distances stream the matrix row slice by row slice.  The Frobenius
+  and H^alpha norms and both defects use ||X Y^H|| = ||R Y^H|| with R from
+  a Householder QR of X (thin_r): the product has inner dimension at most
+  2r, and no level-sized array is built.  LowRankKernel.dense multiplies
+  the factors out for a caller that needs the array: the solver's dense
+  integrands, or a kernel saved to a file (as_dense).
 """
 
 from __future__ import annotations
@@ -341,28 +345,98 @@ def _sq_norm(a: np.ndarray, out: np.ndarray) -> float:
     return float(np.sum(np.square(a.view(np.float64), out=out.view(np.float64))))
 
 
-def frobenius_norm(kernel: MarginalKernel) -> float:
-    """||data||, the row-block sums of the (unprimed x primed) matrix added
-    in block order: the scale both defects divide by."""
+def thin_r(x: np.ndarray) -> np.ndarray:
+    """R of a Householder QR of the tall matrix x (rows x c): c x c, upper
+    triangular, with x = Q R for some Q with orthonormal columns.
+
+    Every reduction over the long axis (column norms and the reflectors'
+    inner products) is numpy's pairwise sum, not BLAS, so R does not depend
+    on the BLAS thread count (LAPACK's does).
+    """
+    m, c = x.shape
+    a = np.array(x.T, dtype=np.complex128, order="C")  # row j is column j of x
+    r = np.zeros((c, c), dtype=np.complex128)
+    buf = np.empty_like(a)
+    v = np.zeros(m, dtype=np.complex128)
+    for j in range(min(m, c)):
+        # whole rows, so that every operand is contiguous; v is 0 before j
+        tail, t = a[j + 1:], buf[:c - j - 1]
+        norm = math.sqrt(_sq_norm(a[j, j:], buf[-1, j:]))
+        if norm != 0.0:
+            # H = I - v v^H / (norm (norm + |x0|)) maps column j to alpha e_j
+            x0 = a[j, j]
+            alpha = -(x0 / abs(x0) if x0 != 0 else 1.0) * norm
+            v[:j] = 0.0
+            v[j:] = a[j, j:]
+            v[j] -= alpha
+            np.multiply(tail, np.conj(v), out=t)
+            w = np.sum(t, axis=1) / (norm * (norm + abs(x0)))
+            np.multiply(w[:, None], v, out=t)
+            tail -= t
+            r[j, j] = alpha
+        r[j, j + 1:] = tail[:, j]
+    return r
+
+
+def product_norm(x: np.ndarray, y: np.ndarray) -> float:
+    """||x y^H||_F for tall x and y of one shape, as ||R y^H||_F with R =
+    thin_r(x): a product of inner dimension x.shape[1], never the rows x
+    rows matrix, and no Gram matrix (x^H x loses half the digits)."""
+    return _r_product_norm(thin_r(x), y)
+
+
+def _r_product_norm(r: np.ndarray, y: np.ndarray) -> float:
+    """||r y^H||_F, formed as its entrywise conjugate conj(r) y^T."""
+    prod = np.conj(r) @ y.T
+    return math.sqrt(_sq_norm(prod, prod))
+
+
+def _swapped_rows(kernel: "LowRankKernel", factor: np.ndarray, i: int) -> np.ndarray:
+    """Theta_i applied to the rows of a factor: particles 0 and i swapped."""
+    k, n, M = kernel.k, kernel.grid.n, kernel.grid.M
+    sigma = list(range(k))
+    sigma[0], sigma[i] = sigma[i], sigma[0]
+    axes = _sigma_axes(sigma, k, n)[:k * n] + [k * n]
+    return factor.reshape((M,) * (k * n) + (-1,)).transpose(axes).reshape(factor.shape)
+
+
+def frobenius_norm(kernel) -> float:
+    """||gamma||_F, the scale both defects divide by.  Dense: the row-block
+    sums of the (unprimed x primed) matrix added in block order; low rank:
+    ||R_U V^H|| (product_norm)."""
+    if isinstance(kernel, LowRankKernel):
+        return product_norm(kernel.U, kernel.V)
     rows = kernel.grid.M ** (kernel.k * kernel.grid.n)
     mat = kernel.data.reshape(rows, rows)
     return math.sqrt(sum(blocks.rows(lambda r, buf: _sq_norm(mat[r], buf), mat)))
 
 
-def symmetry_defect(kernel: MarginalKernel, scale: float | None = None) -> float:
+def symmetry_defect(kernel, scale: float | None = None) -> float:
     """Largest relative deviation from Theta_sigma invariance over swaps.
 
-    scale is frobenius_norm(kernel), computed here if not given.  Each swap
-    difference is formed one leading-axis slice at a time, in a buffer per
-    run of slices, the runs spread over the block pool; the slice sums are
-    added in slice order.
+    scale is frobenius_norm(kernel), computed here if not given.  A dense
+    kernel's swap difference is formed one leading-axis slice at a time, in
+    a buffer per run of slices, the runs spread over the block pool; the
+    slice sums are added in slice order.  For a low-rank one, Theta is an
+    involution, so with the row projections P+- = (1 +- Theta) / 2 the
+    difference gamma - Theta gamma Theta is 2 (P+ gamma P- + P- gamma P+),
+    two orthogonal blocks of r columns each: (U + Theta U)(V - Theta V)^H
+    and (U - Theta U)(V + Theta V)^H, normed by product_norm.
     """
     k, n = kernel.k, kernel.grid.n
-    data = kernel.data
     if scale is None:
         scale = frobenius_norm(kernel)
     if scale == 0.0:
         return 0.0
+    if isinstance(kernel, LowRankKernel):
+        U, V = kernel.U, kernel.V
+        worst = 0.0
+        for i in range(1, k):
+            su, sv = _swapped_rows(kernel, U, i), _swapped_rows(kernel, V, i)
+            total = product_norm(U + su, V - sv) ** 2 + product_norm(U - su, V + sv) ** 2
+            worst = max(worst, math.sqrt(total) / (2.0 * scale))
+        return worst
+    data = kernel.data
     worst = 0.0
     for i in range(1, k):
         sigma = list(range(k))
@@ -378,19 +452,30 @@ def symmetry_defect(kernel: MarginalKernel, scale: float | None = None) -> float
     return worst
 
 
-def hermiticity_defect(kernel: MarginalKernel, scale: float | None = None) -> float:
+def hermiticity_defect(kernel, scale: float | None = None) -> float:
     """||gamma - gamma^*|| / ||gamma||, without forming the adjoint.
 
     scale is ||gamma|| = frobenius_norm(kernel), computed here if not given.
-    The squared difference is summed over _TILE x _TILE tiles of the
-    (unprimed, primed) matrix; tile (j, i) of gamma - gamma^* is minus the
-    conjugate transpose of tile (i, j), so only tiles with j >= i are formed.
+    For a low-rank kernel gamma - gamma^* = [U, V] [V, -U]^H, normed by
+    product_norm, and a missing scale comes from the same R: R[:, :r] V^H.
+    For a dense one the squared difference is summed over _TILE x _TILE
+    tiles of the (unprimed, primed) matrix; tile (j, i) of gamma - gamma^*
+    is minus the conjugate transpose of tile (i, j), so only tiles with
+    j >= i are formed.
     A row of full tiles is differenced in two passes into a buffer that
     holds each tile contiguously, squared in place and summed per tile by
     numpy (not BLAS); ragged edge tiles go one at a time.  Tile rows go to
     the block pool, each run with one strip buffer, and the tile sums are
     added in row-major tile order.
     """
+    if isinstance(kernel, LowRankKernel):
+        U, V = kernel.U, kernel.V
+        r = thin_r(np.hstack([U, V]))
+        if scale is None:
+            scale = _r_product_norm(r[:, :U.shape[1]], V)
+        if scale == 0.0:
+            return 0.0
+        return _r_product_norm(r, np.hstack([V, -U])) / scale
     rows = kernel.grid.M ** (kernel.k * kernel.grid.n)
     mat = kernel.data.reshape(rows, rows)
     if scale is None:

@@ -10,16 +10,19 @@ variable.  A factorized kernel never needs materializing:
 ||F(phi, k)||_{H^alpha} equals ||phi||_{H^alpha}^(2k), and differences of two
 factorized kernels reduce to one-particle inner products.
 
-Every other norm or distance (dense, low-rank or factorized sides) is one
-reduction over the row blocks of blocks.rows of the (unprimed x primed)
-matrix: each side's rows (a view of dense data, or the product of low-rank
-or rank-one factors) are subtracted entry by entry, and |a - b|^2 is
-weighted along rows and columns by the weight of one variable group and
-summed per block; the block sums are fsum'ed in row order.  No
-level-sized temporary is built, and the total does not depend on the
-worker count.  Factors are never concatenated and a low-rank side is
-never reduced through the r x r Gram matrices of its factors: both
-cancel when two kernels are close.
+The norm of a low-rank kernel U V^H is ||(D U)(D V)^H|| with D the
+square root of the row weight, taken from a Householder QR of D U
+(kernels.product_norm): a product of inner dimension r, never the
+M^(kn) x M^(kn) matrix.  Every other norm or distance (dense, low-rank
+or factorized sides) is one reduction over the row blocks of blocks.rows
+of the (unprimed x primed) matrix: each side's rows (a view of dense
+data, or the product of low-rank or rank-one factors) are subtracted
+entry by entry, and |a - b|^2 is weighted along rows and columns by the
+weight of one variable group and summed per block; the block sums are
+fsum'ed in row order.  No level-sized temporary is built, and the total
+does not depend on the worker count.  The two sides' factors are never
+concatenated and a low-rank side is never reduced through the r x r Gram
+matrices of its factors: both cancel when two kernels are close.
 
 Hierarchy sequences are measured by sum_k xi^k ||gamma^(k)||; solve()
 reports the maximum of that over time nodes.
@@ -39,6 +42,7 @@ from .kernels import (
     LowRankKernel,
     MarginalKernel,
     bracket_envelope,
+    product_norm,
 )
 from .spectral import GridSpec, variable_bracket
 
@@ -129,9 +133,15 @@ def _streamed_norm(alpha: float, *pair) -> float:
 
 
 def sobolev_norm(kernel, alpha: float = 1.0) -> float:
-    """H^alpha norm of a kernel in any representation."""
+    """H^alpha norm of a kernel in any representation.  A low-rank kernel's
+    is ||(D U)(D V)^H|| with D the square root of the row weight, taken by
+    kernels.product_norm from the factors alone."""
     if isinstance(kernel, FactorizedKernel):
         return profile_norm_sq(kernel.phi_hat, kernel.grid, alpha) ** kernel.k
+    if isinstance(kernel, LowRankKernel):
+        grid, k = kernel.grid, kernel.k
+        d = bracket_envelope(grid, k, alpha).reshape(-1, 1)
+        return product_norm(d * kernel.U, d * kernel.V) * grid.measure_weight ** k
     return _streamed_norm(alpha, kernel)
 
 

@@ -33,10 +33,14 @@ gives the one-level vector S = sum_j sign_j phi x .. h (slot j) .. x phi of
 size M^(kn), built from the prefix products P_i = phi^(x i); the output is
 the low-rank kernel S_1 x conj(P_k) + P_k x conj(S_2), with factors
 U = [S_1, P_k] and V = [P_k, S_2].  It matches the dense path to rounding.
-A low-rank input is materialized (one kernel at a time) and collapsed on
-the dense path.  free_evolve keeps the representation: it scales the
-profile of a factorized kernel, the rows of both factors of a low-rank one
-and the whole array of a dense one.
+A low-rank input U V^H is collapsed from its factors, into a LowRankKernel
+too: each factor's rows are summed over the contracted variables of one
+lattice-index sum sigma (U_bar, V_bar), and the shift of particle j by
+tau - sigma acts on U_bar (unprimed terms) or V_bar (primed terms), with
+2 T r output columns for T index sums (_collapse_low_rank); no
+level-sized array is built.  free_evolve keeps the representation: it
+scales the profile of a factorized kernel, the rows of both factors of a
+low-rank one and the whole array of a dense one.
 
 Full-size passes (the free phase) run over the (unprimed x primed) matrix
 view of a kernel in the row blocks of blocks.rows, spread over the block
@@ -216,15 +220,13 @@ def cubic_contractions(kernel: MarginalKernel) -> list:
     return list(zip(shifts, outs))
 
 
-def _shift_add(out: np.ndarray, src: np.ndarray, block: int, n: int, M: int, c, sign: int,
-               direction: int):
-    """out[block idx] += sign * src[idx - direction*c], truncated; every |c_a| < M."""
+def _shift_add(out: np.ndarray, src: np.ndarray, shifts, sign: int):
+    """out[idx] += sign * src[idx - c], with idx shifted by c along each
+    (axis, c) of shifts and truncated to the overlap (_offset_ranges)."""
     sl_out = [slice(None)] * out.ndim
     sl_src = [slice(None)] * src.ndim
-    for a in range(n):
-        o, s = _offset_ranges(M, direction * c[a])
-        sl_out[block * n + a] = o
-        sl_src[block * n + a] = s
+    for axis, c in shifts:
+        sl_out[axis], sl_src[axis] = _offset_ranges(out.shape[axis], c)
     if sign > 0:
         out[tuple(sl_out)] += src[tuple(sl_src)]
     else:
@@ -269,9 +271,8 @@ def collapse(kernel, interaction: Interaction, terms=None, contractions=None):
     or its quintic analogue), side 2 the primed one, and sign +1 or -1.  The
     default is B^(k) = sum_j (T1_j - T2_j).  contractions, if given, is
     cubic_contractions(kernel) for a dense kernel and a cubic interaction.
-    A factorized kernel gives a LowRankKernel, any other a MarginalKernel;
-    a low-rank kernel is materialized first, without a budget check (a
-    solve's plan counts it).
+    A factorized or low-rank kernel gives a LowRankKernel, a dense one a
+    MarginalKernel.
     """
     offset = interaction.source_offset
     k = kernel.k - offset
@@ -285,7 +286,7 @@ def collapse(kernel, interaction: Interaction, terms=None, contractions=None):
     if isinstance(kernel, FactorizedKernel):
         return _collapse_factorized(kernel, terms, offset)
     if isinstance(kernel, LowRankKernel):
-        kernel = MarginalKernel(kernel.grid, kernel.k, kernel.dense())
+        return _collapse_low_rank(kernel, terms, offset)
     grid = kernel.grid
     n, M = grid.n, grid.M
     # the output is allocated below the contractions on the heap, so that
@@ -296,7 +297,8 @@ def collapse(kernel, interaction: Interaction, terms=None, contractions=None):
     for c, C in contractions:
         for j, side, sign in terms:
             block = (j - 1) if side == 1 else (k + j - 1)
-            _shift_add(out, C, block, n, M, c, sign, 1 if side == 1 else -1)
+            direction = 1 if side == 1 else -1
+            _shift_add(out, C, [(block * n + a, direction * c[a]) for a in range(n)], sign)
     out *= grid.measure_weight ** (2 * offset)
     return MarginalKernel(grid, k, out)
 
@@ -379,3 +381,61 @@ def _collapse_factorized(kernel: FactorizedKernel, terms, offset: int) -> LowRan
         pairs.append((p, sums[2]))
     return LowRankKernel(grid, k, np.column_stack([u for u, _ in pairs]),
                          np.column_stack([v for _, v in pairs]))
+
+
+# -- low-rank path -------------------------------------------------------------
+
+def _grouped(factor: np.ndarray, rows: int, M: int, n: int, offset: int) -> np.ndarray:
+    """[p, sigma, c] -> the sum of factor[(p, q), c] over the contracted
+    variables q whose lattice indices sum to sigma (per component), shape
+    (rows, G, .., G, r): G = M for one contracted variable (a view of the
+    factor), 2M - 1 for two."""
+    f = factor.reshape((rows,) + (M,) * (offset * n) + factor.shape[-1:])
+    if offset == 1:
+        return f
+    out = np.zeros((rows,) + (2 * M - 1,) * n + factor.shape[-1:], dtype=factor.dtype)
+    for q1 in product(range(M), repeat=n):
+        out[(slice(None),) + tuple(slice(a, a + M) for a in q1)] += f[(slice(None),) + q1]
+    return out
+
+
+def _shifted_sum(src: np.ndarray, out: np.ndarray, side_terms, k: int, n: int,
+                 M: int) -> None:
+    """out[tau] = sum_j sign_j sum_sigma shift_j(src[sigma], tau - sigma): for
+    arrays of shape (M,)*(kn) + (G,)*n + (r,), particle j's momentum moves
+    by tau - sigma, with the band-limit truncation of _offset_ranges."""
+    out[...] = 0.0
+    for j, sign in side_terms:
+        for d in product(range(-(M - 1), M), repeat=n):
+            _shift_add(out, src, [((j - 1) * n + a, -d[a]) for a in range(n)]
+                       + [(k * n + a, d[a]) for a in range(n)], sign)
+
+
+def _collapse_low_rank(kernel: LowRankKernel, terms, offset: int) -> LowRankKernel:
+    """collapse of U V^H from its factors, as a LowRankKernel.
+
+    With each factor's rows written as (kept p, contracted q), U_bar[sigma]
+    and V_bar[sigma] sum the rows over every q of lattice-index sum sigma
+    (T = M^n groups for cubic, (2M-1)^n for quintic).  The unprimed terms
+    give Z[tau] = sum_j sign_j sum_sigma shift_j(U_bar[sigma], tau - sigma)
+    against V_bar[tau], the primed ones U_bar[tau] against the same sum Z'
+    over V_bar.  The factors are [Z, U_bar] and [V_bar, Z'], for the sides
+    present: T r columns per side, with the measure weight on the U side.
+    """
+    grid = kernel.grid
+    n, M = grid.n, grid.M
+    k = kernel.k - offset
+    rows, r = M ** (k * n), kernel.rank
+    G = M if offset == 1 else 2 * M - 1
+    slot = {side: i for i, side in enumerate(sorted({side for _, side, _ in terms}))}
+    U = np.empty((rows, len(slot)) + (G,) * n + (r,), dtype=np.complex128)
+    V = np.empty_like(U)
+    bars = [_grouped(factor, rows, M, n, offset) for factor in (kernel.U, kernel.V)]
+    split = (M,) * (k * n) + (G,) * n + (r,)
+    for side, i in slot.items():
+        shifted, kept = (U, V) if side == 1 else (V, U)
+        _shifted_sum(bars[side - 1].reshape(split), shifted[:, i].reshape(split, copy=False),
+                     [(j, sign) for j, s, sign in terms if s == side], k, n, M)
+        kept[:, i] = bars[2 - side]
+    U *= grid.measure_weight ** (2 * offset)
+    return LowRankKernel(grid, k, U.reshape(rows, -1), V.reshape(rows, -1))

@@ -35,7 +35,10 @@ stay narrow.  The collapse of a factorized source is then a rank-two
 LowRankKernel, and node i is the initial data's column plus the quadrature-
 weighted integrand columns, phased by scaling the factors' rows, with no
 level-sized pass (_low_rank_nodes).  A dense level sourced by a low-rank one
-collapses each node materialized, one node at a time; so do the defects.
+collapses each node from its factors (operators._collapse_low_rank, 2 T r
+columns) and multiplies only that integrand out; the norms and defects of
+a low-rank node come from a thin QR of its factors.  No low-rank node is
+ever multiplied out.
 
 The collapse is lower triangular and nilpotent, so the fixed point of the
 Duhamel map is a back substitution: level k = D_k(level k+off), from the
@@ -323,21 +326,29 @@ class _PrefixIntegrator:
                             *self.window[-4:])
 
 
-def _integrands(sources, times, grid, k, interaction):
-    """Yields g_i = U0(-t_i) Btilde src_i, node by node: a LowRankKernel for
-    a factorized source, else a dense array.  A list source that is the same
-    object at every node is collapsed once."""
+def _integrands(sources, times, interaction, dense: bool):
+    """Yields g_i = U0(-t_i) Btilde src_i, node by node: a dense array, or
+    for a factorized or low-rank source a LowRankKernel unless dense.  A
+    list source that is the same object at every node is collapsed once."""
     constant = None
     if isinstance(sources, list) and all(src is sources[0] for src in sources):
         constant = apply_btilde(sources[0], interaction)
     for i, src in enumerate(sources):
-        out = constant if constant is not None else apply_btilde(src, interaction)
-        if isinstance(out, LowRankKernel):
-            yield free_evolve(out, -times[i])
-        elif constant is None:
-            yield apply_free_phase(out.data, grid, k, -times[i])
-        else:
-            yield apply_free_phase(np.empty_like(out.data), grid, k, -times[i], out.data)
+        # no local holds a collapse output or its phased copy through the
+        # next node's collapse
+        yield _integrand(constant if constant is not None else apply_btilde(src, interaction),
+                         -times[i], constant is not None, dense)
+
+
+def _integrand(out, t: float, shared: bool, dense: bool):
+    """U0(t) of a collapse output: the factors' rows phased (then multiplied
+    out if dense), or a dense array phased in place (into a copy if shared)."""
+    if isinstance(out, LowRankKernel):
+        g = free_evolve(out, t)
+        return g.dense() if dense else g
+    if not shared:
+        return apply_free_phase(out.data, out.grid, out.k, t)
+    return apply_free_phase(np.empty_like(out.data), out.grid, out.k, t, out.data)
 
 
 def _duhamel_nodes(sources, times, rule, start, grid, k, interaction):
@@ -356,16 +367,14 @@ def _duhamel_nodes(sources, times, rule, start, grid, k, interaction):
         return
     integ = _PrefixIntegrator(rule, times[1] - times[0])
     base = () if start is None else (start,)
-    for i, g in enumerate(_integrands(sources, times, grid, k, interaction)):
-        if isinstance(g, LowRankKernel):
-            g = g.dense()
+    for i, g in enumerate(_integrands(sources, times, interaction, dense=True)):
         prefix = integ.push(g)
         yield MarginalKernel(
             grid, k, apply_free_phase(np.empty_like(prefix), grid, k, times[i], *base, prefix))
 
 
 def _low_rank_nodes(sources, times, rule, start, interaction):
-    """_duhamel_nodes for a low-rank start and factorized sources.
+    """_duhamel_nodes for a low-rank start and a list of factorized sources.
 
     Node i is U0(t_i) of the factors [start.U, w_i0 U_0, w_i1 U_1, ..] and
     [start.V, V_0, V_1, ..], with g_j = U_j V_j^H and w_i the quadrature
@@ -374,12 +383,12 @@ def _low_rank_nodes(sources, times, rule, start, interaction):
     columns (node 0 only start's).  The integrands' factors are kept until
     the last node.
     """
+    if not all(isinstance(src, FactorizedKernel) for src in sources):
+        raise TypeError("a low-rank level needs a factorized source at every node")
     weights = _PrefixIntegrator(rule, times[1] - times[0])
     onehot = np.eye(len(times))
     us, vs = [], []
-    for i, g in enumerate(_integrands(sources, times, start.grid, start.k, interaction)):
-        if not isinstance(g, LowRankKernel):
-            raise TypeError("a low-rank level needs a factorized source at every node")
+    for i, g in enumerate(_integrands(sources, times, interaction, dense=False)):
         us.append(g.U)
         vs.append(g.V)
         w = weights.push(onehot[i])
@@ -449,10 +458,27 @@ def _pass_bytes(grid: GridSpec, k: int, buffers: int = 1) -> int:
     """Transient bytes of one blocks.rows pass or streamed norm over level-k
     kernels, a bound on the measured ones on one pool run: per row-block
     entry 16 per complex buffer and 8 for temporaries or a norm's real
-    buffer, the norm weights and rank-one factors (64 per row) and
-    interpreter objects.  A low-rank side's V^H is the caller's."""
+    buffer, the norm weights and rank-one factors (64 per row), and an
+    allowance for interpreter objects and the iterator buffers numpy fills
+    for broadcast operands (the norm's row and column weights, the phase's
+    outer product): 8 kB plus 32 per block entry, at most 120 kB.  Those
+    buffers hold no more than a block's entries, so on small levels the
+    allowance shrinks with the block.  A low-rank side's V^H is the
+    caller's."""
     R = grid.M ** (k * grid.n)
-    return (8 + 16 * buffers) * min(R * R, max(R, blocks.BLOCK)) + 64 * R + 120_000
+    entries = min(R * R, max(R, blocks.BLOCK))
+    return (8 + 16 * buffers) * entries + 64 * R + min(120_000, 8_192 + 32 * entries)
+
+
+def _qr_bytes(rows: int, columns: int) -> int:
+    """Transient bytes of a low-rank defect with rows x columns factor
+    stacks: the stack [U, V], its QR's copy and update buffer, reflector
+    and R (kernels.thin_r) and numpy's two iterator buffers for a broadcast
+    product, or then the other stack and its product with R.  The symmetry
+    defect's swapped factors, projections and two half-width QRs hold as
+    much."""
+    entries = rows * columns
+    return 16 * (3 * entries + 2 * rows + columns**2 + 2 * min(entries, np.getbufsize()))
 
 
 def _contraction_bytes(grid: GridSpec, kp: int, offset: int) -> int:
@@ -486,13 +512,17 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
     levels integrated so far.  While a dense level k is integrated its new
     list grows to N_t+1 nodes, the last one in flight (solve()'s slots
     start empty).  Beside them are the integrator's buffers (2 trapezoid,
-    6 Simpson) and, at a node's collapse, the collapse output, a
-    materialized low-rank source node, a dense collapse's contractions and
-    a pass's block buffers, or the node's phase pass (both _pass_bytes).  A
-    low-rank level holds its factors, its integrands' factors and one node
-    in the making.  The final norms of a sourced level, or of a closure
-    level with dense initial data, hold a streamed norm's buffers; the
-    final defects of a low-rank level, one materialized node.  Each further
+    6 Simpson) and, at a node's collapse, the collapse output, a dense
+    collapse's contractions and a pass's block buffers, or the node's phase
+    pass (both _pass_bytes).  The collapse of a low-rank source node is
+    low rank, 2 T r columns for T lattice-index sums: its factors, their
+    phased copy and the conjugate V^H that multiplies the dense integrand
+    out.  A low-rank level holds its factors, its integrands' factors and
+    one node in the making.  The final norms of a dense sourced level, or of
+    a closure level with dense initial data, hold a streamed norm's
+    buffers; the final defects of a low-rank level, a thin QR's workspace
+    (_qr_bytes).  The trajectory's own interpreter objects, about 2 kB per
+    node and level, count at the end, with a 32 kB floor.  Each further
     pool run over a level of 2^19 entries or more holds up to 1.6 MB of
     block scratch, or 2.6 MB of norm buffers, that the plan leaves out, so
     that the plan does not depend on the worker count.
@@ -508,6 +538,8 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
         return grid.M ** (k * grid.n)
 
     widest = 2 * config.N_t + 3  # columns of the last node of a low-rank level
+    # lattice-index sums of the contracted variables (operators._collapse_low_rank)
+    groups = (grid.M if off == 1 else 2 * grid.M - 1) ** grid.n
     low_rank = frozenset(k for k in sourced if k + off in closure and not dense(k)
                          and not dense(k + off) and 2 * widest < rows(k))
 
@@ -530,13 +562,15 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
             peak = max(peak, held + top)
             held += kept
             continue
-        # a dense collapse passes over the source level, other passes over
-        # level k
-        collapse = src in sourced | dense_closure
-        work = (_pass_bytes(grid, src if collapse else k)
-                + (size(src) if src in low_rank else 0))  # the materialized node
-        if collapse:
-            work += _contraction_bytes(grid, src, off)
+        if src in low_rank:
+            # the collapse's factors (2 T r columns), their phased copy and
+            # the conjugate V^H the dense integrand is multiplied out with
+            work = 5 * factors(k, 2 * groups * widest) // 2 + _pass_bytes(grid, k)
+        elif src in sourced | dense_closure:
+            # a dense collapse passes over the source level
+            work = _pass_bytes(grid, src) + _contraction_bytes(grid, src, off)
+        else:
+            work = _pass_bytes(grid, k)
         # the buffers and the growing new list, then each node's passes
         body = (buffers + nodes) * size(k)
         if config.closure.kind == ZERO_TOP and src in closure:
@@ -548,12 +582,14 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
         held += nodes * size(k)
     # the final norms of the solution and of gamma0 (a dense norm needs no
     # complex buffer; closure levels of factorized data stay factorized, in
-    # closed form) and the sourced levels' defects, a low-rank level's one
-    # node at a time
-    peak = max(peak, *(held + _pass_bytes(grid, k, int(k in sourced))
-                       for k in range(1, config.K + 1) if k in sourced or dense(k)),
-               *(held + size(k) + max(_pass_bytes(grid, k), size(k) // grid.M ** grid.n)
-                 for k in low_rank))
+    # closed form; a low-rank level's norm is a narrower QR than its
+    # defects) and the low-rank levels' defects, one node at a time
+    objects = 2048 * config.K * nodes  # the trajectory's interpreter objects
+    peak = max(peak, held + objects + 32_768,
+               *(held + _pass_bytes(grid, k, int(k in sourced))
+                 for k in range(1, config.K + 1)
+                 if (k in sourced or dense(k)) and k not in low_rank),
+               *(held + objects + _qr_bytes(rows(k), 2 * widest) for k in low_rank))
     return SolvePlan(collapses, peak, low_rank)
 
 
@@ -676,12 +712,11 @@ def duhamel_remainder(m: int, k: int, gamma0: HierarchySequence,
 
 # -- the solver -------------------------------------------------------------------
 
-def _defects(kernel, budget) -> tuple:
-    """(hermiticity, symmetry) defect of one node, materialized once if low
-    rank, both divided by one frobenius_norm."""
-    dense = as_dense(kernel, budget)
-    scale = frobenius_norm(dense)
-    return hermiticity_defect(dense, scale), symmetry_defect(dense, scale)
+def _defects(kernel) -> tuple:
+    """(hermiticity, symmetry) defect of one node, dense or low rank (from
+    its factors), both divided by one frobenius_norm."""
+    scale = frobenius_norm(kernel)
+    return hermiticity_defect(kernel, scale), symmetry_defect(kernel, scale)
 
 
 def solve(gamma0: HierarchySequence, config: SolverConfig,
@@ -727,7 +762,7 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
         t0 = trace(levels[k][0])
         drift = max(abs(trace(kern) - t0) for kern in levels[k])
         trace_drift[k] = drift / max(1.0, abs(t0))
-        herm, symm = zip(*(_defects(kern, config.budget) for kern in levels[k]))
+        herm, symm = zip(*(_defects(kern) for kern in levels[k]))
         hermiticity[k] = max(herm)
         symmetry[k] = max(symm)
 

@@ -59,15 +59,15 @@ def read_csv_rows(path):
 
 class TestPreflight:
     def test_oversize_config_refused(self, tmp_path, capsys):
-        # the solver's plan for cubic M=16, K=5 is about 80 GB (level 3
-        # collapses materialized 69 GB level-4 nodes), over the default
+        # the solver's plan for cubic M=16, K=5 is about 3.6 GB (nine
+        # 268 MB dense level-3 nodes and their collapses), over the default
         # budget, so the run stops before any level-sized allocation
         cfg = solve_cfg(grid={"n": 1, "L": TWO_PI, "M": 16}, K=5, N_t=8)
         rc = main(["solve", "--config", write_cfg(tmp_path, cfg),
                    "--out", str(tmp_path / "out")])
         captured = capsys.readouterr()
         assert rc == 1
-        assert "8.047e+10" in captured.out
+        assert "3.627e+09" in captured.out
         assert "override-budget" in captured.err
 
     def test_small_config_accepted(self, tmp_path, capsys):
@@ -77,7 +77,7 @@ class TestPreflight:
                    "--out", str(out)])
         captured = capsys.readouterr()
         assert rc == 0
-        assert "4.067e+05" in captured.out
+        assert "2.842e+05" in captured.out
         assert (out / "report.json").exists()
         # the solver's sweep, which this run makes exactly
         assert "at most 12 collapse applications" in captured.out
@@ -85,10 +85,10 @@ class TestPreflight:
         assert report["preflight"]["collapse_ops"] == 12
         assert report["preflight"]["total_bytes"] == report["planned_bytes"]
 
-    @pytest.mark.parametrize("budget", ["5e6", "3e6"])
+    @pytest.mark.parametrize("budget", ["2e6", "1e6"])
     def test_override_flag_accepts_oversize(self, tmp_path, monkeypatch, budget):
-        # a planned peak of about 8.2e6 bytes, over a budget lowered to 5e6;
-        # at 3e6 even one materialized k=3 node (4.2e6 bytes) is over it
+        # a planned peak of about 2.6e6 bytes, over a budget lowered to 2e6,
+        # and over twice one lowered to 1e6
         monkeypatch.setenv(BUDGET_ENV_VAR, budget)
         cfg = solve_cfg(grid={"n": 1, "L": TWO_PI, "M": 8}, K=4, N_t=5)
         out = tmp_path / "out"
@@ -102,7 +102,7 @@ class TestPreflight:
     def test_env_var_raises_budget(self, tmp_path, monkeypatch):
         cfg_path = write_cfg(tmp_path, solve_cfg(
             grid={"n": 1, "L": TWO_PI, "M": 8}, K=4, N_t=5))
-        monkeypatch.setenv(BUDGET_ENV_VAR, "5e6")
+        monkeypatch.setenv(BUDGET_ENV_VAR, "2e6")
         assert main(["solve", "--config", cfg_path,
                      "--out", str(tmp_path / "refused")]) == 1
         monkeypatch.setenv(BUDGET_ENV_VAR, "200000000")
@@ -144,7 +144,7 @@ class TestPreflight:
         rc = main(["solve", "--config", write_cfg(tmp_path, cfg),
                    "--out", str(out)])
         assert rc == 0
-        assert "8.876e+06" in capsys.readouterr().out
+        assert "3.126e+06" in capsys.readouterr().out
         report = json.loads((out / "report.json").read_text())
         assert report["preflight"]["overridden"] is False
         assert report["converged"] is True

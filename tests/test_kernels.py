@@ -3,6 +3,8 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from itertools import permutations
+from math import factorial
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +20,10 @@ from gphier.kernels import (
     ResourceBudgetError,
     adjoint,
     as_dense,
+    bracket_envelope,
     factorized,
     factorized_sequence,
+    frobenius_norm,
     hermitize,
     hermiticity_defect,
     kernel_budget,
@@ -31,6 +35,7 @@ from gphier.kernels import (
     save_wavefunction,
     symmetrize,
     symmetry_defect,
+    thin_r,
     trace,
 )
 from gphier.norms import level_diff_norm, sobolev_norm
@@ -182,15 +187,32 @@ class TestLowRankKernel:
         want = sobolev_norm(LowRankKernel(GRID, 2, dU, a.V), 1.0)
         assert level_diff_norm(a, b, 1.0) == pytest.approx(want, rel=1e-5)
 
-    @pytest.mark.parametrize("kind, k", [("cubic", 3), ("quintic", 3)])
-    def test_collapse(self, kind, k):
-        lr = random_low_rank(GRID, k, 5, seed=10)
+    @pytest.mark.parametrize("kind, grid, k", [
+        ("cubic", GRID, 3), ("quintic", GRID, 3),
+        # n = 2: the smallest kernels each arity collapses (268 MB dense quintic)
+        ("cubic", GridSpec(2, 3.0, 4), 2), ("quintic", GridSpec(2, 3.0, 4), 3),
+    ])
+    def test_collapse_from_the_factors(self, kind, grid, k):
+        # low rank in, low rank out (2 T r columns, T = M^n or (2M-1)^n
+        # lattice-index sums), against the dense collapse of the multiplied-out
+        # kernel: the default terms, Btilde and every single (j, side, sign)
+        r = 3
+        lr = random_low_rank(grid, k, r, seed=10)
         interaction = Interaction(kind, -1)
         dense = lr.materialize()
-        for got, want in ((collapse(lr, interaction), collapse(dense, interaction)),
-                          (apply_btilde(lr, interaction), apply_btilde(dense, interaction))):
-            assert isinstance(got, MarginalKernel)
-            np.testing.assert_allclose(got.data, want.data, rtol=1e-13, atol=1e-13)
+        groups = (grid.M if kind == "cubic" else 2 * grid.M - 1) ** grid.n
+        kept = k - interaction.source_offset
+        singles = [[(j, side, sign)] for j in range(1, kept + 1) for side in (1, 2)
+                   for sign in (1, -1)]
+        pairs = [(collapse(lr, interaction), collapse(dense, interaction)),
+                 (apply_btilde(lr, interaction), apply_btilde(dense, interaction))]
+        pairs += [(collapse(lr, interaction, t), collapse(dense, interaction, t))
+                  for t in singles]
+        for i, (got, want) in enumerate(pairs):
+            assert isinstance(got, LowRankKernel)
+            assert got.rank == (2 if i < 2 else 1) * groups * r
+            scale = np.max(np.abs(want.data))
+            assert np.max(np.abs(got.dense() - want.data)) <= 1e-13 * scale
 
     def test_factorized_collapse_is_two_columns(self):
         # S_1 P^H + P S_2^H, with P the prefix product of the profile
@@ -327,6 +349,128 @@ class TestDefects:
         ]
         assert outs[0] == outs[1]
         assert len(outs[0].split()) == 4
+
+
+def hermitian_symmetric_factors(grid, k, r, seed):
+    """U = [A, B], V = [B, A] with exchange-symmetric rows: U V^H = A B^H +
+    B A^H is exactly hermitian and exactly symmetric."""
+    rng = np.random.default_rng(seed)
+    M, n = grid.M, grid.n
+    shape = (M,) * (k * n) + (r,)
+    halves = []
+    for _ in range(2):
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        sym = sum(raw.transpose([a for j in sigma for a in range(j * n, (j + 1) * n)]
+                                + [k * n]) for sigma in permutations(range(k)))
+        halves.append(sym.reshape(-1, r) / factorial(k))
+    A, B = halves
+    return np.hstack([A, B]), np.hstack([B, A])
+
+
+def long_double_defects(U, V, grid, k):
+    """(hermiticity, symmetry) defects of U V^H in long double."""
+    M, n = grid.M, grid.n
+    mat = U.astype(np.clongdouble) @ np.conj(V.T.astype(np.clongdouble))
+
+    def norm(x):
+        return np.sqrt(np.sum(x.real**2 + x.imag**2))
+
+    scale = norm(mat)
+    herm = norm(mat - np.conj(mat.T)) / scale
+    symm = 0.0
+    index = np.arange(mat.shape[0]).reshape((M,) * (k * n))
+    for i in range(1, k):
+        sigma = list(range(k))
+        sigma[0], sigma[i] = sigma[i], sigma[0]
+        p = index.transpose([a for j in sigma for a in range(j * n, (j + 1) * n)]).reshape(-1)
+        symm = max(symm, norm(mat - mat[np.ix_(p, p)]) / scale)
+    return float(herm), float(symm)
+
+
+class TestLowRankDefects:
+    """Defects and norm of U V^H from a thin QR of the factors."""
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-9j])
+    @pytest.mark.parametrize("grid, k", [(GridSpec(1, 2 * np.pi, 8), 3),
+                                         (GridSpec(2, 3.0, 4), 2)])
+    def test_against_long_double(self, grid, k, eps):
+        # exactly hermitian-symmetric factors, then a perturbation that
+        # breaks both symmetries at 1e-9
+        U, V = hermitian_symmetric_factors(grid, k, 4, seed=40)
+        rng = np.random.default_rng(41)
+        U = U + eps * (rng.standard_normal(U.shape) + 1j * rng.standard_normal(U.shape))
+        lr = LowRankKernel(grid, k, U, V)
+        herm, symm = long_double_defects(U, V, grid, k)
+        assert (herm > 1e-11) == (symm > 1e-11) == (eps != 0.0)
+        scale = frobenius_norm(lr)
+        for got, want in ((hermiticity_defect(lr), herm), (hermiticity_defect(lr, scale), herm),
+                          (symmetry_defect(lr), symm), (symmetry_defect(lr, scale), symm)):
+            assert abs(got - want) <= 1e-12
+        dense = lr.materialize()
+        assert scale == pytest.approx(frobenius_norm(dense), rel=1e-13)
+        for alpha in (0.0, 1.0):
+            w = bracket_envelope(grid, k, alpha).reshape(-1).astype(np.longdouble)
+            mat = U.astype(np.clongdouble) @ np.conj(V.T.astype(np.clongdouble))
+            weighted = w[:, None] * mat * w
+            want = np.sqrt(np.sum(weighted.real**2 + weighted.imag**2)
+                           * np.longdouble(grid.measure_weight) ** (2 * k))
+            assert sobolev_norm(lr, alpha) == pytest.approx(float(want), rel=1e-13)
+
+    def test_zero_and_one_particle(self):
+        grid = GridSpec(1, 2 * np.pi, 8)
+        zero = LowRankKernel(grid, 2, np.zeros((64, 3)), np.ones((64, 3)))
+        assert frobenius_norm(zero) == 0.0
+        assert hermiticity_defect(zero) == symmetry_defect(zero) == 0.0
+        one = random_low_rank(grid, 1, 3, seed=42)
+        assert symmetry_defect(one) == 0.0
+
+    @pytest.mark.parametrize("rows, columns", [(300, 6), (5, 9)])
+    def test_thin_r_is_a_qr_factor(self, rows, columns):
+        # R^H R = X^H X and R is upper triangular, also for a zero column
+        # and for fewer rows than columns (a collapse's 2 T r columns)
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((rows, columns)) + 1j * rng.standard_normal((rows, columns))
+        x[:, 2] = 0.0
+        r = thin_r(x)
+        assert np.array_equal(r, np.triu(r)) and not r[rows:].any()
+        np.testing.assert_allclose(np.conj(r.T) @ r, np.conj(x.T) @ x, atol=1e-12 * rows)
+
+    @pytest.mark.skipif(blocks.WORKERS < 2, reason="needs 2 CPUs")
+    def test_independent_of_blas_thread_count(self):
+        # a level-3 node of an M=12 solve: 1728 rows, 19 columns, exactly
+        # hermitian-symmetric ([A, B, C] [B, A, C]^H with symmetric rows),
+        # then perturbed at 1e-9, so the defects are all cancellation
+        script = (
+            "import itertools\n"
+            "import numpy as np\n"
+            "from gphier.kernels import LowRankKernel, frobenius_norm, "
+            "hermiticity_defect, symmetry_defect\n"
+            "from gphier.norms import sobolev_norm\n"
+            "from gphier.spectral import GridSpec\n"
+            "grid = GridSpec(1, 2 * np.pi, 12)\n"
+            "rng = np.random.default_rng(44)\n"
+            "shape = (12, 12, 12, 19)\n"
+            "raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)\n"
+            "X = sum(raw.transpose(list(s) + [3]) for s in itertools.permutations(range(3)))\n"
+            "X = X.reshape(1728, 19)\n"
+            "A, B, C = X[:, :9], X[:, 9:18], X[:, 18:]\n"
+            "U, V = np.hstack([A, B, C]), np.hstack([B, A, C])\n"
+            "noise = rng.standard_normal((1728, 19)) * 1e-9\n"
+            "for eps in (0.0, 1.0):\n"
+            "    lr = LowRankKernel(grid, 3, U + eps * noise, V)\n"
+            "    print(repr(frobenius_norm(lr)), repr(hermiticity_defect(lr)),\n"
+            "          repr(symmetry_defect(lr)), repr(sobolev_norm(lr, 1.0)))\n"
+        )
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        outs = [
+            subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           check=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": path,
+                                "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")
+        ]
+        assert outs[0] == outs[1]
+        assert len(outs[0].split()) == 8
 
 
 class TestTraces:

@@ -731,6 +731,44 @@ class TestLowRankLevels:
             for k, value in fields[key].items():
                 assert_close(value, ref_fields[key][k], 1.0)
 
+    def test_low_rank_level_refuses_a_low_rank_source(self):
+        # a low-rank level is built from factorized sources only; a prev
+        # whose closure nodes are low rank would grow its nodes past the
+        # plan's width
+        phi, config = low_rank_case("cubic_free_top")
+        lazy = product_sequence(phi, config.grid, config.K, 0.5, dense_up_to=0)
+        assert plan(config, lazy).low_rank == {3}
+        traj, _ = solve(lazy, config)
+        states = [HierarchySequence(config.K, 0.5, state.levels[:-1] + (
+            LowRankKernel.from_factorized(state.level(config.K)),)) for state in traj.states]
+        with pytest.raises(TypeError, match="factorized source"):
+            picard_step(Trajectory(traj.times, states), lazy, config)
+
+    @pytest.mark.parametrize("name", ["cubic_free", "quintic_simpson"])
+    def test_low_rank_levels_are_never_multiplied_out(self, monkeypatch, name):
+        # collapse, norms and defects of a low-rank level work on its
+        # factors; only the integrands of the dense level below it (rank
+        # 2 T r) are multiplied out
+        gamma0, config = plan_case(name)
+        low_rank = plan(config, gamma0).low_rank
+        assert low_rank
+        densified = []
+        original = LowRankKernel.dense
+
+        def dense(kernel):
+            densified.append(kernel.k)
+            return original(kernel)
+
+        def materialize(kernel, budget=None):
+            raise AssertionError(f"materialized a level-{kernel.k} low-rank kernel")
+
+        monkeypatch.setattr(LowRankKernel, "dense", dense)
+        monkeypatch.setattr(LowRankKernel, "materialize", materialize)
+        traj, _ = solve(gamma0, config)
+        assert densified and not set(densified) & low_rank
+        assert all(isinstance(kern, LowRankKernel)
+                   for k in low_rank for kern in traj.level_series(k))
+
     def test_representation_follows_the_plan(self):
         # low rank only from factorized data, above a closure level whose
         # initial data are factorized too, and while the widest node
@@ -753,9 +791,17 @@ class TestLowRankLevels:
                     ).low_rank == frozenset()
 
 def plan_case(name):
-    """Initial data and configuration of one tracemalloc bound case (M=8, N_t=8)."""
+    """Initial data and configuration of one tracemalloc bound case (M=8, N_t=8;
+    the README's CLI example has N_t=4)."""
+    if name == "readme":
+        grid = GridSpec(n=1, L=2 * np.pi, M=8)
+        phi_x = 0.6 * np.exp(-grid.positions**2 / (2.0 * 0.8**2))
+        config = SolverConfig(grid=grid, interaction=Interaction("cubic", 1),
+                              params=PARAMS, K=3, T=0.02, N_t=4)
+        return product_sequence(phi_x, grid, 3, 0.5, dense_up_to=0), config
     kind, K, quadrature, closure, dense = {
         "cubic_free": ("cubic", 4, "trapezoid", "free_top", False),
+        "cubic_k5": ("cubic", 5, "trapezoid", "free_top", False),
         "quintic_simpson": ("quintic", 5, "simpson", "free_top", False),
         "dense_free": ("cubic", 3, "trapezoid", "free_top", True),
         "dense_zero": ("cubic", 3, "trapezoid", "zero_top", True),
@@ -795,7 +841,7 @@ class TestMemoryPlanning:
 
     @pytest.mark.parametrize("name", [
         "cubic_free", "quintic_simpson", "dense_free", "dense_zero",
-        "dense_factorized",
+        "dense_factorized", "readme", "cubic_k5",
     ])
     def test_plan_bounds_traced_peak(self, name):
         # the plan is an upper bound on what the solve allocates, and tight
