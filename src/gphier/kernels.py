@@ -22,6 +22,12 @@ A kernel has one of three representations:
   2r, and no level-sized array is built.  LowRankKernel.dense multiplies
   the factors out for a caller that needs the array: the solver's dense
   integrands, or a kernel saved to a file (as_dense).
+
+The projections hermitize and symmetrize work in their argument's array
+(symmetrize with one scratch array of its size) and spread their passes
+over the block pool, so a random_test_kernel draw holds at most two
+kernel-sized arrays.  Every result is bitwise that of the whole-array
+passes, on any number of workers.
 """
 
 from __future__ import annotations
@@ -263,32 +269,39 @@ def factorized_sequence(phi, grid: GridSpec, K: int, xi: float, dense_up_to: int
 
 # -- symmetry operations ----------------------------------------------------
 
-_TILE = 64  # side of the square blocks the adjoint is copied in
-
-
-def adjoint(kernel: MarginalKernel) -> MarginalKernel:
-    """Hermitian adjoint: conj and swap of unprimed/primed variable groups.
-
-    In matrix form (unprimed rows, primed columns) this is the conjugate
-    transpose, copied tile by tile so that reads and writes both stay
-    within a few pages; a plain transposed copy strides across the whole
-    array on one side.
-    """
-    rows = kernel.grid.M ** (kernel.k * kernel.grid.n)
-    mat = kernel.data.reshape(rows, rows)
-    out = np.empty_like(mat)
-    for i in range(0, rows, _TILE):
-        for j in range(0, rows, _TILE):
-            np.conjugate(mat[j:j + _TILE, i:i + _TILE].T, out=out[i:i + _TILE, j:j + _TILE])
-    return MarginalKernel(kernel.grid, kernel.k, out.reshape(kernel.data.shape))
+_TILE = 64  # side of the square tiles hermitize and hermiticity_defect work in
 
 
 def hermitize(kernel: MarginalKernel) -> MarginalKernel:
-    """(gamma + gamma^*) / 2, built in the adjoint's array."""
-    data = adjoint(kernel).data
-    data += kernel.data
-    data *= 0.5
-    return MarginalKernel(kernel.grid, kernel.k, data)
+    """(gamma + gamma^*) / 2, in place: overwrites kernel.data and returns a
+    kernel over that array.
+
+    In matrix form (unprimed rows, primed columns) the adjoint is the
+    conjugate transpose.  Tiles A = (i, j) and B = (j, i), j >= i, of
+    _TILE x _TILE (ragged at the edges) are averaged together: t =
+    (conj(B^T) + A) * 0.5 goes to A and, off the diagonal, conj(t^T) to B.
+    That is bitwise the whole-array (conj(x^T) + x) * 0.5, since addition
+    commutes and conjugation commutes with rounding.  Tile row i owns the
+    pairs with j >= i, so the tile rows go to the block pool with one tile
+    buffer per run.
+    """
+    rows = kernel.grid.M ** (kernel.k * kernel.grid.n)
+    mat = kernel.data.reshape(rows, rows)
+
+    def tile_row(i, buf):
+        for j in range(i, rows, _TILE):
+            a, b = mat[i:i + _TILE, j:j + _TILE], mat[j:j + _TILE, i:i + _TILE]
+            t = buf[:a.size].reshape(a.shape)
+            np.conjugate(b.T, out=t)
+            t += a
+            t *= 0.5
+            a[...] = t
+            if j != i:
+                np.conjugate(t.T, out=b)
+
+    blocks.map_items(tile_row, range(0, rows, _TILE), mat.size,
+                     lambda: np.empty(_TILE * _TILE, dtype=mat.dtype))
+    return MarginalKernel(kernel.grid, kernel.k, mat.reshape(kernel.data.shape))
 
 
 def _sigma_axes(sigma, k: int, n: int) -> list:
@@ -314,28 +327,39 @@ def permute_particles(kernel: MarginalKernel, sigma) -> MarginalKernel:
 
 
 def symmetrize(kernel: MarginalKernel) -> MarginalKernel:
-    """Project onto the bosonic (permutation-symmetric) subspace.
+    """Project onto the bosonic (permutation-symmetric) subspace, using the
+    argument's array as scratch: afterwards it holds the result or an
+    intermediate step, so pass a copy to keep the input.
 
     Uses the coset recursion P_i = (1/i) sum_{j<=i} swap(j,i) P_{i-1}, which
-    needs 2+3+..+k transposed adds instead of k! of them.  k > 6 is refused;
-    beyond that the dense tensors would not fit any reasonable budget anyway.
+    needs 2+3+..+k transposed adds instead of k! of them.  The steps
+    ping-pong between the input array and one np.empty_like scratch array,
+    so after an even number of steps (k = 3, 5) the result is back in the
+    input array.  A step is the whole-array adds and division in the same
+    order, one leading-axis slab at a time over the block pool.  k > 6 is
+    refused; beyond that the dense tensors would not fit any reasonable
+    budget anyway.
     """
     k, n = kernel.k, kernel.grid.n
     if k > 6:
         raise ResourceBudgetError("symmetrize supports k <= 6")
-    out = kernel.data
+    src, dst = kernel.data, np.empty_like(kernel.data) if k > 1 else None
     for i in range(1, k):
         views = []
         for j in range(i):
             sigma = list(range(k))
             sigma[j], sigma[i] = sigma[i], sigma[j]
-            views.append(out.transpose(_sigma_axes(sigma, k, n)))
-        acc = out + views[0]
-        for view in views[1:]:
-            acc += view
-        acc /= i + 1
-        out = acc
-    return MarginalKernel(kernel.grid, kernel.k, out)
+            views.append(src.transpose(_sigma_axes(sigma, k, n)))
+
+        def slab(a, _):
+            np.add(src[a], views[0][a], out=dst[a])
+            for view in views[1:]:
+                dst[a] += view[a]
+            dst[a] /= i + 1
+
+        blocks.map_items(slab, range(src.shape[0]), src.size)
+        src, dst = dst, src
+    return MarginalKernel(kernel.grid, kernel.k, src)
 
 
 def _sq_norm(a: np.ndarray, out: np.ndarray) -> float:
@@ -538,18 +562,23 @@ def random_test_kernel(grid: GridSpec, k: int, alpha: float, seed: int,
                        s: float = 1.0, budget=None) -> MarginalKernel:
     """Seeded random kernel with enough momentum decay to have finite H^alpha norms.
 
-    Independent complex Gaussians, damped by prod <p_j>^-(alpha+s) <p'_j>^-(alpha+s),
-    then hermitized and symmetrized.
+    Independent complex Gaussians, damped by prod <p_j>^-(alpha+s) <p'_j>^-(alpha+s)
+    in one blocks.rows pass, then hermitized and symmetrized in place: the
+    draw holds at most two kernel-sized arrays.
     """
     check_budget(grid.kernel_bytes(k), budget, what=f"k={k} test kernel")
     rng = np.random.default_rng(seed)
     shape = grid.kernel_shape(k)
     data = rng.standard_normal(shape + (2,)).view(np.complex128).reshape(shape)
-    half = bracket_envelope(grid, k, -(alpha + s))
-    data *= half.reshape(half.shape + (1,) * (k * grid.n))
-    data *= half
-    kern = MarginalKernel(grid, k, data)
-    return symmetrize(hermitize(kern))
+    half = bracket_envelope(grid, k, -(alpha + s)).reshape(-1)
+    mat = data.reshape(half.size, half.size)
+
+    def damp(r):
+        mat[r] *= half[r, None]
+        mat[r] *= half
+
+    blocks.rows(damp, mat, lambda shape: ())
+    return symmetrize(hermitize(MarginalKernel(grid, k, data)))
 
 
 # -- serialization ------------------------------------------------------------

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blocks
 from .kernels import MarginalKernel, bracket_envelope, permute_particles, random_test_kernel
 from .norms import sobolev_norm
 from .operators import collapse_b1, collapse_b2, cubic_contractions
@@ -175,6 +176,19 @@ class ConstantEstimate:
 SAFETY_FACTOR = 1.5
 
 
+def _reweight(base: np.ndarray, half: np.ndarray, out: np.ndarray):
+    """out = base damped by the bracket weight half on both variable groups,
+    one blocks.rows pass over the (unprimed x primed) matrix."""
+    half = half.reshape(-1)
+    src, dst = base.reshape(half.size, half.size), out.reshape(half.size, half.size)
+
+    def damp(r):
+        np.multiply(src[r], half[r, None], out=dst[r])
+        dst[r] *= half
+
+    blocks.rows(damp, dst, lambda shape: ())
+
+
 def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
                               trials: int = 50, seed: int = 0,
                               budget=None) -> dict:
@@ -183,9 +197,12 @@ def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
     The sampled kernels differ across alpha only through the per-variable
     bracket damping, and that multiplier commutes with the hermitize and
     symmetrize projections.  Each base kernel is therefore drawn (and
-    projected) once and reweighted per alpha, which is where nearly all of
-    the estimation time goes for k = 3 draws.  Entries agree with
-    single-alpha estimates up to floating-point reassociation.
+    projected) once and reweighted per alpha into one buffer, in a
+    blocks.rows pass; the draw is released before the next one is made, so
+    at most three level-sized arrays are held (a draw, its symmetrize
+    scratch, the buffer).  The draws are where nearly all of the estimation
+    time goes for k = 3.  Entries agree with single-alpha estimates up to
+    floating-point reassociation.
     """
     alphas = tuple(alphas)
     k_range = tuple(k_range)
@@ -201,16 +218,11 @@ def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
                 grid, k + 1, alpha=0.0,
                 seed=int(draw_seeds[ki * trials + trial]),
                 budget=budget,
-            )
+            ).data
             if data is None:
-                data = np.empty_like(base.data)
+                data = np.empty_like(base)
             for a in alphas:
-                half = halves[a]
-                np.multiply(
-                    base.data, half.reshape(half.shape + (1,) * ((k + 1) * grid.n)),
-                    out=data,
-                )
-                data *= half
+                _reweight(base, halves[a], data)
                 gamma = MarginalKernel(grid, k + 1, data)
                 denom = sobolev_norm(gamma, a)
                 if denom == 0.0:
@@ -229,6 +241,7 @@ def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
                     total += permute_particles(diff, swap).data
                 full = MarginalKernel(grid, k, total)
                 acc[a][k]["full"].append(sobolev_norm(full, a) / (k * denom))
+            del base  # free this draw before the next one is made
     out = {}
     for a in alphas:
         rows = []

@@ -1,10 +1,13 @@
 """Reference kernel operations that only the tests use.
 
 They check gphier's own operations against a definition (the group average,
-a diagonal contraction), wrap a defect into a yes/no answer for dense
-kernels, or compare two kernels bitwise in their own representation.
+a diagonal contraction, the adjoint as a transposed view), pin the in-place
+projections to their whole-array forms, wrap a defect into a yes/no answer
+for dense kernels, compare two kernels bitwise in their own representation,
+or measure a call's traced allocation peak.
 """
 
+import tracemalloc
 from itertools import permutations
 from math import factorial
 
@@ -15,9 +18,76 @@ from gphier.kernels import (
     LowRankKernel,
     MarginalKernel,
     _sigma_axes,
+    bracket_envelope,
     hermiticity_defect,
     symmetry_defect,
 )
+
+
+def copied(kernel: MarginalKernel) -> MarginalKernel:
+    """A dense kernel over a copy of kernel's array: hermitize and
+    symmetrize overwrite their argument's."""
+    return MarginalKernel(kernel.grid, kernel.k, kernel.data.copy())
+
+
+def adjoint(kernel: MarginalKernel) -> MarginalKernel:
+    """Hermitian adjoint: conj and swap of the unprimed/primed variable groups."""
+    half = kernel.k * kernel.grid.n
+    axes = list(range(half, 2 * half)) + list(range(half))
+    return MarginalKernel(kernel.grid, kernel.k, np.conj(kernel.data.transpose(axes)))
+
+
+def hermitize_whole(kernel: MarginalKernel) -> MarginalKernel:
+    """(conj(x^T) + x) * 0.5 in whole-array passes, out of place."""
+    data = adjoint(kernel).data
+    data += kernel.data
+    data *= 0.5
+    return MarginalKernel(kernel.grid, kernel.k, data)
+
+
+def symmetrize_whole(kernel: MarginalKernel) -> MarginalKernel:
+    """The coset recursion in whole-array passes, a new array per step."""
+    k, n = kernel.k, kernel.grid.n
+    out = kernel.data
+    for i in range(1, k):
+        views = []
+        for j in range(i):
+            sigma = list(range(k))
+            sigma[j], sigma[i] = sigma[i], sigma[j]
+            views.append(out.transpose(_sigma_axes(sigma, k, n)))
+        acc = out + views[0]
+        for view in views[1:]:
+            acc += view
+        acc /= i + 1
+        out = acc
+    return MarginalKernel(kernel.grid, kernel.k, out)
+
+
+def random_test_kernel_whole(grid, k: int, alpha: float, seed: int, s: float = 1.0):
+    """random_test_kernel's draw, damped, hermitized and symmetrized in
+    whole-array passes."""
+    rng = np.random.default_rng(seed)
+    shape = grid.kernel_shape(k)
+    data = rng.standard_normal(shape + (2,)).view(np.complex128).reshape(shape)
+    half = bracket_envelope(grid, k, -(alpha + s))
+    data *= half.reshape(half.shape + (1,) * (k * grid.n))
+    data *= half
+    return symmetrize_whole(hermitize_whole(MarginalKernel(grid, k, data)))
+
+
+def traced_peak(fn):
+    """(fn(), the tracemalloc peak above the memory traced before the call)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def symmetrize_bruteforce(kernel: MarginalKernel) -> MarginalKernel:

@@ -2,7 +2,6 @@ import os
 import struct
 import subprocess
 import sys
-import tracemalloc
 from itertools import permutations
 from math import factorial
 from pathlib import Path
@@ -18,7 +17,6 @@ from gphier.kernels import (
     LowRankKernel,
     MarginalKernel,
     ResourceBudgetError,
-    adjoint,
     as_dense,
     bracket_envelope,
     factorized,
@@ -41,10 +39,16 @@ from gphier.kernels import (
 from gphier.norms import level_diff_norm, sobolev_norm
 from gphier.operators import Interaction, apply_btilde, collapse, free_evolve
 from kernel_oracles import (
+    adjoint,
+    copied,
+    hermitize_whole,
     is_hermitian,
     is_symmetric,
     partial_trace_last,
+    random_test_kernel_whole,
     symmetrize_bruteforce,
+    symmetrize_whole,
+    traced_peak,
 )
 
 GRID = GridSpec(1, 2 * np.pi, 6)
@@ -115,17 +119,7 @@ class TestLowRankKernel:
     def test_materialize_allocates_only_its_output(self):
         # an M=8, k=3, rank-19 node: the row-block products need no scratch
         lr = random_low_rank(GridSpec(1, 2 * np.pi, 8), 3, 19, seed=4)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            dense = lr.dense()
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        dense, peak = traced_peak(lr.dense)
         assert peak - dense.nbytes < 500_000
 
     def test_factor_shapes_validated(self):
@@ -230,21 +224,18 @@ class TestSymmetryOps:
         kern = random_kernel_raw(GRID, 2, 0)
         np.testing.assert_allclose(adjoint(adjoint(kern)).data, kern.data, rtol=1e-15)
 
-    def test_tiled_adjoint_is_conjugate_transpose(self):
-        # 6^3 = 216 rows: several adjoint tiles, including ragged edge tiles
+    def test_tiled_hermitize_averages_conjugate_transpose(self):
+        # 6^3 = 216 rows: several hermitize tiles, including ragged edge tiles
         for grid, k in ((GridSpec(1, 2 * np.pi, 6), 3), (GridSpec(2, 2 * np.pi, 4), 2)):
             kern = random_kernel_raw(grid, k, 4)
-            half = k * grid.n
-            axes = list(range(half, 2 * half)) + list(range(half))
-            expect = np.conj(kern.data.transpose(axes))
-            assert np.array_equal(adjoint(kern).data, expect)
-            assert np.array_equal(hermitize(kern).data, 0.5 * (kern.data + expect))
+            expect = adjoint(kern).data
+            assert np.array_equal(hermitize(copied(kern)).data, 0.5 * (kern.data + expect))
 
     def test_hermitize_projects(self):
         kern = random_kernel_raw(GRID, 2, 1)
-        h = hermitize(kern)
+        h = hermitize(copied(kern))
         assert hermiticity_defect(h) < 1e-14
-        np.testing.assert_allclose(hermitize(h).data, h.data, rtol=1e-14)
+        np.testing.assert_allclose(hermitize(copied(h)).data, h.data, rtol=1e-14)
 
     def test_random_kernel_not_symmetric(self):
         kern = random_kernel_raw(GRID, 2, 2)
@@ -254,18 +245,54 @@ class TestSymmetryOps:
     def test_symmetrize_matches_bruteforce(self):
         for k in (2, 3):
             kern = random_kernel_raw(GRID, k, 3 + k)
-            fast = symmetrize(kern)
+            fast = symmetrize(copied(kern))
             brute = symmetrize_bruteforce(kern)
             np.testing.assert_allclose(fast.data, brute.data, rtol=1e-13, atol=1e-13)
 
     def test_symmetrize_idempotent_and_symmetric(self):
         kern = symmetrize(random_kernel_raw(GRID, 3, 9))
         assert symmetry_defect(kern) < 1e-12
-        np.testing.assert_allclose(symmetrize(kern).data, kern.data, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(symmetrize(copied(kern)).data, kern.data,
+                                   rtol=1e-12, atol=1e-13)
 
     def test_symmetrize_preserves_trace(self):
         kern = random_kernel_raw(GRID, 3, 10)
-        assert trace(symmetrize(kern)) == pytest.approx(trace(kern), rel=1e-12)
+        assert trace(symmetrize(copied(kern))) == pytest.approx(trace(kern), rel=1e-12)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_projections_in_place_match_whole_array_passes(self, monkeypatch, workers):
+        # 216 rows (ragged tiles) and 256; k = 4 ends in the scratch array
+        monkeypatch.setattr(blocks, "WORKERS", workers)
+        monkeypatch.setattr(blocks, "MIN_POOLED", 0)
+        for grid, k in ((GridSpec(1, 2 * np.pi, 6), 3), (GridSpec(2, 2 * np.pi, 4), 2)):
+            kern = random_kernel_raw(grid, k, 12)
+            want = hermitize_whole(kern).data
+            got = hermitize(kern)
+            assert np.shares_memory(got.data, kern.data)
+            assert np.array_equal(got.data, want)
+        for k, in_input in ((2, False), (3, True), (4, False)):
+            grid = GridSpec(1, 2 * np.pi, 6 if k < 4 else 4)
+            kern = random_kernel_raw(grid, k, 13 + k)
+            want = symmetrize_whole(copied(kern)).data
+            got = symmetrize(kern)
+            assert np.shares_memory(got.data, kern.data) is in_input
+            assert np.array_equal(got.data, want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_random_test_kernel_matches_whole_array_passes(self, monkeypatch, workers):
+        monkeypatch.setattr(blocks, "WORKERS", workers)
+        monkeypatch.setattr(blocks, "MIN_POOLED", 0)
+        for grid, k in ((GridSpec(1, 2 * np.pi, 6), 3), (GridSpec(2, 2 * np.pi, 4), 2),
+                        (GridSpec(1, 2 * np.pi, 4), 4)):
+            got = random_test_kernel(grid, k, alpha=1.0, seed=31)
+            assert np.array_equal(got.data, random_test_kernel_whole(grid, k, 1.0, 31).data)
+
+    def test_random_test_kernel_holds_two_kernels(self):
+        # the draw, then one symmetrize scratch array: the whole-array
+        # passes held about four
+        grid = GridSpec(1, 2 * np.pi, 8)
+        _, peak = traced_peak(lambda: random_test_kernel(grid, 3, alpha=1.0, seed=3))
+        assert peak <= 2.2 * grid.kernel_bytes(3)
 
     def test_permute_particles_swap(self):
         kern = random_kernel_raw(GRID, 3, 11)

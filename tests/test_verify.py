@@ -7,19 +7,29 @@ import numpy as np
 import pytest
 from dataclasses import asdict
 
-from gphier.kernels import random_test_kernel
+from gphier import blocks
+from gphier.kernels import MarginalKernel, bracket_envelope, permute_particles, random_test_kernel
 from gphier.norms import sobolev_norm
-from gphier.operators import Interaction, collapse, cubic_collapse_profile
+from gphier.operators import (
+    Interaction,
+    collapse,
+    collapse_b1,
+    collapse_b2,
+    cubic_collapse_profile,
+    cubic_contractions,
+)
 from gphier.spectral import GridSpec, variable_bracket
 from gphier.verify import (
     BinomialGrowthReport,
     binomial_growth_check,
+    estimate_collapse_battery,
     estimate_collapse_constant,
     lemma31_cutoff_ladder,
     lemma31_divergence_check,
     lemma31_integral,
     lemma31_sup_check,
 )
+from kernel_oracles import random_test_kernel_whole, traced_peak
 
 # Adaptive 2-d quadrature reference (scipy.integrate.dblquad, epsabs=1e-12)
 # for beta=2, n=1, cutoff=4, frozen as the regression anchor.
@@ -127,6 +137,37 @@ class TestSupCheck:
 GRID = GridSpec(1, 2.0 * np.pi, 6)
 
 
+def battery_rows_whole(alphas, grid, k_range, trials, seed) -> dict:
+    """estimate_collapse_battery's rows per alpha, from the whole-array draw
+    and whole-array reweighting."""
+    draw_seeds = np.random.SeedSequence(seed).generate_state(len(k_range) * trials)
+    rows = {a: [] for a in alphas}
+    for ki, k in enumerate(k_range):
+        full, term = {a: [] for a in alphas}, {a: [] for a in alphas}
+        for trial in range(trials):
+            base = random_test_kernel_whole(grid, k + 1, 0.0, int(draw_seeds[ki * trials + trial]))
+            for a in alphas:
+                half = bracket_envelope(grid, k + 1, -a)
+                rows_half = half.reshape(half.shape + (1,) * half.ndim)
+                gamma = MarginalKernel(grid, k + 1, base.data * rows_half * half)
+                denom = sobolev_norm(gamma, a)
+                shared = cubic_contractions(gamma)
+                term1, term2 = collapse_b1(1, gamma, shared), collapse_b2(1, gamma, shared)
+                term[a] += [sobolev_norm(term1, a) / denom, sobolev_norm(term2, a) / denom]
+                diff = MarginalKernel(grid, k, term1.data - term2.data)
+                total = diff.data.copy()
+                for j in range(1, k):
+                    swap = list(range(k))
+                    swap[0], swap[j] = swap[j], swap[0]
+                    total += permute_particles(diff, swap).data
+                full[a].append(sobolev_norm(MarginalKernel(grid, k, total), a) / (k * denom))
+        for a in alphas:
+            rows[a].append({"k": k, "max_full_ratio": max(full[a]),
+                            "mean_full_ratio": float(np.mean(full[a])),
+                            "max_term_ratio": max(term[a])})
+    return rows
+
+
 class TestConstantEstimate:
     def test_deterministic_under_seed(self):
         a = estimate_collapse_constant(1.0, GRID, k_range=(1, 2), trials=4, seed=7)
@@ -154,8 +195,6 @@ class TestConstantEstimate:
     def test_battery_matches_single_alpha_estimates(self):
         # the battery reweights one set of projected draws per alpha; each
         # entry must reproduce the standalone estimate bit for bit
-        from gphier.verify import estimate_collapse_battery
-
         batch = estimate_collapse_battery(
             (0.6, 1.5), GRID, k_range=(1, 2), trials=4, seed=13
         )
@@ -167,14 +206,29 @@ class TestConstantEstimate:
             assert batch[alpha].rows == single.rows
             assert batch[alpha].k_spread == single.k_spread
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_battery_rows_match_whole_array_passes(self, monkeypatch, workers):
+        monkeypatch.setattr(blocks, "WORKERS", workers)
+        monkeypatch.setattr(blocks, "MIN_POOLED", 0)
+        alphas = (0.6, 1.0, 2.0)
+        est = estimate_collapse_battery(alphas, GRID, k_range=(1, 2, 3), trials=2, seed=17)
+        want = battery_rows_whole(alphas, GRID, (1, 2, 3), 2, 17)
+        for alpha in alphas:
+            assert est[alpha].rows == want[alpha]
+
+    def test_battery_holds_one_draw_and_its_reweighting(self):
+        # a draw with its symmetrize scratch, plus the reweighting buffer;
+        # the whole-array passes held about six level-3 kernels
+        grid = GridSpec(1, 2.0 * np.pi, 8)
+        _, peak = traced_peak(lambda: estimate_collapse_battery(
+            (1.0,), grid, k_range=(2,), trials=2, seed=5))
+        assert peak <= 3.2 * grid.kernel_bytes(3)
+
     @pytest.mark.parametrize("k,seed", [(2, 21), (3, 22)])
     def test_exchange_assembly_matches_direct_collapse(self, k, seed):
         # the estimator contracts only the j=1 pair and rebuilds the full
         # sum by particle exchange; that shortcut must agree with the
         # straight collapse sum on a symmetric draw
-        from gphier.kernels import MarginalKernel, permute_particles
-        from gphier.operators import collapse_b1, collapse_b2
-
         gamma = random_test_kernel(GRID, k + 1, alpha=1.0, seed=seed)
         direct = collapse(gamma, Interaction())
         diff = collapse_b1(1, gamma).data - collapse_b2(1, gamma).data
@@ -198,7 +252,6 @@ class TestConstantEstimate:
         pair = np.multiply.outer(np.outer(phi, np.conj(phi)),
                                  np.outer(phi, np.conj(phi)))
         gamma2 = pair.transpose(0, 2, 1, 3)  # axes (p1, p2, p1', p2')
-        from gphier.kernels import MarginalKernel
         dense = MarginalKernel(grid, 2, np.ascontiguousarray(gamma2))
         generic = sobolev_norm(collapse(dense, Interaction()), alpha)
 
