@@ -17,11 +17,14 @@ A kernel has one of three representations:
   kernel is one, and so is a Duhamel node sourced by a factorized closure.
   Free evolution scales the rows of the factors and traces pair their
   rows; distances stream the matrix row slice by row slice.  The Frobenius
-  and H^alpha norms and both defects use ||X Y^H|| = ||R Y^H|| with R from
-  a Householder QR of X (thin_r): the product has inner dimension at most
-  2r, and no level-sized array is built.  LowRankKernel.dense multiplies
-  the factors out for a caller that needs the array: the solver's dense
-  integrands, or a kernel saved to a file (as_dense).
+  and H^alpha norms use ||X Y^H|| = ||R Y^H|| with R from a Householder QR
+  of X (thin_r), and no level-sized array is built.  The defects take a
+  whole low-rank level at once (LowRankLevel, the column stack its nodes
+  are prefixes of; a lone kernel is a one-node level): one QR per stack
+  serves every node, since R(X W) = R(X) W and R has the prefix property.
+  LowRankKernel.dense multiplies the factors out for a caller that needs
+  the array: the solver's dense integrands, or a kernel saved to a file
+  (as_dense).
 
 The projections hermitize and symmetrize work in their argument's array
 (symmetrize with one scratch array of its size) and spread their passes
@@ -208,6 +211,55 @@ class LowRankKernel:
     def materialize(self, budget=None) -> MarginalKernel:
         check_budget(self.grid.kernel_bytes(self.k), budget, what=f"k={self.k} kernel")
         return MarginalKernel(self.grid, self.k, self.dense())
+
+
+class LowRankLevel:
+    """The nodes of a low-rank level as prefixes of one column stack.
+
+    Let C_U (C_V) hold the start's U (V), then each integrand g_j's factor
+    U_j (V_j) in the order add() received them.  Node i is U0(t_i) of
+    (C_U[:, :m_i] diag(W_i)) C_V[:, :m_i]^H: weight 1 on the start's
+    columns and the node's quadrature weight w_ij on g_j's, m_i one past
+    the last nonzero weight.  The last node n weighs every column, so its
+    own factors are such a stack: U0(t_n) C_U diag(W_n) and U0(t_n) C_V,
+    with node i's weights W_i / W_n.  U0 scales both factors' rows by one
+    phase, which commutes with the adjoint and with every particle swap,
+    so it leaves a node's defects alone.  close() takes the last node's
+    factors as the stacks, and the level keeps no copy of its own.
+    """
+
+    def __init__(self, start: LowRankKernel):
+        self.grid, self.k, self.start = start.grid, start.k, start
+        self.integrands = []  # g_j, LowRankKernel, until close()
+        self.weights = []     # node i: w_ij for j <= i
+        self.stacks = None    # (C_U, C_V, W) after close()
+
+    def add(self, g: LowRankKernel, w) -> LowRankKernel:
+        """Append integrand g and a node with weights w (one per integrand,
+        g's last); returns that node unphased: the start's columns, then
+        w_j U_j against V_j for each nonzero w_j."""
+        self.integrands.append(g)
+        self.weights.append(np.array(w, dtype=np.float64))
+        kept = [j for j, x in enumerate(w) if x != 0.0]
+        return LowRankKernel(
+            self.grid, self.k,
+            np.column_stack([self.start.U] + [w[j] * self.integrands[j].U for j in kept]),
+            np.column_stack([self.start.V] + [self.integrands[j].V for j in kept]))
+
+    def close(self, last: LowRankKernel) -> None:
+        """Set stacks to (last.U, last.V, W), last the final node as stored
+        (phased or not) and row i of W node i's column weights relative to
+        its own, zero past node i's columns; release the integrands."""
+        first = self.start.rank
+        widths = [g.rank for g in self.integrands]
+        W = np.zeros((len(self.weights), first + sum(widths)))
+        W[:, :first] = 1.0
+        for i, w in enumerate(self.weights):
+            W[i, first:first + sum(widths[:len(w)])] = np.repeat(w, widths[:len(w)])
+        if not W[-1].all():
+            raise ValueError("the last node of a low-rank level must weigh every column")
+        self.stacks = (last.U, last.V, W / W[-1])
+        self.integrands = None
 
 
 def as_dense(kernel, budget=None) -> MarginalKernel:
@@ -405,17 +457,13 @@ def thin_r(x: np.ndarray) -> np.ndarray:
 def product_norm(x: np.ndarray, y: np.ndarray) -> float:
     """||x y^H||_F for tall x and y of one shape, as ||R y^H||_F with R =
     thin_r(x): a product of inner dimension x.shape[1], never the rows x
-    rows matrix, and no Gram matrix (x^H x loses half the digits)."""
-    return _r_product_norm(thin_r(x), y)
-
-
-def _r_product_norm(r: np.ndarray, y: np.ndarray) -> float:
-    """||r y^H||_F, formed as its entrywise conjugate conj(r) y^T."""
-    prod = np.conj(r) @ y.T
+    rows matrix, and no Gram matrix (x^H x loses half the digits).  It is
+    formed as its entrywise conjugate conj(R) y^T."""
+    prod = np.conj(thin_r(x)) @ y.T
     return math.sqrt(_sq_norm(prod, prod))
 
 
-def _swapped_rows(kernel: "LowRankKernel", factor: np.ndarray, i: int) -> np.ndarray:
+def _swapped_rows(kernel, factor: np.ndarray, i: int) -> np.ndarray:
     """Theta_i applied to the rows of a factor: particles 0 and i swapped."""
     k, n, M = kernel.k, kernel.grid.n, kernel.grid.M
     sigma = list(range(k))
@@ -435,31 +483,119 @@ def frobenius_norm(kernel) -> float:
     return math.sqrt(sum(blocks.rows(lambda r, buf: _sq_norm(mat[r], buf), mat)))
 
 
+# -- low-rank defects, one level at a time -------------------------------------
+#
+# Up to a row phase that leaves its defects alone, node i of a LowRankLevel
+# is (C_U[:, :m] diag(w)) C_V[:, :m]^H, (C_U, C_V, W) = level.stacks, w =
+# W[i] and m = _node_columns(W)[i].  With C = Q R from thin_r,
+# R(C[:, :m] diag(w)) = R[:m, :m] diag(w), so each stack is factored once
+# and every node's norms are products of m x m blocks of R with at most
+# m x rows factors.  A lone LowRankKernel is the one-node level of its own
+# factors, all weights 1.
+
+def _level_stacks(kernel) -> tuple:
+    """(C_U, C_V, W) of a closed LowRankLevel, or of a lone LowRankKernel."""
+    if isinstance(kernel, LowRankKernel):
+        return kernel.U, kernel.V, np.ones((1, kernel.rank))
+    return kernel.stacks
+
+
+def _node_columns(W: np.ndarray) -> list:
+    """m_i, one past the last nonzero weight of node i (row i of W)."""
+    return [int(np.flatnonzero(w)[-1]) + 1 if w.any() else 0 for w in W]
+
+
+def _node_scales(scale, W: np.ndarray):
+    """The given scale (one, or one per node) for every node, or None."""
+    return None if scale is None else np.broadcast_to(scale, len(W)).tolist()
+
+
+def _node_sq_norms(r: np.ndarray, y: np.ndarray, W: np.ndarray, columns: list) -> list:
+    """||(R[:m, :m] diag(w)) y[:, :m]^H||^2 for each node (w = W[i, :m],
+    m = columns[i]), formed as its entrywise conjugate."""
+    yt = np.ascontiguousarray(y.T)
+    out = []
+    for w, m in zip(W, columns):
+        prod = np.conj(r[:m, :m] * w[:m]) @ yt[:m]
+        out.append(_sq_norm(prod, prod))
+    return out
+
+
+def _hermiticity_defects(kernel, scale=None) -> list:
+    """Each node's ||gamma - gamma^*|| / ||gamma|| (0.0 for a zero node).
+
+    One thin_r of the interleaved stack [u_0, v_0, u_1, v_1, ..] (columns
+    of C_U and C_V alternating): node i's columns are its first 2m, so with
+    R_u, R_v the even and odd columns of that block of R, A = R_u W R_v^H
+    is gamma in an orthonormal basis.  ||gamma|| = ||A|| and
+    ||gamma - gamma^*|| = ||A - A^H||, from 2m x 2m products only.  A given
+    scale replaces ||A||.
+    """
+    U, V, W = _level_stacks(kernel)
+    scales = _node_scales(scale, W)
+    stack = np.empty((U.shape[0], 2 * U.shape[1]), dtype=np.complex128)
+    stack[:, 0::2], stack[:, 1::2] = U, V
+    r = thin_r(stack)
+    del stack
+    out = []
+    for i, (w, m) in enumerate(zip(W, _node_columns(W))):
+        block = r[:2 * m, :2 * m]
+        a = (block[:, 0::2] * w[:m]) @ np.conj(block[:, 1::2].T)
+        norm = math.sqrt(_sq_norm(a, np.empty_like(a))) if scales is None else scales[i]
+        diff = a - np.conj(a.T)
+        out.append(math.sqrt(_sq_norm(diff, diff)) / norm if norm != 0.0 else 0.0)
+    return out
+
+
+def _symmetry_defects(kernel, scale=None) -> list:
+    """Each node's largest ||gamma - Theta gamma Theta|| / ||gamma|| over
+    the swaps Theta of particles 0 and s (0.0 for a zero node).
+
+    Theta is an involution, so with the row projections P+- = (1 +-
+    Theta) / 2 the difference is 2 (P+ gamma P- + P- gamma P+), two
+    orthogonal terms: (C_U + Theta C_U) W (C_V - Theta C_V)^H / 2 and
+    (C_U - Theta C_U) W (C_V + Theta C_V)^H / 2.  One thin_r of each of
+    C_U +- Theta C_U per swap serves every node.  Without a scale,
+    ||gamma||^2 = ||P+ gamma||^2 + ||P- gamma||^2 comes from the first
+    swap's two R.  The swapped and summed stacks are made one QR at a time.
+    """
+    U, V, W = _level_stacks(kernel)
+    scales = _node_scales(scale, W)
+    columns = _node_columns(W)
+    worst = [0.0] * len(W)
+    for s in range(1, kernel.k):
+        su = _swapped_rows(kernel, U, s)
+        r_plus, r_minus = thin_r(U + su), thin_r(U - su)
+        del su
+        if scales is None:
+            scales = [math.sqrt(a + b) / 2.0 for a, b in zip(
+                _node_sq_norms(r_plus, V, W, columns), _node_sq_norms(r_minus, V, W, columns))]
+        sv = _swapped_rows(kernel, V, s)
+        totals = list(zip(_node_sq_norms(r_plus, V - sv, W, columns),
+                          _node_sq_norms(r_minus, V + sv, W, columns)))
+        del sv
+        worst = [max(x, math.sqrt(a + b) / (2.0 * norm)) if norm != 0.0 else 0.0
+                 for x, (a, b), norm in zip(worst, totals, scales)]
+    return worst
+
+
 def symmetry_defect(kernel, scale: float | None = None) -> float:
     """Largest relative deviation from Theta_sigma invariance over swaps.
 
     scale is frobenius_norm(kernel), computed here if not given.  A dense
     kernel's swap difference is formed one leading-axis slice at a time, in
     a buffer per run of slices, the runs spread over the block pool; the
-    slice sums are added in slice order.  For a low-rank one, Theta is an
-    involution, so with the row projections P+- = (1 +- Theta) / 2 the
-    difference gamma - Theta gamma Theta is 2 (P+ gamma P- + P- gamma P+),
-    two orthogonal blocks of r columns each: (U + Theta U)(V - Theta V)^H
-    and (U - Theta U)(V + Theta V)^H, normed by product_norm.
+    slice sums are added in slice order.  A LowRankLevel gives the largest
+    over its nodes, and a LowRankKernel its own, from the factors
+    (_symmetry_defects; a level's scale is one per node).
     """
     k, n = kernel.k, kernel.grid.n
+    if isinstance(kernel, (LowRankKernel, LowRankLevel)):
+        return max(_symmetry_defects(kernel, scale), default=0.0)
     if scale is None:
         scale = frobenius_norm(kernel)
     if scale == 0.0:
         return 0.0
-    if isinstance(kernel, LowRankKernel):
-        U, V = kernel.U, kernel.V
-        worst = 0.0
-        for i in range(1, k):
-            su, sv = _swapped_rows(kernel, U, i), _swapped_rows(kernel, V, i)
-            total = product_norm(U + su, V - sv) ** 2 + product_norm(U - su, V + sv) ** 2
-            worst = max(worst, math.sqrt(total) / (2.0 * scale))
-        return worst
     data = kernel.data
     worst = 0.0
     for i in range(1, k):
@@ -480,26 +616,20 @@ def hermiticity_defect(kernel, scale: float | None = None) -> float:
     """||gamma - gamma^*|| / ||gamma||, without forming the adjoint.
 
     scale is ||gamma|| = frobenius_norm(kernel), computed here if not given.
-    For a low-rank kernel gamma - gamma^* = [U, V] [V, -U]^H, normed by
-    product_norm, and a missing scale comes from the same R: R[:, :r] V^H.
-    For a dense one the squared difference is summed over _TILE x _TILE
-    tiles of the (unprimed, primed) matrix; tile (j, i) of gamma - gamma^*
-    is minus the conjugate transpose of tile (i, j), so only tiles with
-    j >= i are formed.
+    A LowRankLevel gives the largest over its nodes, and a LowRankKernel its
+    own, from the factors (_hermiticity_defects; a level's scale is one per
+    node).  For a dense kernel the squared difference is summed over _TILE
+    x _TILE tiles of the (unprimed, primed) matrix; tile (j, i) of gamma -
+    gamma^* is minus the conjugate transpose of tile (i, j), so only tiles
+    with j >= i are formed.
     A row of full tiles is differenced in two passes into a buffer that
     holds each tile contiguously, squared in place and summed per tile by
     numpy (not BLAS); ragged edge tiles go one at a time.  Tile rows go to
     the block pool, each run with one strip buffer, and the tile sums are
     added in row-major tile order.
     """
-    if isinstance(kernel, LowRankKernel):
-        U, V = kernel.U, kernel.V
-        r = thin_r(np.hstack([U, V]))
-        if scale is None:
-            scale = _r_product_norm(r[:, :U.shape[1]], V)
-        if scale == 0.0:
-            return 0.0
-        return _r_product_norm(r, np.hstack([V, -U])) / scale
+    if isinstance(kernel, (LowRankKernel, LowRankLevel)):
+        return max(_hermiticity_defects(kernel, scale), default=0.0)
     rows = kernel.grid.M ** (kernel.k * kernel.grid.n)
     mat = kernel.data.reshape(rows, rows)
     if scale is None:

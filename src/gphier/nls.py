@@ -78,19 +78,6 @@ def mass(values: np.ndarray, grid: GridSpec) -> float:
     return accurate_sum(np.abs(values) ** 2) * grid.dx
 
 
-def energy(values: np.ndarray, grid: GridSpec, interaction: Interaction) -> float:
-    """Conserved Hamiltonian: kinetic plus mu/(s+1) |phi|^(2s+2)."""
-    phi_hat = np.fft.fftn(values)
-    psq = _fft_psq(grid.n, grid.L, grid.M)
-    kinetic = accurate_sum(psq * np.abs(phi_hat) ** 2) * grid.dx / grid.lattice_size
-    s = _power(interaction)
-    potential = (
-        interaction.mu / (s + 1.0)
-        * accurate_sum(np.abs(values) ** (2 * s + 2)) * grid.dx
-    )
-    return kinetic + potential
-
-
 def factorized_trajectory(values: np.ndarray, grid: GridSpec,
                           interaction: Interaction, K: int, xi: float,
                           times, substeps: int = 16) -> list:

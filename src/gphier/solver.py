@@ -36,9 +36,11 @@ LowRankKernel, and node i is the initial data's column plus the quadrature-
 weighted integrand columns, phased by scaling the factors' rows, with no
 level-sized pass (_low_rank_nodes).  A dense level sourced by a low-rank one
 collapses each node from its factors (operators._collapse_low_rank, 2 T r
-columns) and multiplies only that integrand out; the norms and defects of
-a low-rank node come from a thin QR of its factors.  No low-rank node is
-ever multiplied out.
+columns) and multiplies only that integrand out.  The H^alpha norm of a
+low-rank node comes from a thin QR of its factors.  Its defects come from
+its level's column stack (kernels.LowRankLevel, which the sweep returns):
+every node is a prefix of it, so one QR per stack serves the whole level.
+No low-rank node is ever multiplied out.
 
 The collapse is lower triangular and nilpotent, so the fixed point of the
 Duhamel map is a back substitution: level k = D_k(level k+off), from the
@@ -79,6 +81,7 @@ from .kernels import (
     FactorizedKernel,
     HierarchySequence,
     LowRankKernel,
+    LowRankLevel,
     MarginalKernel,
     as_dense,
     check_budget,
@@ -356,13 +359,14 @@ def _duhamel_nodes(sources, times, rule, start, grid, k, interaction):
 
     sources gives the (k+offset)-level kernel at each node: a list, or an
     iterator such as another level's _duhamel_nodes, read one node at a
-    time.  start is the level-k initial data: a dense array, a LowRankKernel
-    (then every node is low rank, _low_rank_nodes), or None for the pure
-    integral term.  Node i is yielded before source i+1 is collapsed, and
-    the generator keeps no reference to it, so a caller that drops or
-    stores it controls when the node it replaces is released.
+    time.  start is the level-k initial data: a dense array, a LowRankLevel
+    holding only its start (then every node is low rank and the level keeps
+    their column stack, _low_rank_nodes), or None for the pure integral
+    term.  Node i is yielded before source i+1 is collapsed, and the
+    generator keeps no reference to it, so a caller that drops or stores it
+    controls when the node it replaces is released.
     """
-    if isinstance(start, LowRankKernel):
+    if isinstance(start, LowRankLevel):
         yield from _low_rank_nodes(sources, times, rule, start, interaction)
         return
     integ = _PrefixIntegrator(rule, times[1] - times[0])
@@ -373,29 +377,23 @@ def _duhamel_nodes(sources, times, rule, start, grid, k, interaction):
             grid, k, apply_free_phase(np.empty_like(prefix), grid, k, times[i], *base, prefix))
 
 
-def _low_rank_nodes(sources, times, rule, start, interaction):
-    """_duhamel_nodes for a low-rank start and a list of factorized sources.
+def _low_rank_nodes(sources, times, rule, level, interaction):
+    """_duhamel_nodes for a low-rank level and a list of factorized sources.
 
     Node i is U0(t_i) of the factors [start.U, w_i0 U_0, w_i1 U_1, ..] and
     [start.V, V_0, V_1, ..], with g_j = U_j V_j^H and w_i the quadrature
     weights of node i: _PrefixIntegrator's own rule, run on one-hot
     integrands.  Zero weights are left out, so node i has at most 2i+3
-    columns (node 0 only start's).  The integrands' factors are kept until
-    the last node.
+    columns (node 0 only start's).  level (a LowRankLevel) keeps the
+    integrands until the last node and each node's weights, from which
+    solve() takes the level's defects.
     """
     if not all(isinstance(src, FactorizedKernel) for src in sources):
         raise TypeError("a low-rank level needs a factorized source at every node")
     weights = _PrefixIntegrator(rule, times[1] - times[0])
     onehot = np.eye(len(times))
-    us, vs = [], []
     for i, g in enumerate(_integrands(sources, times, interaction, dense=False)):
-        us.append(g.U)
-        vs.append(g.V)
-        w = weights.push(onehot[i])
-        kept = [j for j in range(i + 1) if w[j] != 0.0]
-        node = LowRankKernel(start.grid, start.k,
-                             np.column_stack([start.U] + [w[j] * us[j] for j in kept]),
-                             np.column_stack([start.V] + [vs[j] for j in kept]))
+        node = level.add(g, weights.push(onehot[i])[:i + 1])
         yield free_evolve(node, times[i])
 
 
@@ -471,12 +469,12 @@ def _pass_bytes(grid: GridSpec, k: int, buffers: int = 1) -> int:
 
 
 def _qr_bytes(rows: int, columns: int) -> int:
-    """Transient bytes of a low-rank defect with rows x columns factor
-    stacks: the stack [U, V], its QR's copy and update buffer, reflector
-    and R (kernels.thin_r) and numpy's two iterator buffers for a broadcast
-    product, or then the other stack and its product with R.  The symmetry
-    defect's swapped factors, projections and two half-width QRs hold as
-    much."""
+    """Transient bytes of a low-rank level's defects, with columns the
+    width of the interleaved stack of both column stacks: that stack, its
+    QR's copy and update buffer, reflector and R (kernels.thin_r) and
+    numpy's two iterator buffers for a broadcast product.  The symmetry
+    defect's stacks, swapped stack, sum and one half-width QR at a time
+    hold less."""
     entries = rows * columns
     return 16 * (3 * entries + 2 * rows + columns**2 + 2 * min(entries, np.getbufsize()))
 
@@ -518,14 +516,17 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
     low rank, 2 T r columns for T lattice-index sums: its factors, their
     phased copy and the conjugate V^H that multiplies the dense integrand
     out.  A low-rank level holds its factors, its integrands' factors and
-    one node in the making.  The final norms of a dense sourced level, or of
-    a closure level with dense initial data, hold a streamed norm's
-    buffers; the final defects of a low-rank level, a thin QR's workspace
-    (_qr_bytes).  The trajectory's own interpreter objects, about 2 kB per
-    node and level, count at the end, with a 32 kB floor.  Each further
-    pool run over a level of 2^19 entries or more holds up to 1.6 MB of
-    block scratch, or 2.6 MB of norm buffers, that the plan leaves out, so
-    that the plan does not depend on the worker count.
+    one node in the making; after it, its nodes, whose last one is the
+    column stack its defects are taken from.  The final norms of
+    a dense sourced level, or of a closure level with dense initial data,
+    hold a streamed norm's buffers; the final defects of a low-rank level,
+    one thin QR's workspace on the interleaved stack (_qr_bytes), the
+    widest of its QRs, which run one at a time.  The trajectory's own
+    interpreter objects, about 2 kB per node and level, count at the end,
+    with a 32 kB floor.  Each further pool run over a level of 2^19 entries
+    or more holds up to 1.6 MB of block scratch, or 2.6 MB of norm buffers,
+    that the plan leaves out, so that the plan does not depend on the
+    worker count.
     """
     grid, off, nodes = config.grid, config.offset, config.N_t + 1
     size = grid.kernel_bytes
@@ -582,8 +583,8 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
         held += nodes * size(k)
     # the final norms of the solution and of gamma0 (a dense norm needs no
     # complex buffer; closure levels of factorized data stay factorized, in
-    # closed form; a low-rank level's norm is a narrower QR than its
-    # defects) and the low-rank levels' defects, one node at a time
+    # closed form; a low-rank node's norm is a narrower QR than its
+    # level's defects) and the low-rank levels' defects, one level at a time
     objects = 2048 * config.K * nodes  # the trajectory's interpreter objects
     peak = max(peak, held + objects + 32_768,
                *(held + _pass_bytes(grid, k, int(k in sourced))
@@ -594,7 +595,7 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
 
 
 def _step(levels: dict, sources: dict, times: np.ndarray, start: dict,
-          closure: dict, config: SolverConfig) -> None:
+          closure: dict, config: SolverConfig) -> dict:
     """One Duhamel step: replace every level's node list in place.
 
     Levels are replaced in descending order.  A closure level takes its
@@ -602,14 +603,20 @@ def _step(levels: dict, sources: dict, times: np.ndarray, start: dict,
     (_initial_data).  With sources=levels, level k reads the new level
     k+off, and the step is the descending sweep that lands on the fixed
     point; with the previous iterate's lists it is the Jacobi Duhamel map.
-    Each new node takes the old one's slot as it is produced.
+    Each new node takes the old one's slot as it is produced.  Returns the
+    LowRankLevel of each low-rank level (start[k] a LowRankKernel), closed
+    on its last node: the column stack its nodes are prefixes of.
     """
+    stacks = {}
     for k in sorted(levels, reverse=True):
         if k in closure:
             stream = iter(closure[k])
         else:
+            begin = start[k]
+            if isinstance(begin, LowRankKernel):
+                begin = stacks[k] = LowRankLevel(begin)
             stream = _duhamel_nodes(
-                sources[k + config.offset], times, config.quadrature, start[k],
+                sources[k + config.offset], times, config.quadrature, begin,
                 config.grid, k, config.interaction,
             )
         # slot by slot: slice assignment, enumerate, zip or a loop variable
@@ -617,6 +624,9 @@ def _step(levels: dict, sources: dict, times: np.ndarray, start: dict,
         nodes = levels[k]
         for i in range(len(nodes)):
             nodes[i] = next(stream)
+        if k in stacks:
+            stacks[k].close(nodes[-1])
+    return stacks
 
 
 def _trajectory(times: np.ndarray, levels: dict, config: SolverConfig) -> Trajectory:
@@ -713,8 +723,8 @@ def duhamel_remainder(m: int, k: int, gamma0: HierarchySequence,
 # -- the solver -------------------------------------------------------------------
 
 def _defects(kernel) -> tuple:
-    """(hermiticity, symmetry) defect of one node, dense or low rank (from
-    its factors), both divided by one frobenius_norm."""
+    """(hermiticity, symmetry) defect of one dense node, both divided by one
+    frobenius_norm."""
     scale = frobenius_norm(kernel)
     return hermiticity_defect(kernel, scale), symmetry_defect(kernel, scale)
 
@@ -750,7 +760,7 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
     closure = _closure_states(gamma0, config)
     start = _initial_data(gamma0, config, planned.low_rank)
     levels = {k: [None] * len(times) for k in range(1, config.K + 1)}
-    _step(levels, levels, times, start, closure, config)
+    stacks = _step(levels, levels, times, start, closure, config)
     norms = {k: [sobolev_norm(kern, alpha) for kern in levels[k]] for k in levels}
     if not all(math.isfinite(v) for values in norms.values() for v in values):
         raise FloatingPointError("non-finite trajectory norm")
@@ -762,9 +772,13 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
         t0 = trace(levels[k][0])
         drift = max(abs(trace(kern) - t0) for kern in levels[k])
         trace_drift[k] = drift / max(1.0, abs(t0))
-        herm, symm = zip(*(_defects(kern) for kern in levels[k]))
-        hermiticity[k] = max(herm)
-        symmetry[k] = max(symm)
+        if k in stacks:  # every node at once, from the level's column stack
+            hermiticity[k] = hermiticity_defect(stacks[k])
+            symmetry[k] = symmetry_defect(stacks[k])
+        else:
+            herm, symm = zip(*(_defects(kern) for kern in levels[k]))
+            hermiticity[k] = max(herm)
+            symmetry[k] = max(symm)
 
     report = RunReport(
         iterations=1,

@@ -96,19 +96,12 @@ class GridSpec:
 def bracket(p):
     """Japanese bracket <p> = sqrt(1 + p^2), elementwise.
 
-    Intended for scalar momenta / per-component use (n = 1 lattices).  For
-    points of an n-dimensional lattice use :func:`bracket_nd`.
+    Intended for scalar momenta / per-component use (n = 1 lattices).  Over
+    one particle variable of an n-dimensional lattice use
+    :func:`variable_bracket`.
     """
     p = np.asarray(p, dtype=float)
     return np.sqrt(1.0 + p * p)
-
-
-def bracket_nd(p):
-    """Japanese bracket of n-dimensional points; last axis holds components."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim == 0:
-        return np.sqrt(1.0 + p * p)
-    return np.sqrt(1.0 + np.sum(p * p, axis=-1))
 
 
 @lru_cache(maxsize=64)
@@ -191,34 +184,4 @@ def inverse_transform(values_hat: np.ndarray, grid: GridSpec) -> np.ndarray:
     out = values_hat
     for axis in range(grid.n):
         out = axis_to_position(out, grid, axis)
-    return out
-
-
-def kernel_to_momentum(arr: np.ndarray, grid: GridSpec, k: int) -> np.ndarray:
-    """Position-space k-particle kernel -> momentum representation.
-
-    The first k*n axes (unprimed variables) use exp(-i p.x); the last k*n
-    (primed) use exp(+i p'.x').
-    """
-    arr = np.asarray(arr, dtype=complex)
-    if arr.shape != grid.kernel_shape(k):
-        raise ValueError("kernel has wrong shape for this grid and k")
-    out = arr
-    for axis in range(k * grid.n):
-        out = axis_to_momentum(out, grid, axis, primed=False)
-    for axis in range(k * grid.n, 2 * k * grid.n):
-        out = axis_to_momentum(out, grid, axis, primed=True)
-    return out
-
-
-def kernel_to_position(arr: np.ndarray, grid: GridSpec, k: int) -> np.ndarray:
-    """Momentum-space k-particle kernel -> position representation."""
-    arr = np.asarray(arr, dtype=complex)
-    if arr.shape != grid.kernel_shape(k):
-        raise ValueError("kernel has wrong shape for this grid and k")
-    out = arr
-    for axis in range(k * grid.n):
-        out = axis_to_position(out, grid, axis, primed=False)
-    for axis in range(k * grid.n, 2 * k * grid.n):
-        out = axis_to_position(out, grid, axis, primed=True)
     return out

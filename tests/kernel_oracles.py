@@ -3,10 +3,12 @@
 They check gphier's own operations against a definition (the group average,
 a diagonal contraction, the adjoint as a transposed view), pin the in-place
 projections to their whole-array forms, wrap a defect into a yes/no answer
-for dense kernels, compare two kernels bitwise in their own representation,
-or measure a call's traced allocation peak.
+for dense kernels, take a low-rank node's defects from its own factors,
+compare two kernels bitwise in their own representation, or measure a
+call's traced allocation peak.
 """
 
+import math
 import tracemalloc
 from itertools import permutations
 from math import factorial
@@ -20,6 +22,7 @@ from gphier.kernels import (
     _sigma_axes,
     bracket_envelope,
     hermiticity_defect,
+    product_norm,
     symmetry_defect,
 )
 
@@ -105,6 +108,34 @@ def is_symmetric(kernel: MarginalKernel, tol: float = 1e-10) -> bool:
 
 def is_hermitian(kernel: MarginalKernel, tol: float = 1e-10) -> bool:
     return hermiticity_defect(kernel) <= tol
+
+
+def low_rank_node_defects(kernel: LowRankKernel) -> tuple:
+    """(hermiticity, symmetry) defects of one low-rank node U V^H, each from
+    a thin QR of the node's own factors (product_norm): the scale
+    ||U V^H||, gamma - gamma^* = [U, V] [V, -U]^H, and per swap Theta of
+    particles 0 and i the two orthogonal halves (U + Theta U)(V - Theta
+    V)^H and (U - Theta U)(V + Theta V)^H of 2 (gamma - Theta gamma
+    Theta)."""
+    U, V = kernel.U, kernel.V
+    k, n, M = kernel.k, kernel.grid.n, kernel.grid.M
+    scale = product_norm(U, V)
+    if scale == 0.0:
+        return 0.0, 0.0
+    herm = product_norm(np.hstack([U, V]), np.hstack([V, -U])) / scale
+    symm = 0.0
+    for i in range(1, k):
+        sigma = list(range(k))
+        sigma[0], sigma[i] = sigma[i], sigma[0]
+        axes = _sigma_axes(sigma, k, n)[:k * n] + [k * n]
+
+        def swapped(factor):
+            return factor.reshape((M,) * (k * n) + (-1,)).transpose(axes).reshape(factor.shape)
+
+        su, sv = swapped(U), swapped(V)
+        total = product_norm(U + su, V - sv) ** 2 + product_norm(U - su, V + sv) ** 2
+        symm = max(symm, math.sqrt(total) / (2.0 * scale))
+    return herm, symm
 
 
 def partial_trace_last(kernel):

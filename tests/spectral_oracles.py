@@ -1,0 +1,64 @@
+"""Reference lattice functions that only the tests use.
+
+Whole-kernel Fourier transforms, the Japanese bracket of n-dimensional
+points and the NLS energy: definitions the tests check gphier's lattice
+conventions and the split step against, with no caller in gphier itself.
+"""
+
+import numpy as np
+
+from gphier.nls import _fft_psq, _power
+from gphier.norms import accurate_sum
+from gphier.operators import Interaction
+from gphier.spectral import GridSpec, axis_to_momentum, axis_to_position
+
+
+def bracket_nd(p):
+    """Japanese bracket of n-dimensional points; last axis holds components."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 0:
+        return np.sqrt(1.0 + p * p)
+    return np.sqrt(1.0 + np.sum(p * p, axis=-1))
+
+
+def kernel_to_momentum(arr: np.ndarray, grid: GridSpec, k: int) -> np.ndarray:
+    """Position-space k-particle kernel -> momentum representation.
+
+    The first k*n axes (unprimed variables) use exp(-i p.x); the last k*n
+    (primed) use exp(+i p'.x').
+    """
+    arr = np.asarray(arr, dtype=complex)
+    if arr.shape != grid.kernel_shape(k):
+        raise ValueError("kernel has wrong shape for this grid and k")
+    out = arr
+    for axis in range(k * grid.n):
+        out = axis_to_momentum(out, grid, axis, primed=False)
+    for axis in range(k * grid.n, 2 * k * grid.n):
+        out = axis_to_momentum(out, grid, axis, primed=True)
+    return out
+
+
+def kernel_to_position(arr: np.ndarray, grid: GridSpec, k: int) -> np.ndarray:
+    """Momentum-space k-particle kernel -> position representation."""
+    arr = np.asarray(arr, dtype=complex)
+    if arr.shape != grid.kernel_shape(k):
+        raise ValueError("kernel has wrong shape for this grid and k")
+    out = arr
+    for axis in range(k * grid.n):
+        out = axis_to_position(out, grid, axis, primed=False)
+    for axis in range(k * grid.n, 2 * k * grid.n):
+        out = axis_to_position(out, grid, axis, primed=True)
+    return out
+
+
+def energy(values: np.ndarray, grid: GridSpec, interaction: Interaction) -> float:
+    """Conserved Hamiltonian: kinetic plus mu/(s+1) |phi|^(2s+2)."""
+    phi_hat = np.fft.fftn(values)
+    psq = _fft_psq(grid.n, grid.L, grid.M)
+    kinetic = accurate_sum(psq * np.abs(phi_hat) ** 2) * grid.dx / grid.lattice_size
+    s = _power(interaction)
+    potential = (
+        interaction.mu / (s + 1.0)
+        * accurate_sum(np.abs(values) ** (2 * s + 2)) * grid.dx
+    )
+    return kinetic + potential

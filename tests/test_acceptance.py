@@ -42,7 +42,7 @@ from gphier.solver import (
     picard_step,
     solve,
 )
-from gphier.spectral import GridSpec, inverse_transform, kernel_to_momentum
+from gphier.spectral import GridSpec, inverse_transform
 from gphier.verify import (
     binomial_growth_check,
     estimate_collapse_battery,
@@ -50,6 +50,7 @@ from gphier.verify import (
     lemma31_divergence_check,
     lemma31_sup_check,
 )
+from spectral_oracles import kernel_to_momentum
 
 ALPHA = 1.0
 XI = 0.5

@@ -15,8 +15,11 @@ from gphier.kernels import (
     FactorizedKernel,
     HierarchySequence,
     LowRankKernel,
+    LowRankLevel,
     MarginalKernel,
     ResourceBudgetError,
+    _hermiticity_defects,
+    _symmetry_defects,
     as_dense,
     bracket_envelope,
     factorized,
@@ -44,6 +47,7 @@ from kernel_oracles import (
     hermitize_whole,
     is_hermitian,
     is_symmetric,
+    low_rank_node_defects,
     partial_trace_last,
     random_test_kernel_whole,
     symmetrize_bruteforce,
@@ -498,6 +502,107 @@ class TestLowRankDefects:
         ]
         assert outs[0] == outs[1]
         assert len(outs[0].split()) == 8
+
+
+# The level path (one QR per stack) against the per-node formulas: the same
+# quantities through different QRs, so they agree to rounding, absolutely,
+# on the relative defects.
+LEVEL_DEFECT_TOL = 1e-14
+
+
+def random_level(grid, k, nodes, seed, eps=1.0):
+    """A LowRankLevel of hermitian, exchange-symmetric rank-2 integrands,
+    their U perturbed by eps times complex noise: node i weighs integrand j
+    by a random weight, and integrand 1 by 0 at node 2 (left out of that
+    node's factors, but inside its prefix of the stack); node 0 is start's
+    column alone, as in a solve.  Returns the closed level and its nodes."""
+    rng = np.random.default_rng(seed)
+    a = hermitian_symmetric_factors(grid, k, 1, seed)[0][:, :1]
+    level = LowRankLevel(LowRankKernel(grid, k, a, a.copy()))
+    made = []
+    for i in range(nodes):
+        A, B = hermitian_symmetric_factors(grid, k, 1, seed + 1 + i)
+        noise = rng.standard_normal(A.shape) + 1j * rng.standard_normal(A.shape)
+        w = rng.uniform(0.1, 1.0, i + 1) if i else np.zeros(1)
+        if i == 2:
+            w[1] = 0.0
+        made.append(level.add(LowRankKernel(grid, k, A + eps * noise, B), w))
+    level.close(made[-1])
+    return level, made
+
+
+class TestLowRankLevelDefects:
+    """Every node's defects from one QR per stack of the level."""
+
+    @pytest.mark.parametrize("eps", [1.0, 1e-9, 0.0])
+    @pytest.mark.parametrize("grid, k", [(GridSpec(1, 2 * np.pi, 8), 3),
+                                         (GridSpec(2, 3.0, 4), 2)])
+    def test_match_each_node_from_its_own_factors(self, grid, k, eps):
+        level, nodes = random_level(grid, k, 5, seed=60, eps=eps)
+        herm, symm = _hermiticity_defects(level), _symmetry_defects(level)
+        assert len(herm) == len(symm) == len(nodes)
+        for i, (got_h, got_s, node) in enumerate(zip(herm, symm, nodes)):
+            want_h, want_s = low_rank_node_defects(node)
+            # node 0, start's column alone, is exactly hermitian-symmetric
+            assert (want_h > 1e-12) == (want_s > 1e-12) == (eps != 0.0 and i > 0)
+            assert abs(got_h - want_h) <= LEVEL_DEFECT_TOL
+            assert abs(got_s - want_s) <= LEVEL_DEFECT_TOL
+        assert hermiticity_defect(level) == max(herm)
+        assert symmetry_defect(level) == max(symm)
+
+    def test_nodes_are_prefixes_of_the_stack(self):
+        # the stack is the last node's factors, each node's weights relative
+        # to the last node's
+        grid = GridSpec(1, 2 * np.pi, 6)
+        level, nodes = random_level(grid, 2, 4, seed=61)
+        U, V, W = level.stacks
+        assert U is nodes[-1].U and V is nodes[-1].V
+        assert U.shape == (36, 1 + 2 * 4) and W.shape == (4, 9)
+        for node, w in zip(nodes, W):
+            m = np.flatnonzero(w)[-1] + 1
+            kept = w[:m] != 0.0
+            np.testing.assert_allclose(node.U, (U[:, :m] * w[:m])[:, kept], rtol=1e-15)
+            np.testing.assert_array_equal(node.V, V[:, :m][:, kept])
+        assert W[0].tolist() == [1.0] + [0.0] * 8  # start's column alone
+        assert W[2, 3:5].tolist() == [0.0, 0.0]    # integrand 1 weighs 0 at node 2
+        assert W[3].tolist() == [1.0] * 9
+
+    def test_last_node_must_weigh_every_column(self):
+        grid = GridSpec(1, 2 * np.pi, 6)
+        level = LowRankLevel(random_low_rank(grid, 2, 1, seed=65))
+        level.add(random_low_rank(grid, 2, 2, seed=66), np.ones(1))
+        last = level.add(random_low_rank(grid, 2, 2, seed=67), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="every column"):
+            level.close(last)
+
+    def test_zero_level(self):
+        # an all-zero level, or zero nodes in a nonzero level, have zero
+        # defects rather than a zero division
+        grid = GridSpec(1, 2 * np.pi, 8)
+        zero = LowRankKernel(grid, 3, np.zeros((512, 1)), np.zeros((512, 1)))
+        level = LowRankLevel(zero)
+        for i in range(3):
+            node = level.add(LowRankKernel(grid, 3, np.zeros((512, 2)), np.ones((512, 2))),
+                             np.full(i + 1, 0.5))
+        level.close(node)
+        assert _hermiticity_defects(level) == _symmetry_defects(level) == [0.0] * 3
+        assert hermiticity_defect(level) == symmetry_defect(level) == 0.0
+        live = LowRankLevel(zero)
+        live.add(random_low_rank(grid, 3, 2, seed=62), np.zeros(1))
+        live.close(live.add(random_low_rank(grid, 3, 2, seed=63), np.ones(2)))
+        for defects in (_hermiticity_defects(live), _symmetry_defects(live)):
+            assert defects[0] == 0.0 and defects[1] > 0.1
+
+    @pytest.mark.parametrize("rows, columns", [(300, 12), (7, 12)])
+    def test_thin_r_prefix_property(self, rows, columns):
+        # the R of a leading block of columns is the leading block of R,
+        # bitwise: what lets one QR of a stack serve every node
+        rng = np.random.default_rng(64)
+        x = rng.standard_normal((rows, columns)) + 1j * rng.standard_normal((rows, columns))
+        x[:, 4] = x[:, 1]  # a dependent column
+        r = thin_r(x)
+        for m in range(1, columns + 1):
+            assert np.array_equal(thin_r(x[:, :m]), r[:m, :m])
 
 
 class TestTraces:

@@ -6,7 +6,6 @@ import pytest
 from gphier.kernels import FactorizedKernel
 from gphier.nls import (
     compare_marginals,
-    energy,
     evolve,
     factorized_trajectory,
     mass,
@@ -16,6 +15,7 @@ from gphier.nls import (
 from gphier.norms import sobolev_norm
 from gphier.operators import Interaction
 from gphier.spectral import GridSpec
+from spectral_oracles import energy
 
 GRID = GridSpec(n=1, L=2 * np.pi, M=32)
 CUBIC = Interaction("cubic", 1)

@@ -16,10 +16,14 @@ from gphier.kernels import (
     LowRankKernel,
     MarginalKernel,
     ResourceBudgetError,
+    _hermiticity_defects,
+    _symmetry_defects,
     as_dense,
     factorized_sequence as product_sequence,
+    hermiticity_defect,
     kernel_budget,
     random_test_kernel,
+    symmetry_defect,
 )
 from gphier import solver as solver_module
 from gphier.norms import (
@@ -46,7 +50,7 @@ from gphier.solver import (
     solve,
 )
 from gphier.spectral import GridSpec, inverse_transform
-from kernel_oracles import bitwise_equal
+from kernel_oracles import bitwise_equal, low_rank_node_defects
 
 GRID = GridSpec(n=1, L=2 * np.pi, M=6)
 PARAMS = NormParams(alpha=1.0, xi=0.5)
@@ -665,20 +669,31 @@ class TestFrozenLevelSchedule:
 # themselves relative errors (trace drift, defects; about 1e-16 on both
 # paths) are compared within it absolutely, on their own unit scale.
 LOW_RANK_TOL = 1e-12
+# A low-rank level's defects from one QR per column stack against each
+# node's from a QR of its own factors: absolute, on the relative defects.
+LEVEL_DEFECT_TOL = 1e-14
 
 
 def low_rank_case(name):
-    """A product state at M=8, N_t=8 and its configuration."""
+    """A product state at M=8, N_t=8 and its configuration; cubic_n2 is
+    cubic K=3 in two dimensions at M=4."""
     grid = GridSpec(n=1, L=2 * np.pi, M=8)
     phi = np.exp(-grid.positions**2 / 2.0) * (1.0 + 0.3j * np.sin(grid.positions))
+    if name == "cubic_n2":
+        grid = GridSpec(n=2, L=2 * np.pi, M=4)
+        x, y = np.meshgrid(grid.positions, grid.positions, indexing="ij")
+        phi = np.exp(-(x**2 + y**2) / 2.0) * (1.0 + 0.3j * np.sin(x))
     kind, K, closure, quadrature = {
         "cubic_free_top": ("cubic", 4, "free_top", "trapezoid"),
+        "cubic_simpson": ("cubic", 4, "free_top", "simpson"),
         "cubic_factorized_top": ("cubic", 4, "factorized_top", "trapezoid"),
+        "cubic_n2": ("cubic", 3, "free_top", "trapezoid"),
         "quintic_trapezoid": ("quintic", 5, "free_top", "trapezoid"),
         "quintic_simpson": ("quintic", 5, "free_top", "simpson"),
     }[name]
     config = SolverConfig(
-        grid=grid, interaction=Interaction(kind, 1), params=PARAMS, K=K, T=0.05,
+        grid=grid, interaction=Interaction(kind, 1),
+        params=PARAMS if grid.n == 1 else NormParams(alpha=1.5, xi=0.5), K=K, T=0.05,
         N_t=8, quadrature=quadrature,
         closure=ClosureRule(closure, phi0=phi if closure == "factorized_top" else None,
                             substeps=8),
@@ -730,6 +745,36 @@ class TestLowRankLevels:
             assert fields[key].keys() == ref_fields[key].keys()
             for k, value in fields[key].items():
                 assert_close(value, ref_fields[key][k], 1.0)
+
+    @pytest.mark.parametrize("name, low_rank", [
+        ("cubic_free_top", {3}), ("cubic_simpson", {3}), ("cubic_factorized_top", {3}),
+        ("quintic_trapezoid", {2, 3}), ("quintic_simpson", {2, 3}), ("cubic_n2", {2}),
+    ])
+    def test_level_defects_match_each_node_from_its_own_factors(self, name, low_rank):
+        # the defects solve() reports for a low-rank level come from one QR
+        # per column stack; each node's, from a QR of its own phased factors,
+        # agrees within LEVEL_DEFECT_TOL (absolute, on relative defects)
+        phi, config = low_rank_case(name)
+        gamma0 = product_sequence(phi, config.grid, config.K, 0.5, dense_up_to=0)
+        times = config.times()
+        levels = {k: [None] * len(times) for k in range(1, config.K + 1)}
+        start = solver_module._initial_data(gamma0, config, plan(config, gamma0).low_rank)
+        stacks = solver_module._step(levels, levels, times, start,
+                                     solver_module._closure_states(gamma0, config), config)
+        assert set(stacks) == low_rank
+        for k, level in stacks.items():
+            herm, symm = _hermiticity_defects(level), _symmetry_defects(level)
+            assert len(herm) == len(symm) == config.N_t + 1
+            for got_h, got_s, node in zip(herm, symm, levels[k]):
+                want_h, want_s = low_rank_node_defects(node)
+                assert abs(got_h - want_h) <= LEVEL_DEFECT_TOL
+                assert abs(got_s - want_s) <= LEVEL_DEFECT_TOL
+            assert max(herm) == hermiticity_defect(level) < 1e-9
+            assert max(symm) == symmetry_defect(level) < 1e-9
+        _, report = solve(gamma0, config)
+        for k, level in stacks.items():
+            assert report.hermiticity_defects[k] == hermiticity_defect(level)
+            assert report.symmetry_defects[k] == symmetry_defect(level)
 
     def test_low_rank_level_refuses_a_low_rank_source(self):
         # a low-rank level is built from factorized sources only; a prev
@@ -900,13 +945,17 @@ class TestSweep:
     def test_solve_takes_one_step(self, monkeypatch):
         calls = []
         original = solver_module._step
+        gamma0, config = factorized_sequence(GRID, 4, seed=81), config_for(K=4)
 
         def counting(*args):
             calls.append(args[0] is args[1])  # the sweep reads the new levels
-            assert original(*args) is None
+            stacks = original(*args)
+            # one column stack per low-rank level, for its defects
+            assert set(stacks) == plan(config, gamma0).low_rank == {3}
+            return stacks
 
         monkeypatch.setattr(solver_module, "_step", counting)
-        _, report = solve(factorized_sequence(GRID, 4, seed=81), config_for(K=4))
+        _, report = solve(gamma0, config)
         assert calls == [True]
         assert report.iterations == 1
 

@@ -4,13 +4,11 @@ import pytest
 from gphier.spectral import (
     GridSpec,
     bracket,
-    bracket_nd,
     forward_transform,
     inverse_transform,
-    kernel_to_momentum,
-    kernel_to_position,
     variable_bracket,
 )
+from spectral_oracles import bracket_nd, kernel_to_momentum, kernel_to_position
 
 
 def random_field(grid, seed=0):
