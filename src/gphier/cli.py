@@ -417,9 +417,13 @@ def cmd_solve(args) -> int:
 def cmd_verify_lemmas(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     n = _typed(cfg, "n", _integer, 1)
+    if n < 1:
+        raise CliError("config field 'n' must be >= 1")
     beta = _typed(cfg, "beta", float, n + 1)
-    cutoff = _typed(cfg, "cutoff", float, 32.0)
+    cutoff = _typed(cfg, "cutoff", _positive, 32.0)
     resolution = _typed(cfg, "resolution", _integer, 640 if n == 1 else 40)
+    if resolution < 2:
+        raise CliError("config field 'resolution' must be >= 2")
     include_endpoint = _flag(cfg, "include_endpoint", True) or beta == n
     out = prepare_output(args, cfg, "verify-lemmas")
 
@@ -432,7 +436,7 @@ def cmd_verify_lemmas(args) -> int:
         rows.append(("sup_in_p", f"beta={beta} n={n} cutoff={cutoff}",
                      sup.max_value, "flat tail within 10%",
                      "pass" if sup.stable else "fail"))
-        ladder = lemma31_cutoff_ladder(beta, n, np.zeros(n), (4.0, 8.0, 16.0, 32.0))
+        ladder = lemma31_cutoff_ladder(beta, n, np.zeros(n))
         final_change = (ladder[-1] - ladder[-2]) / ladder[-1]
         rows.append(("cutoff_stabilization", f"beta={beta} n={n}",
                      final_change, "relative change < 5%",

@@ -99,11 +99,6 @@ class MarginalKernel:
         if self.data.dtype != np.complex128:
             object.__setattr__(self, "data", np.ascontiguousarray(self.data, dtype=np.complex128))
 
-    @classmethod
-    def zeros(cls, grid: GridSpec, k: int, budget=None) -> "MarginalKernel":
-        check_budget(grid.kernel_bytes(k), budget)
-        return cls(grid, k, np.zeros(grid.kernel_shape(k), dtype=np.complex128))
-
 
 @dataclass(frozen=True)
 class FactorizedKernel:
@@ -269,11 +264,6 @@ def as_dense(kernel, budget=None) -> MarginalKernel:
     return kernel
 
 
-def factorized(phi, grid: GridSpec, k: int, budget=None) -> MarginalKernel:
-    """Dense factorized kernel built from a one-particle position profile."""
-    return FactorizedKernel.from_position(phi, grid, k).materialize(budget)
-
-
 @dataclass(frozen=True)
 class HierarchySequence:
     """Levels gamma^(1..K) with the weight xi used for the combined norm."""
@@ -306,16 +296,17 @@ class HierarchySequence:
         return self.levels[k - 1]
 
 
-def factorized_sequence(phi, grid: GridSpec, K: int, xi: float, dense_up_to: int = None,
-                        budget=None) -> HierarchySequence:
-    """Factorized hierarchy from one profile; levels above dense_up_to stay lazy."""
+def factorized_sequence(phi, grid: GridSpec, K: int, xi: float,
+                        dense_up_to: int = None) -> HierarchySequence:
+    """Factorized hierarchy from one profile; levels above dense_up_to stay
+    lazy, the others are materialized under the default budget."""
     if dense_up_to is None:
         dense_up_to = K
     base = FactorizedKernel.from_position(phi, grid, 1)
     levels = []
     for k in range(1, K + 1):
         fk = FactorizedKernel(grid, k, base.phi_hat)
-        levels.append(fk.materialize(budget) if k <= dense_up_to else fk)
+        levels.append(fk.materialize() if k <= dense_up_to else fk)
     return HierarchySequence(K, xi, tuple(levels))
 
 
@@ -363,19 +354,6 @@ def _sigma_axes(sigma, k: int, n: int) -> list:
     for j in sigma:
         axes.extend(range((k + j) * n, (k + j + 1) * n))
     return axes
-
-
-def permute_particles(kernel: MarginalKernel, sigma) -> MarginalKernel:
-    """Theta_sigma: simultaneous permutation of primed and unprimed variables.
-
-    sigma is a 0-based tuple; entry j names the input variable placed at
-    output slot j.
-    """
-    sigma = tuple(sigma)
-    if sorted(sigma) != list(range(kernel.k)):
-        raise ValueError("sigma must be a permutation of 0..k-1")
-    axes = _sigma_axes(sigma, kernel.k, kernel.grid.n)
-    return MarginalKernel(kernel.grid, kernel.k, kernel.data.transpose(axes).copy())
 
 
 def symmetrize(kernel: MarginalKernel) -> MarginalKernel:
@@ -688,26 +666,36 @@ def bracket_envelope(grid: GridSpec, k: int, exponent: float) -> np.ndarray:
     return half
 
 
+def damp(src: np.ndarray, half: np.ndarray, out: np.ndarray) -> None:
+    """out = src damped by the weight half (a bracket_envelope) on both
+    variable groups: the rows of the (unprimed x primed) matrix scaled by
+    half, then its columns, in one blocks.rows pass.  out may be src."""
+    half = half.reshape(-1)
+    a, b = src.reshape(half.size, half.size), out.reshape(half.size, half.size)
+
+    def rows(r):
+        np.multiply(a[r], half[r, None], out=b[r])
+        b[r] *= half
+
+    blocks.rows(rows, b, lambda shape: ())
+
+
+DRAW_DECAY = 1.0  # s: random_test_kernel's extra decay beyond H^alpha
+
+
 def random_test_kernel(grid: GridSpec, k: int, alpha: float, seed: int,
-                       s: float = 1.0, budget=None) -> MarginalKernel:
+                       budget=None) -> MarginalKernel:
     """Seeded random kernel with enough momentum decay to have finite H^alpha norms.
 
-    Independent complex Gaussians, damped by prod <p_j>^-(alpha+s) <p'_j>^-(alpha+s)
-    in one blocks.rows pass, then hermitized and symmetrized in place: the
-    draw holds at most two kernel-sized arrays.
+    Independent complex Gaussians, damped in place by prod <p_j>^-(alpha+s)
+    <p'_j>^-(alpha+s) (s = DRAW_DECAY), then hermitized and symmetrized in
+    place: the draw holds at most two kernel-sized arrays.
     """
     check_budget(grid.kernel_bytes(k), budget, what=f"k={k} test kernel")
     rng = np.random.default_rng(seed)
     shape = grid.kernel_shape(k)
     data = rng.standard_normal(shape + (2,)).view(np.complex128).reshape(shape)
-    half = bracket_envelope(grid, k, -(alpha + s)).reshape(-1)
-    mat = data.reshape(half.size, half.size)
-
-    def damp(r):
-        mat[r] *= half[r, None]
-        mat[r] *= half
-
-    blocks.rows(damp, mat, lambda shape: ())
+    damp(data, bracket_envelope(grid, k, -(alpha + DRAW_DECAY)), data)
     return symmetrize(hermitize(MarginalKernel(grid, k, data)))
 
 

@@ -15,7 +15,6 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import FactorizedKernel, HierarchySequence
-from .norms import accurate_sum
 from .operators import CUBIC, Interaction
 from .spectral import GridSpec
 
@@ -71,11 +70,6 @@ def solve_nodes(values: np.ndarray, grid: GridSpec, interaction: Interaction,
     for a, b in zip(times, times[1:]):
         out.append(evolve(out[-1], grid, interaction, b - a, substeps))
     return out
-
-
-def mass(values: np.ndarray, grid: GridSpec) -> float:
-    """Conserved L^2 mass, the quadrature sum of |phi|^2 dx."""
-    return accurate_sum(np.abs(values) ** 2) * grid.dx
 
 
 def factorized_trajectory(values: np.ndarray, grid: GridSpec,

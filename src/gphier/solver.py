@@ -23,9 +23,9 @@ Quadrature updates run in the row blocks of blocks.rows on the block pool,
 bitwise as on one worker.  Each node is written once, by the free phase
 pass that also sums gamma0 and the prefix into it (apply_free_phase's
 terms).  A source that is the same object at every node (the convention
-start, a zero_top closure, the remainder's R_0) is collapsed once, and each
-node's integrand is copied from that collapse in its own phase pass; any
-other source is collapsed node by node.
+start, a zero_top closure) is collapsed once, and each node's integrand is
+copied from that collapse in its own phase pass; any other source is
+collapsed node by node.
 
 Levels come in the three representations of kernels.  Closure levels are
 factorized, or dense when free_top evolves dense initial data.  A sourced
@@ -59,12 +59,8 @@ kernels.kernel_budget.
 
 The expansion terms are Duhamel chains: one helper (_chain) streams a node
 list down from a top level in steps of off, each level's node generator
-feeding the next level's integrator.  It gives duhamel_term, the
-convention-start remainder duhamel_remainder, and duhamel_bound_rows,
-which streams each top level's chain once for all its rows and keeps only
-each level's last node.  The partial sums of Duhamel terms plus the
-remainder reproduce each iterate to rounding, which the tests use as a
-cross-check of the whole pipeline.
+feeding the next level's integrator.  duhamel_bound_rows streams each top
+level's chain once for all its rows and keeps only each level's last node.
 """
 
 from __future__ import annotations
@@ -432,16 +428,6 @@ def _initial_data(gamma0: HierarchySequence, config: SolverConfig, low_rank) -> 
             for k in config.sourced_levels}
 
 
-def convention_trajectory(gamma0: HierarchySequence, config: SolverConfig) -> Trajectory:
-    """The iteration start: the initial sequence frozen at every node."""
-    state = HierarchySequence(
-        config.K, config.params.xi,
-        tuple(gamma0.level(k) for k in range(1, config.K + 1)),
-    )
-    times = config.times()
-    return Trajectory(times, [state] * len(times))
-
-
 @dataclass(frozen=True)
 class SolvePlan:
     """What solve() will do at most: collapses made and bytes held at peak,
@@ -657,21 +643,19 @@ def picard_step(prev: Trajectory, gamma0: HierarchySequence,
 
 # -- Duhamel expansion terms -----------------------------------------------------
 
-def _chain(nodes, top: int, bottom: int, config: SolverConfig, last=None):
+def _chain(nodes, top: int, bottom: int, config: SolverConfig, last: dict):
     """The Duhamel chain below level-top nodes (a list or an iterator): the
     node stream of the pure integral term at level bottom, sourced by the
     term one level up, and so on from level top-off.  Each level's node
     generator feeds the next level's integrator, so the chain holds a few
-    nodes per level, never a whole list.  If last is a dict, last[level] is
-    each level's latest node as it passes."""
+    nodes per level, never a whole list.  last[level] is each level's
+    latest node as it passes."""
     times = config.times()
     for lvl in range(top - config.offset, bottom - 1, -config.offset):
-        nodes = _duhamel_nodes(
+        nodes = _passing(_duhamel_nodes(
             nodes, times, config.quadrature, None, config.grid, lvl,
             config.interaction,
-        )
-        if last is not None:
-            nodes = _passing(nodes, last, lvl)
+        ), last, lvl)
     return nodes
 
 
@@ -680,44 +664,6 @@ def _passing(stream, last: dict, lvl: int):
     for node in stream:
         last[lvl] = node
         yield node
-
-
-def duhamel_term(j: int, k: int, gamma0: HierarchySequence,
-                 config: SolverConfig) -> list:
-    """Trajectory of the j-th expansion term at level k.
-
-    Xi_0 is the free evolution of gamma0^(k); Xi_j integrates the collapsed
-    (j-1)-th term one level up.  The j=0 output keeps the representation of
-    the initial data (possibly factorized); deeper terms are dense.
-    """
-    top = k + j * config.offset
-    if j < 0 or top > config.K:
-        raise ValueError(
-            f"term (j={j}, k={k}) needs level {top} but truncation is K={config.K}"
-        )
-    term = [free_evolve(gamma0.level(top), t) for t in config.times()]
-    return list(_chain(term, top, k, config))
-
-
-def duhamel_remainder(m: int, k: int, gamma0: HierarchySequence,
-                      config: SolverConfig) -> list:
-    """Convention-start remainder: iterate m minus the first m expansion terms.
-
-    R_0 is the constant trajectory; R_m integrates R_{m-1} one level up and
-    vanishes at closure levels from m=1 on, so R_m at level k is the chain
-    below the constant start at level k + m*off, and zero when that level
-    is beyond K.  Only meaningful for the free_top closure, where closure
-    levels carry exactly the j=0 term.
-    """
-    if config.closure.kind != FREE_TOP:
-        raise ValueError("remainder bookkeeping is defined for the free_top closure")
-    if m < 0:
-        raise ValueError(f"remainder index m={m} must be >= 0")
-    top = k + m * config.offset
-    if top > config.K:
-        zero = MarginalKernel.zeros(config.grid, k, budget=config.budget)
-        return [zero] * (config.N_t + 1)
-    return list(_chain([gamma0.level(top)] * (config.N_t + 1), top, k, config))
 
 
 # -- the solver -------------------------------------------------------------------
@@ -801,17 +747,22 @@ def solve(gamma0: HierarchySequence, config: SolverConfig,
     return _trajectory(times, levels, config), report
 
 
+BOUND_TERMS = 3   # duhamel_bound_rows' deepest term j
+BOUND_LEVELS = 3  # and its highest level k
+
+
 def duhamel_bound_rows(gamma0: HierarchySequence, config: SolverConfig,
-                       c_hat: float, j_max: int = 3, k_max: int = 3) -> list:
-    """Norm-vs-bound table for the expansion terms at the final time, rows
-    sorted by k, then j.  Each top level's chain is integrated once and
-    yields the terms (j, top - j*off) for j = 1, 2, ..., of which only the
-    final-time nodes are kept."""
+                       c_hat: float) -> list:
+    """Norm-vs-bound table for the expansion terms (j, k), j <= BOUND_TERMS
+    and k <= BOUND_LEVELS, at the final time, rows sorted by k, then j.
+    Each top level's chain is integrated once and yields the terms (j, top
+    - j*off) for j = 1, 2, ..., of which only the final-time nodes are
+    kept."""
     alpha, off = config.params.alpha, config.offset
     rows = []
     for top in range(1 + off, config.K + 1):
-        bottom = top - min(j_max, (top - 1) // off) * off
-        if bottom > k_max:
+        bottom = top - min(BOUND_TERMS, (top - 1) // off) * off
+        if bottom > BOUND_LEVELS:
             continue
         top_norm = sobolev_norm(gamma0.level(top), alpha)
         free = (free_evolve(gamma0.level(top), t) for t in config.times())
@@ -819,7 +770,7 @@ def duhamel_bound_rows(gamma0: HierarchySequence, config: SolverConfig,
         for _ in _chain(free, top, bottom, config, last=final):
             pass
         for k, node in final.items():
-            if k > k_max:
+            if k > BOUND_LEVELS:
                 continue
             j = (top - k) // off
             value = sobolev_norm(node, alpha)

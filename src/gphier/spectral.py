@@ -72,11 +72,6 @@ class GridSpec:
         return (self.L / self.M) ** self.n
 
     @property
-    def cell_volume(self) -> float:
-        """Momentum cell volume (2*pi/L)^n."""
-        return (TWO_PI / self.L) ** self.n
-
-    @property
     def measure_weight(self) -> float:
         """Momentum-sum weight per variable, dq/(2*pi)^n = 1/L^n."""
         return self.L ** (-self.n)
@@ -91,17 +86,6 @@ class GridSpec:
     def kernel_bytes(self, k: int) -> int:
         """complex128 storage for one k-particle kernel."""
         return 16 * self.kernel_entries(k)
-
-
-def bracket(p):
-    """Japanese bracket <p> = sqrt(1 + p^2), elementwise.
-
-    Intended for scalar momenta / per-component use (n = 1 lattices).  Over
-    one particle variable of an n-dimensional lattice use
-    :func:`variable_bracket`.
-    """
-    p = np.asarray(p, dtype=float)
-    return np.sqrt(1.0 + p * p)
 
 
 @lru_cache(maxsize=64)

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import blocks
-from .kernels import MarginalKernel, bracket_envelope, permute_particles, random_test_kernel
+from .kernels import MarginalKernel, bracket_envelope, check_budget, damp, random_test_kernel
 from .norms import sobolev_norm
-from .operators import collapse_b1, collapse_b2, cubic_contractions
+from .operators import Interaction, collapse, collapse_b1, collapse_b2, cubic_contractions
 from .spectral import GridSpec
 
 
@@ -33,12 +32,24 @@ def _bracket_sq(x: np.ndarray) -> np.ndarray:
     return 1.0 + x
 
 
+# the cutoff ladder: cutoffs doubling at a fixed number of cells per unit
+CUTOFFS = (4.0, 8.0, 16.0, 32.0)
+POINTS_PER_UNIT = 8.0
+GROWTH_THRESHOLD = 1.1  # every ladder ratio above it flags divergence
+# the sup scan: |p| probes, and the trailing rungs whose spread judges it
+P_VALUES = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0)
+TAIL = 2
+SPREAD_TOL = 0.10
+
+
 def lemma31_integral(beta: float, n: int, p, cutoff: float,
                      resolution: int = 200) -> float:
     """Midpoint quadrature of I(p) over [-cutoff, cutoff]^(2n).
 
     p is a length-n momentum point (a scalar is promoted for n=1);
-    resolution counts midpoint cells per axis.
+    resolution counts midpoint cells per axis.  The integrand is an array
+    of resolution^(2n) float64 entries, checked against the memory budget
+    (kernels.check_budget) before it is built.
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
@@ -47,6 +58,7 @@ def lemma31_integral(beta: float, n: int, p, cutoff: float,
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if p.shape != (n,):
         raise ValueError(f"p must have {n} components")
+    check_budget(8 * resolution ** (2 * n), what=f"a {resolution}^{2 * n} quadrature grid")
     h = 2.0 * cutoff / resolution
     mids = -cutoff + h * (np.arange(resolution) + 0.5)
 
@@ -76,14 +88,15 @@ def lemma31_integral(beta: float, n: int, p, cutoff: float,
     return float(integrand.sum()) * h ** (2 * n)
 
 
-def lemma31_cutoff_ladder(beta: float, n: int, p, cutoffs,
-                          points_per_unit: float = 8.0) -> list:
-    """I(p) along growing cutoffs at fixed cell size (so values are nested)."""
-    out = []
-    for lam in cutoffs:
-        res = max(4, int(math.ceil(2.0 * lam * points_per_unit)))
-        out.append(lemma31_integral(beta, n, p, lam, resolution=res))
-    return out
+def _ladder_resolution(cutoff: float) -> int:
+    """Cells per axis at the ladder's fixed cell size."""
+    return max(4, int(math.ceil(2.0 * cutoff * POINTS_PER_UNIT)))
+
+
+def lemma31_cutoff_ladder(beta: float, n: int, p) -> list:
+    """I(p) along the CUTOFFS at fixed cell size (so values are nested)."""
+    return [lemma31_integral(beta, n, p, lam, resolution=_ladder_resolution(lam))
+            for lam in CUTOFFS]
 
 
 @dataclass
@@ -96,9 +109,7 @@ class DivergenceReport:
     diverging: bool
 
 
-def lemma31_divergence_check(n: int, cutoffs=(4.0, 8.0, 16.0, 32.0),
-                             points_per_unit: float = 8.0,
-                             growth_threshold: float = 1.1) -> DivergenceReport:
+def lemma31_divergence_check(n: int) -> DivergenceReport:
     """Failure of the inequality at the endpoint beta = n.
 
     The unbounded quantity is the sup over p, not any single I(p): at fixed
@@ -106,19 +117,19 @@ def lemma31_divergence_check(n: int, cutoffs=(4.0, 8.0, 16.0, 32.0),
     at the resonant momentum p = cutoff/2 (kept inside the box as the box
     grows) increases without bound.  The check walks the cutoff-doubling
     ladder at that moving probe and flags divergence when every successive
-    ratio exceeds the threshold.
+    ratio exceeds GROWTH_THRESHOLD.
     """
     values = []
-    for lam in cutoffs:
+    for lam in CUTOFFS:
         probe = np.zeros(n)
         probe[0] = 0.5 * lam
-        res = max(4, int(math.ceil(2.0 * lam * points_per_unit)))
-        values.append(lemma31_integral(float(n), n, probe, lam, resolution=res))
+        values.append(lemma31_integral(float(n), n, probe, lam,
+                                       resolution=_ladder_resolution(lam)))
     ratios = [b / a for a, b in zip(values, values[1:])]
     return DivergenceReport(
-        beta=float(n), n=n, cutoffs=list(cutoffs), values=values,
+        beta=float(n), n=n, cutoffs=list(CUTOFFS), values=values,
         growth_ratios=ratios,
-        diverging=all(r > growth_threshold for r in ratios),
+        diverging=all(r > GROWTH_THRESHOLD for r in ratios),
     )
 
 
@@ -134,29 +145,27 @@ class SupCheckReport:
     stable: bool
 
 
-def lemma31_sup_check(beta: float, n: int, cutoff: float, p_values=None,
-                      resolution: int = 200, tail: int = 2,
-                      spread_tol: float = 0.10) -> SupCheckReport:
-    """Uniform-in-p boundedness scan along a |p| ladder (first axis).
+def lemma31_sup_check(beta: float, n: int, cutoff: float,
+                      resolution: int = 200) -> SupCheckReport:
+    """Uniform-in-p boundedness scan along the |p| ladder P_VALUES (first axis).
 
     The ladder value I(p) increases toward its supremum, so stabilization
-    is judged on the trailing rungs; the cutoff must sit well above the
-    largest probe or box clipping fakes a decay.
+    is judged on the TAIL trailing rungs, stable when their spread is at
+    most SPREAD_TOL; the cutoff must sit well above the largest probe or
+    box clipping fakes a decay.
     """
     if beta <= n:
         raise ValueError("the sup claim needs beta > n")
-    if p_values is None:
-        p_values = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0]
     vals = []
-    for mag in p_values:
+    for mag in P_VALUES:
         point = np.zeros(n)
         point[0] = mag
         vals.append(lemma31_integral(beta, n, point, cutoff, resolution))
-    tail_vals = vals[-tail:]
+    tail_vals = vals[-TAIL:]
     spread = (max(tail_vals) - min(tail_vals)) / max(tail_vals)
     return SupCheckReport(
-        beta=beta, n=n, cutoff=cutoff, p_values=list(p_values), integrals=vals,
-        max_value=max(vals), tail_spread=spread, stable=spread <= spread_tol,
+        beta=beta, n=n, cutoff=cutoff, p_values=list(P_VALUES), integrals=vals,
+        max_value=max(vals), tail_spread=spread, stable=spread <= SPREAD_TOL,
     )
 
 
@@ -176,19 +185,6 @@ class ConstantEstimate:
 SAFETY_FACTOR = 1.5
 
 
-def _reweight(base: np.ndarray, half: np.ndarray, out: np.ndarray):
-    """out = base damped by the bracket weight half on both variable groups,
-    one blocks.rows pass over the (unprimed x primed) matrix."""
-    half = half.reshape(-1)
-    src, dst = base.reshape(half.size, half.size), out.reshape(half.size, half.size)
-
-    def damp(r):
-        np.multiply(src[r], half[r, None], out=dst[r])
-        dst[r] *= half
-
-    blocks.rows(damp, dst, lambda shape: ())
-
-
 def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
                               trials: int = 50, seed: int = 0,
                               budget=None) -> dict:
@@ -197,12 +193,13 @@ def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
     The sampled kernels differ across alpha only through the per-variable
     bracket damping, and that multiplier commutes with the hermitize and
     symmetrize projections.  Each base kernel is therefore drawn (and
-    projected) once and reweighted per alpha into one buffer, in a
-    blocks.rows pass; the draw is released before the next one is made, so
+    projected) once and reweighted per alpha into one buffer (kernels.damp);
+    the draw is released before the next one is made, so
     at most three level-sized arrays are held (a draw, its symmetrize
     scratch, the buffer).  The draws are where nearly all of the estimation
-    time goes for k = 3.  Entries agree with single-alpha estimates up to
-    floating-point reassociation.
+    time goes for k = 3.  One contraction pass per reweighted draw serves
+    the j=1 pair of terms and the full collapse.  Entries agree with
+    single-alpha estimates up to floating-point reassociation.
     """
     alphas = tuple(alphas)
     k_range = tuple(k_range)
@@ -222,7 +219,7 @@ def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
             if data is None:
                 data = np.empty_like(base)
             for a in alphas:
-                _reweight(base, halves[a], data)
+                damp(base, halves[a], data)
                 gamma = MarginalKernel(grid, k + 1, data)
                 denom = sobolev_norm(gamma, a)
                 if denom == 0.0:
@@ -230,16 +227,10 @@ def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
                 shared = cubic_contractions(gamma)
                 term1 = collapse_b1(1, gamma, shared)
                 term2 = collapse_b2(1, gamma, shared)
+                full = collapse(gamma, Interaction(), contractions=shared)
                 del shared
                 acc[a][k]["term"].append(sobolev_norm(term1, a) / denom)
                 acc[a][k]["term"].append(sobolev_norm(term2, a) / denom)
-                diff = MarginalKernel(grid, k, term1.data - term2.data)
-                total = diff.data.copy()
-                for j in range(1, k):
-                    swap = list(range(k))
-                    swap[0], swap[j] = swap[j], swap[0]
-                    total += permute_particles(diff, swap).data
-                full = MarginalKernel(grid, k, total)
                 acc[a][k]["full"].append(sobolev_norm(full, a) / (k * denom))
             del base  # free this draw before the next one is made
     out = {}
@@ -279,8 +270,7 @@ def estimate_collapse_constant(alpha: float, grid: GridSpec, k_range=(1, 2, 3),
     ratios ||b_{1,2;j} gamma||/||gamma||, and returns 1.5x the largest
     observation together with a per-k table.  Because the draws are
     exchange symmetric, every j term is an output-block permutation of the
-    j=1 term; only that pair is contracted and the full sum is assembled
-    from its permuted copies.
+    j=1 term, so only that pair's per-term ratios are recorded.
     """
     return estimate_collapse_battery(
         (alpha,), grid, k_range, trials, seed, budget

@@ -1,11 +1,12 @@
 """Reference kernel operations that only the tests use.
 
 They check gphier's own operations against a definition (the group average,
-a diagonal contraction, the adjoint as a transposed view), pin the in-place
-projections to their whole-array forms, wrap a defect into a yes/no answer
-for dense kernels, take a low-rank node's defects from its own factors,
-compare two kernels bitwise in their own representation, or measure a
-call's traced allocation peak.
+a diagonal contraction, the adjoint as a transposed view, a particle
+permutation), pin the in-place projections to their whole-array forms,
+build dense test kernels (zeros, a materialized product state), wrap a
+defect into a yes/no answer for dense kernels, take a low-rank node's
+defects from its own factors, compare two kernels bitwise in their own
+representation, or measure a call's traced allocation peak.
 """
 
 import math
@@ -25,6 +26,29 @@ from gphier.kernels import (
     product_norm,
     symmetry_defect,
 )
+
+
+def zeros(grid, k: int) -> MarginalKernel:
+    """The dense zero k-particle kernel."""
+    return MarginalKernel(grid, k, np.zeros(grid.kernel_shape(k), dtype=np.complex128))
+
+
+def factorized(phi, grid, k: int, budget=None) -> MarginalKernel:
+    """Dense factorized kernel built from a one-particle position profile."""
+    return FactorizedKernel.from_position(phi, grid, k).materialize(budget)
+
+
+def permute_particles(kernel: MarginalKernel, sigma) -> MarginalKernel:
+    """Theta_sigma: simultaneous permutation of primed and unprimed variables.
+
+    sigma is a 0-based tuple; entry j names the input variable placed at
+    output slot j.
+    """
+    sigma = tuple(sigma)
+    if sorted(sigma) != list(range(kernel.k)):
+        raise ValueError("sigma must be a permutation of 0..k-1")
+    axes = _sigma_axes(sigma, kernel.k, kernel.grid.n)
+    return MarginalKernel(kernel.grid, kernel.k, kernel.data.transpose(axes).copy())
 
 
 def copied(kernel: MarginalKernel) -> MarginalKernel:

@@ -1,8 +1,9 @@
 """Reference lattice functions that only the tests use.
 
-Whole-kernel Fourier transforms, the Japanese bracket of n-dimensional
-points and the NLS energy: definitions the tests check gphier's lattice
-conventions and the split step against, with no caller in gphier itself.
+Whole-kernel Fourier transforms, the momentum cell volume, the Japanese
+bracket of scalar and n-dimensional points, and the NLS mass and energy:
+definitions the tests check gphier's lattice conventions and the split step
+against, with no caller in gphier itself.
 """
 
 import numpy as np
@@ -10,7 +11,23 @@ import numpy as np
 from gphier.nls import _fft_psq, _power
 from gphier.norms import accurate_sum
 from gphier.operators import Interaction
-from gphier.spectral import GridSpec, axis_to_momentum, axis_to_position
+from gphier.spectral import TWO_PI, GridSpec, axis_to_momentum, axis_to_position
+
+
+def cell_volume(grid: GridSpec) -> float:
+    """Momentum cell volume (2*pi/L)^n."""
+    return (TWO_PI / grid.L) ** grid.n
+
+
+def bracket(p):
+    """Japanese bracket <p> = sqrt(1 + p^2), elementwise.
+
+    Intended for scalar momenta / per-component use (n = 1 lattices).  Over
+    one particle variable of an n-dimensional lattice use
+    gphier.spectral.variable_bracket.
+    """
+    p = np.asarray(p, dtype=float)
+    return np.sqrt(1.0 + p * p)
 
 
 def bracket_nd(p):
@@ -49,6 +66,11 @@ def kernel_to_position(arr: np.ndarray, grid: GridSpec, k: int) -> np.ndarray:
     for axis in range(k * grid.n, 2 * k * grid.n):
         out = axis_to_position(out, grid, axis, primed=True)
     return out
+
+
+def mass(values: np.ndarray, grid: GridSpec) -> float:
+    """Conserved L^2 mass, the quadrature sum of |phi|^2 dx."""
+    return accurate_sum(np.abs(values) ** 2) * grid.dx
 
 
 def energy(values: np.ndarray, grid: GridSpec, interaction: Interaction) -> float:

@@ -16,12 +16,11 @@ import time
 import numpy as np
 import pytest
 
-from gphier.kernels import factorized, factorized_sequence, random_test_kernel
+from gphier.kernels import factorized_sequence, random_test_kernel
 from gphier.nls import (
     compare_marginals,
     evolve,
     factorized_trajectory,
-    mass,
     split_step,
 )
 from gphier.norms import (
@@ -37,7 +36,6 @@ from gphier.solver import (
     SolverConfig,
     apriori_bound_check,
     contraction_factor_check,
-    convention_trajectory,
     duhamel_bound_rows,
     picard_step,
     solve,
@@ -50,7 +48,9 @@ from gphier.verify import (
     lemma31_divergence_check,
     lemma31_sup_check,
 )
-from spectral_oracles import kernel_to_momentum
+from expansion_oracles import convention_trajectory
+from kernel_oracles import factorized
+from spectral_oracles import kernel_to_momentum, mass
 
 ALPHA = 1.0
 XI = 0.5
@@ -292,7 +292,7 @@ def test_05_weighted_integral_battery():
     """Cutoff ladder of the bracket-weighted integral: convergent above the
     critical exponent, flagged divergent at it."""
     t0 = time.monotonic()
-    ladder = lemma31_cutoff_ladder(2.0, 1, np.zeros(1), cutoffs=(4.0, 8.0, 16.0, 32.0))
+    ladder = lemma31_cutoff_ladder(2.0, 1, np.zeros(1))
     changes = [
         abs(b - a) / abs(a) for a, b in zip(ladder[:-1], ladder[1:])
     ]
@@ -329,7 +329,7 @@ def test_06_expansion_term_bounds(constant_battery):
         budget=SOLVER_BYTES,
     )
     gamma0 = factorized_sequence(phi, GRID8, 4, XI, dense_up_to=4)
-    rows = duhamel_bound_rows(gamma0, cfg, c_hat, j_max=3, k_max=3)
+    rows = duhamel_bound_rows(gamma0, cfg, c_hat)
     assert {(r["j"], r["k"]) for r in rows} == {
         (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)
     }

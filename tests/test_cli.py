@@ -521,6 +521,32 @@ class TestVerifyLemmasCommand:
                    "--out", str(tmp_path / "out")])
         assert rc == 0
 
+    @pytest.mark.parametrize("name, value", [
+        ("n", 0), ("n", -1), ("resolution", 1), ("resolution", 0),
+        ("cutoff", 0.0), ("cutoff", -4.0),
+    ])
+    def test_out_of_range_field_is_named(self, tmp_path, capsys, name, value):
+        # n = 0 ended in an IndexError traceback, n = -1 in numpy's "negative
+        # dimensions are not allowed"; resolution and cutoff named no field
+        out = tmp_path / "out"
+        rc = main(["verify-lemmas", "--config", write_cfg(tmp_path, {name: value}),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: config field {name!r}")
+        assert not list(out.glob("*.csv"))
+
+    def test_quadrature_grid_over_the_budget_is_refused(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # the sup check's 640^2 float64 grid is 3.3 MB; an n = 2 ladder once
+        # asked numpy for a 32 GiB grid
+        monkeypatch.setenv(BUDGET_ENV_VAR, "1000000")
+        out = tmp_path / "out"
+        rc = main(["verify-lemmas", "--config", write_cfg(tmp_path, {"n": 1}),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: memory budget exceeded")
+        assert not list(out.glob("*.csv"))
+
 
 class TestCompareNlsCommand:
     def test_hierarchy_tracks_oracle(self, tmp_path):

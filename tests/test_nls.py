@@ -8,14 +8,13 @@ from gphier.nls import (
     compare_marginals,
     evolve,
     factorized_trajectory,
-    mass,
     solve_nodes,
     split_step,
 )
 from gphier.norms import sobolev_norm
 from gphier.operators import Interaction
 from gphier.spectral import GridSpec
-from spectral_oracles import energy
+from spectral_oracles import energy, mass
 
 GRID = GridSpec(n=1, L=2 * np.pi, M=32)
 CUBIC = Interaction("cubic", 1)

@@ -11,7 +11,6 @@ from gphier.kernels import (
     HierarchySequence,
     LowRankKernel,
     MarginalKernel,
-    permute_particles,
     random_test_kernel,
 )
 from gphier.norms import (
@@ -24,7 +23,9 @@ from gphier.norms import (
     weighted_norm,
 )
 from gphier.operators import free_evolve
-from gphier.spectral import GridSpec, bracket, variable_bracket
+from gphier.spectral import GridSpec, variable_bracket
+from kernel_oracles import permute_particles, zeros
+from spectral_oracles import bracket
 
 GRID = GridSpec(n=1, L=2 * np.pi, M=6)
 
@@ -137,7 +138,7 @@ class TestSobolevNorm:
         assert norms == sorted(norms)
 
     def test_zero_kernel(self):
-        zero = MarginalKernel.zeros(GRID, 2)
+        zero = zeros(GRID, 2)
         assert sobolev_norm(zero, 1.0) == 0.0
 
 

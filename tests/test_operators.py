@@ -10,7 +10,6 @@ from gphier.kernels import (
     FactorizedKernel,
     MarginalKernel,
     as_dense,
-    factorized,
     hermitize,
     random_test_kernel,
     symmetrize,

@@ -41,16 +41,14 @@ from gphier.solver import (
     _PrefixIntegrator,
     apriori_bound_check,
     contraction_factor_check,
-    convention_trajectory,
     duhamel_bound_rows,
-    duhamel_remainder,
-    duhamel_term,
     picard_step,
     plan,
     solve,
 )
 from gphier.spectral import GridSpec, inverse_transform
-from kernel_oracles import bitwise_equal, low_rank_node_defects
+from expansion_oracles import convention_trajectory, duhamel_remainder, duhamel_term
+from kernel_oracles import bitwise_equal, low_rank_node_defects, zeros
 
 GRID = GridSpec(n=1, L=2 * np.pi, M=6)
 PARAMS = NormParams(alpha=1.0, xi=0.5)
@@ -268,7 +266,7 @@ class TestPicardStep:
     def test_zero_data_stays_zero(self):
         config = config_for(K=3)
         zero = HierarchySequence(
-            3, 0.5, tuple(MarginalKernel.zeros(GRID, k) for k in (1, 2, 3))
+            3, 0.5, tuple(zeros(GRID, k) for k in (1, 2, 3))
         )
         out = picard_step(convention_trajectory(zero, config), zero, config)
         for state in out.states:
@@ -278,7 +276,7 @@ class TestPicardStep:
     def test_zero_source_reduces_to_free_evolution(self):
         config = config_for(K=2, closure=ClosureRule("zero_top"))
         one = random_sequence(GRID, 2, seed=42).level(1)
-        gamma0 = HierarchySequence(2, 0.5, (one, MarginalKernel.zeros(GRID, 2)))
+        gamma0 = HierarchySequence(2, 0.5, (one, zeros(GRID, 2)))
         out = picard_step(convention_trajectory(gamma0, config), gamma0, config)
         for i, t in enumerate(config.times()):
             np.testing.assert_allclose(
@@ -413,7 +411,7 @@ class TestSolve:
     def test_zero_initial_data_one_iteration(self):
         config = config_for(K=3)
         zero = HierarchySequence(
-            3, 0.5, tuple(MarginalKernel.zeros(GRID, k) for k in (1, 2, 3))
+            3, 0.5, tuple(zeros(GRID, k) for k in (1, 2, 3))
         )
         traj, report = solve(zero, config)
         assert report.converged and report.iterations == 1

@@ -8,7 +8,7 @@ import pytest
 from dataclasses import asdict
 
 from gphier import blocks
-from gphier.kernels import MarginalKernel, bracket_envelope, permute_particles, random_test_kernel
+from gphier.kernels import MarginalKernel, bracket_envelope, random_test_kernel
 from gphier.norms import sobolev_norm
 from gphier.operators import (
     Interaction,
@@ -29,7 +29,7 @@ from gphier.verify import (
     lemma31_integral,
     lemma31_sup_check,
 )
-from kernel_oracles import random_test_kernel_whole, traced_peak
+from kernel_oracles import permute_particles, random_test_kernel_whole, traced_peak
 
 # Adaptive 2-d quadrature reference (scipy.integrate.dblquad, epsabs=1e-12)
 # for beta=2, n=1, cutoff=4, frozen as the regression anchor.
@@ -100,7 +100,7 @@ class TestIntegral:
 
 class TestCutoffLadder:
     def test_convergent_case_stabilizes(self):
-        vals = lemma31_cutoff_ladder(2.0, 1, 0.0, [4.0, 8.0, 16.0, 32.0])
+        vals = lemma31_cutoff_ladder(2.0, 1, 0.0)
         changes = [(b - a) / b for a, b in zip(vals, vals[1:])]
         assert vals == sorted(vals)
         assert changes[-1] < 0.05
@@ -139,7 +139,8 @@ GRID = GridSpec(1, 2.0 * np.pi, 6)
 
 def battery_rows_whole(alphas, grid, k_range, trials, seed) -> dict:
     """estimate_collapse_battery's rows per alpha, from the whole-array draw
-    and whole-array reweighting."""
+    and whole-array reweighting; the full sum from the one collapse driver
+    on the shared contractions."""
     draw_seeds = np.random.SeedSequence(seed).generate_state(len(k_range) * trials)
     rows = {a: [] for a in alphas}
     for ki, k in enumerate(k_range):
@@ -154,13 +155,8 @@ def battery_rows_whole(alphas, grid, k_range, trials, seed) -> dict:
                 shared = cubic_contractions(gamma)
                 term1, term2 = collapse_b1(1, gamma, shared), collapse_b2(1, gamma, shared)
                 term[a] += [sobolev_norm(term1, a) / denom, sobolev_norm(term2, a) / denom]
-                diff = MarginalKernel(grid, k, term1.data - term2.data)
-                total = diff.data.copy()
-                for j in range(1, k):
-                    swap = list(range(k))
-                    swap[0], swap[j] = swap[j], swap[0]
-                    total += permute_particles(diff, swap).data
-                full[a].append(sobolev_norm(MarginalKernel(grid, k, total), a) / (k * denom))
+                total = collapse(gamma, Interaction(), contractions=shared)
+                full[a].append(sobolev_norm(total, a) / (k * denom))
         for a in alphas:
             rows[a].append({"k": k, "max_full_ratio": max(full[a]),
                             "mean_full_ratio": float(np.mean(full[a])),
@@ -238,6 +234,27 @@ class TestConstantEstimate:
             swap[0], swap[j] = swap[j], swap[0]
             total += permute_particles(MarginalKernel(GRID, k, diff), swap).data
         np.testing.assert_allclose(total, direct.data, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("M,k,seed", [(8, 1, 23), (8, 2, 24), (6, 3, 25)])
+    def test_battery_full_sum_matches_exchange_assembly(self, M, k, seed):
+        # the battery takes the full sum from the collapse driver on the
+        # shared contractions; on an exchange-symmetric draw it is the j=1
+        # pair plus its k-1 particle-swapped copies, to rounding
+        grid = GridSpec(1, 2.0 * np.pi, M)
+        gamma = random_test_kernel(grid, k + 1, alpha=1.0, seed=seed)
+        shared = cubic_contractions(gamma)
+        driver = collapse(gamma, Interaction(), contractions=shared)
+        diff = MarginalKernel(
+            grid, k, collapse_b1(1, gamma, shared).data - collapse_b2(1, gamma, shared).data)
+        total = diff.data.copy()
+        for j in range(1, k):
+            swap = list(range(k))
+            swap[0], swap[j] = swap[j], swap[0]
+            total += permute_particles(diff, swap).data
+        scale = np.abs(total).max()
+        assert np.abs(driver.data - total).max() <= 1e-14 * scale
+        assert sobolev_norm(driver, 1.0) == pytest.approx(
+            sobolev_norm(MarginalKernel(grid, k, total), 1.0), rel=1e-14)
 
     def test_factorized_level_one_closed_form(self):
         # For a product kernel the full collapse sum has an explicit
