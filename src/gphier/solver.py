@@ -57,10 +57,11 @@ yields the collapse count, the peak bytes and the low-rank levels.
 solve() and the CLI check that peak against one budget,
 kernels.kernel_budget.
 
-The expansion terms are Duhamel chains: one helper (_chain) streams a node
-list down from a top level in steps of off, each level's node generator
-feeding the next level's integrator.  duhamel_bound_rows streams each top
-level's chain once for all its rows and keeps only each level's last node.
+Term j of the Duhamel expansion below level top is level top - j off of the
+same sweep on the data (0, .., 0, gamma0^(top)), with no closure and the free
+evolution of gamma0^(top) as the top list (_expansion), so plan() picks its
+levels' representations too.  duhamel_bound_rows runs that sweep once per top
+level and reads each level's last node.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -326,13 +327,16 @@ class _PrefixIntegrator:
 
 
 def _integrands(sources, times, interaction, dense: bool):
-    """Yields g_i = U0(-t_i) Btilde src_i, node by node: a dense array, or
-    for a factorized or low-rank source a LowRankKernel unless dense.  A
-    list source that is the same object at every node is collapsed once."""
+    """Yields g_i = U0(-t_i) Btilde src_i, node by node: a dense array if
+    dense, else the LowRankKernel of a factorized source (any other source
+    is a TypeError, raised as it arrives).  A list source that is the same
+    object at every node is collapsed once."""
     constant = None
     if isinstance(sources, list) and all(src is sources[0] for src in sources):
         constant = apply_btilde(sources[0], interaction)
     for i, src in enumerate(sources):
+        if not (dense or isinstance(src, FactorizedKernel)):
+            raise TypeError("a low-rank level needs a factorized source at every node")
         # no local holds a collapse output or its phased copy through the
         # next node's collapse
         yield _integrand(constant if constant is not None else apply_btilde(src, interaction),
@@ -355,22 +359,21 @@ def _duhamel_nodes(sources, times, rule, start, grid, k, interaction):
 
     sources gives the (k+offset)-level kernel at each node: a list, or an
     iterator such as another level's _duhamel_nodes, read one node at a
-    time.  start is the level-k initial data: a dense array, a LowRankLevel
-    holding only its start (then every node is low rank and the level keeps
-    their column stack, _low_rank_nodes), or None for the pure integral
-    term.  Node i is yielded before source i+1 is collapsed, and the
-    generator keeps no reference to it, so a caller that drops or stores it
-    controls when the node it replaces is released.
+    time.  start is the level-k initial data: a dense array, or a
+    LowRankLevel holding only its start (then every node is low rank and the
+    level keeps their column stack, _low_rank_nodes).  Node i is yielded
+    before source i+1 is collapsed, and the generator keeps no reference to
+    it, so a caller that drops or stores it controls when the node it
+    replaces is released.
     """
     if isinstance(start, LowRankLevel):
         yield from _low_rank_nodes(sources, times, rule, start, interaction)
         return
     integ = _PrefixIntegrator(rule, times[1] - times[0])
-    base = () if start is None else (start,)
     for i, g in enumerate(_integrands(sources, times, interaction, dense=True)):
         prefix = integ.push(g)
         yield MarginalKernel(
-            grid, k, apply_free_phase(np.empty_like(prefix), grid, k, times[i], *base, prefix))
+            grid, k, apply_free_phase(np.empty_like(prefix), grid, k, times[i], start, prefix))
 
 
 def _low_rank_nodes(sources, times, rule, level, interaction):
@@ -384,8 +387,6 @@ def _low_rank_nodes(sources, times, rule, level, interaction):
     integrands until the last node and each node's weights, from which
     solve() takes the level's defects.
     """
-    if not all(isinstance(src, FactorizedKernel) for src in sources):
-        raise TypeError("a low-rank level needs a factorized source at every node")
     weights = _PrefixIntegrator(rule, times[1] - times[0])
     onehot = np.eye(len(times))
     for i, g in enumerate(_integrands(sources, times, interaction, dense=False)):
@@ -395,16 +396,17 @@ def _low_rank_nodes(sources, times, rule, level, interaction):
 
 # -- closure and start trajectories -----------------------------------------------
 
+def _zero(grid: GridSpec, k: int) -> FactorizedKernel:
+    return FactorizedKernel(grid, k, np.zeros((grid.M,) * grid.n, dtype=np.complex128))
+
+
 def _closure_states(gamma0: HierarchySequence, config: SolverConfig) -> dict:
     """Node lists for every closure level, shared by all iterates."""
     grid, times = config.grid, config.times()
     out = {}
     if config.closure.kind == ZERO_TOP:
         for k in config.closure_levels:
-            zero = FactorizedKernel(
-                grid, k, np.zeros((grid.M,) * grid.n, dtype=np.complex128)
-            )
-            out[k] = [zero] * len(times)
+            out[k] = [_zero(grid, k)] * len(times)
     elif config.closure.kind == FREE_TOP:
         for k in config.closure_levels:
             top = gamma0.level(k)
@@ -643,27 +645,20 @@ def picard_step(prev: Trajectory, gamma0: HierarchySequence,
 
 # -- Duhamel expansion terms -----------------------------------------------------
 
-def _chain(nodes, top: int, bottom: int, config: SolverConfig, last: dict):
-    """The Duhamel chain below level-top nodes (a list or an iterator): the
-    node stream of the pure integral term at level bottom, sourced by the
-    term one level up, and so on from level top-off.  Each level's node
-    generator feeds the next level's integrator, so the chain holds a few
-    nodes per level, never a whole list.  last[level] is each level's
-    latest node as it passes."""
-    times = config.times()
-    for lvl in range(top - config.offset, bottom - 1, -config.offset):
-        nodes = _passing(_duhamel_nodes(
-            nodes, times, config.quadrature, None, config.grid, lvl,
-            config.interaction,
-        ), last, lvl)
-    return nodes
-
-
-def _passing(stream, last: dict, lvl: int):
-    """stream, with last[lvl] set to each node as it passes."""
-    for node in stream:
-        last[lvl] = node
-        yield node
+def _expansion(gamma_top, nodes, bottom: int, config: SolverConfig) -> dict:
+    """The Duhamel chain below level top = gamma_top.k: level k -> the node
+    list of expansion term (top - k)/off, for k = top-off, top-2 off, ..,
+    bottom.  They are those levels of _step's sweep on the data (0, .., 0,
+    gamma_top) with level-top nodes `nodes` (a list, or an iterator read
+    once) and no closure, each stored as plan() picks for those data."""
+    top, off = gamma_top.k, config.offset
+    sub = replace(config, K=top, closure=ClosureRule())
+    data = HierarchySequence(
+        top, config.params.xi, tuple(_zero(config.grid, k) for k in range(1, top)) + (gamma_top,))
+    start = _initial_data(data, sub, plan(sub, data).low_rank)
+    levels = {k: [None] * (config.N_t + 1) for k in range(top - off, bottom - 1, -off)}
+    _step(levels, {**levels, top: nodes}, config.times(), start, {}, sub)
+    return levels
 
 
 # -- the solver -------------------------------------------------------------------
@@ -755,9 +750,8 @@ def duhamel_bound_rows(gamma0: HierarchySequence, config: SolverConfig,
                        c_hat: float) -> list:
     """Norm-vs-bound table for the expansion terms (j, k), j <= BOUND_TERMS
     and k <= BOUND_LEVELS, at the final time, rows sorted by k, then j.
-    Each top level's chain is integrated once and yields the terms (j, top
-    - j*off) for j = 1, 2, ..., of which only the final-time nodes are
-    kept."""
+    Each top level's chain is integrated once (_expansion) and holds the
+    terms (j, top - j*off) for j = 1, 2, ..., read at their last node."""
     alpha, off = config.params.alpha, config.offset
     rows = []
     for top in range(1 + off, config.K + 1):
@@ -766,12 +760,10 @@ def duhamel_bound_rows(gamma0: HierarchySequence, config: SolverConfig,
             continue
         top_norm = sobolev_norm(gamma0.level(top), alpha)
         free = (free_evolve(gamma0.level(top), t) for t in config.times())
-        final = {}
-        for _ in _chain(free, top, bottom, config, last=final):
-            pass
-        for k, node in final.items():
-            if k > BOUND_LEVELS:
-                continue
+        last = {k: nodes[-1] for k, nodes in
+                _expansion(gamma0.level(top), free, bottom, config).items()
+                if k <= BOUND_LEVELS}
+        for k, node in last.items():
             j = (top - k) // off
             value = sobolev_norm(node, alpha)
             bound = math.comb(k + j - 1, j) * (c_hat * config.T) ** j * top_norm

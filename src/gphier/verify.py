@@ -40,6 +40,7 @@ GROWTH_THRESHOLD = 1.1  # every ladder ratio above it flags divergence
 P_VALUES = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0)
 TAIL = 2
 SPREAD_TOL = 0.10
+GROWTH_TAIL = 5  # the trailing rows whose ratio spread binomial_growth_check reports
 
 
 def lemma31_integral(beta: float, n: int, p, cutoff: float,
@@ -47,9 +48,11 @@ def lemma31_integral(beta: float, n: int, p, cutoff: float,
     """Midpoint quadrature of I(p) over [-cutoff, cutoff]^(2n).
 
     p is a length-n momentum point (a scalar is promoted for n=1);
-    resolution counts midpoint cells per axis.  The integrand is an array
-    of resolution^(2n) float64 entries, checked against the memory budget
-    (kernels.check_budget) before it is built.
+    resolution counts midpoint cells per axis.  The integrand is built in
+    place in one resolution^(2n) float64 array.  Before it is built, the
+    memory budget (kernels.check_budget) is checked against that array, the
+    shift sum over n-1 axes, eight resolution^n axis arrays and 256 kB of
+    numpy's iterator buffers: all that the quadrature holds.
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
@@ -58,7 +61,8 @@ def lemma31_integral(beta: float, n: int, p, cutoff: float,
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if p.shape != (n,):
         raise ValueError(f"p must have {n} components")
-    check_budget(8 * resolution ** (2 * n), what=f"a {resolution}^{2 * n} quadrature grid")
+    check_budget(8 * (resolution ** (2 * n) + resolution ** (2 * n - 2) + 8 * resolution ** n)
+                 + 2**18, what=f"a {resolution}^{2 * n} quadrature grid")
     h = 2.0 * cutoff / resolution
     mids = -cutoff + h * (np.arange(resolution) + 0.5)
 
@@ -69,22 +73,25 @@ def lemma31_integral(beta: float, n: int, p, cutoff: float,
 
     qsq = np.zeros((1,) * (2 * n))
     qpsq = np.zeros((1,) * (2 * n))
-    shiftsq = np.zeros((1,) * (2 * n))
+    shiftsq = 0.0
     m2 = mids**2
     for a in range(n):
         qsq = qsq + m2.reshape(axis_shape(a))
         qpsq = qpsq + m2.reshape(axis_shape(n + a))
         diff = p[a] + mids[None, :] - mids[:, None]
+        diff **= 2
         shape = [1] * (2 * n)
         shape[a] = resolution
         shape[n + a] = resolution
-        shiftsq = shiftsq + (diff**2).reshape(shape)
+        # 0.0 + x is x, so the first term is taken as it is
+        shiftsq = diff.reshape(shape) if a == 0 else shiftsq + diff.reshape(shape)
 
     e = beta / 2.0
-    integrand = (
-        _bracket_sq(float(p @ p)) ** e
-        / (_bracket_sq(shiftsq) ** e * _bracket_sq(qsq) ** e * _bracket_sq(qpsq) ** e)
-    )
+    shiftsq += 1.0
+    shiftsq **= e
+    shiftsq *= _bracket_sq(qsq) ** e
+    shiftsq *= _bracket_sq(qpsq) ** e
+    integrand = np.divide(_bracket_sq(float(p @ p)) ** e, shiftsq, out=shiftsq)
     return float(integrand.sum()) * h ** (2 * n)
 
 
@@ -286,7 +293,7 @@ class BinomialGrowthReport:
     ratio_tail_spread: float
 
 
-def binomial_growth_check(m_range=range(1, 26), tail: int = 5) -> BinomialGrowthReport:
+def binomial_growth_check(m_range=range(1, 26)) -> BinomialGrowthReport:
     """Exact central-binomial decay C(2m-1, m) 4^(-m) -> 0 like 1/sqrt(m).
 
     The ratio of C(2m-1, m) to 4^m/sqrt(m) tends to a constant, so the
@@ -300,7 +307,7 @@ def binomial_growth_check(m_range=range(1, 26), tail: int = 5) -> BinomialGrowth
         rows.append({"m": m, "binomial": c, "damped": damped, "ratio": ratio})
     damped_vals = [r["damped"] for r in rows]
     decaying = all(b < a for a, b in zip(damped_vals, damped_vals[1:]))
-    tail_ratios = [r["ratio"] for r in rows[-tail:]]
+    tail_ratios = [r["ratio"] for r in rows[-GROWTH_TAIL:]]
     spread = (max(tail_ratios) - min(tail_ratios)) / max(tail_ratios)
     return BinomialGrowthReport(rows=rows, decaying=decaying,
                                 ratio_tail_spread=spread)

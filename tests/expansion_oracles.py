@@ -1,15 +1,15 @@
 """Duhamel expansion terms that only the tests use.
 
 The convention trajectory (the Picard iteration's start), the expansion
-terms Xi_j and the convention-start remainder R_m, each built on the
-solver's own Duhamel chain (gphier.solver._chain).  The partial sums of the
-terms plus the remainder reproduce each Picard iterate to rounding, which
-the tests use as a cross-check of the whole pipeline.
+terms Xi_j and the convention-start remainder R_m, each a level of the
+solver's own sweep below a top level (gphier.solver._expansion).  The
+partial sums of the terms plus the remainder reproduce each Picard iterate
+to rounding, which the tests use as a cross-check of the whole pipeline.
 """
 
 from gphier.kernels import HierarchySequence
 from gphier.operators import free_evolve
-from gphier.solver import FREE_TOP, SolverConfig, Trajectory, _chain
+from gphier.solver import FREE_TOP, SolverConfig, Trajectory, _expansion
 from kernel_oracles import zeros
 
 
@@ -29,7 +29,8 @@ def duhamel_term(j: int, k: int, gamma0: HierarchySequence,
 
     Xi_0 is the free evolution of gamma0^(k); Xi_j integrates the collapsed
     (j-1)-th term one level up.  The j=0 output keeps the representation of
-    the initial data (possibly factorized); deeper terms are dense.
+    the initial data (possibly factorized); deeper terms are dense or low
+    rank, as the solver stores them.
     """
     top = k + j * config.offset
     if j < 0 or top > config.K:
@@ -37,7 +38,7 @@ def duhamel_term(j: int, k: int, gamma0: HierarchySequence,
             f"term (j={j}, k={k}) needs level {top} but truncation is K={config.K}"
         )
     term = [free_evolve(gamma0.level(top), t) for t in config.times()]
-    return list(_chain(term, top, k, config, {}))
+    return term if j == 0 else _expansion(gamma0.level(top), term, k, config)[k]
 
 
 def duhamel_remainder(m: int, k: int, gamma0: HierarchySequence,
@@ -57,4 +58,5 @@ def duhamel_remainder(m: int, k: int, gamma0: HierarchySequence,
     top = k + m * config.offset
     if top > config.K:
         return [zeros(config.grid, k)] * (config.N_t + 1)
-    return list(_chain([gamma0.level(top)] * (config.N_t + 1), top, k, config, {}))
+    start = [gamma0.level(top)] * (config.N_t + 1)
+    return start if m == 0 else _expansion(gamma0.level(top), start, k, config)[k]

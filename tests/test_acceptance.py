@@ -493,7 +493,7 @@ def test_10_binomial_damping():
     """Exact central-binomial terms: damped sequence decreasing, scaled
     ratio flat on the tail."""
     t0 = time.monotonic()
-    report = binomial_growth_check(m_range=range(5, 26), tail=5)
+    report = binomial_growth_check(m_range=range(5, 26))
     ms = [row["m"] for row in report.rows]
     assert ms == list(range(5, 26))
     damped = [row["damped"] for row in report.rows]

@@ -48,7 +48,7 @@ from gphier.solver import (
 )
 from gphier.spectral import GridSpec, inverse_transform
 from expansion_oracles import convention_trajectory, duhamel_remainder, duhamel_term
-from kernel_oracles import bitwise_equal, low_rank_node_defects, zeros
+from kernel_oracles import bitwise_equal, low_rank_node_defects, traced_peak, zeros
 
 GRID = GridSpec(n=1, L=2 * np.pi, M=6)
 PARAMS = NormParams(alpha=1.0, xi=0.5)
@@ -405,6 +405,43 @@ class TestDuhamelChain:
                 want.append({"j": j, "k": k, "norm": value, "bound": bound,
                              "ratio": value / bound if bound > 0 else math.inf})
         assert rows == want
+
+    @pytest.mark.parametrize("kind, K", [("cubic", 4), ("quintic", 5)])
+    def test_product_start_rows_match_the_dense_path(self, kind, K):
+        # a product start keeps the first link below a top level low rank;
+        # the same data made dense level by level take the dense path
+        grid = GridSpec(n=1, L=2 * np.pi, M=6)
+        phi = band_profile(grid, seed=67)
+        gamma0 = HierarchySequence(
+            K, 0.5, tuple(FactorizedKernel(grid, k, phi) for k in range(1, K + 1)))
+        dense = HierarchySequence(K, 0.5, tuple(as_dense(lv) for lv in gamma0.levels))
+        config = SolverConfig(
+            grid=grid, interaction=Interaction(kind, 1), params=PARAMS, K=K,
+            T=0.05, N_t=8,
+        )
+        below = K - config.offset
+        free = [free_evolve(gamma0.level(K), t) for t in config.times()]
+        chain = solver_module._expansion(gamma0.level(K), free, below, config)
+        assert isinstance(chain[below][-1], LowRankKernel)
+        got = duhamel_bound_rows(gamma0, config, c_hat=0.4)
+        want = duhamel_bound_rows(dense, config, c_hat=0.4)
+        assert [(r["j"], r["k"]) for r in got] == [(r["j"], r["k"]) for r in want]
+        for a, b in zip(got, want):
+            for name in ("norm", "bound", "ratio"):
+                assert abs(a[name] - b[name]) <= 1e-12 * abs(b[name])
+
+    def test_bound_rows_peak_within_the_solve_plan(self):
+        # the table of a product start (cubic K=4, M=10, factorized_top)
+        # holds no more than the solve's plan
+        grid = GridSpec(n=1, L=2 * np.pi, M=10)
+        phi = np.exp(-grid.positions**2 / 2.0)
+        config = SolverConfig(
+            grid=grid, interaction=Interaction("cubic", 1), params=PARAMS, K=4,
+            T=0.05, N_t=8, closure=ClosureRule("factorized_top", phi0=phi),
+        )
+        gamma0 = product_sequence(phi, grid, 4, 0.5, dense_up_to=0)
+        _, peak = traced_peak(lambda: duhamel_bound_rows(gamma0, config, c_hat=0.4))
+        assert peak <= plan(config, gamma0).peak_bytes
 
 
 class TestSolve:

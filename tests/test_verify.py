@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from dataclasses import asdict
 
-from gphier import blocks
+from gphier import blocks, verify as verify_module
 from gphier.kernels import MarginalKernel, bracket_envelope, random_test_kernel
 from gphier.norms import sobolev_norm
 from gphier.operators import (
@@ -88,6 +88,21 @@ class TestIntegral:
         a = lemma31_integral(3.0, 2, [1.0, 0.5], 4.0, resolution=32)
         b = lemma31_integral(3.0, 2, [-1.0, -0.5], 4.0, resolution=32)
         assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("beta, n, p, cutoff, resolution", [
+        (2.0, 1, 0, 32.0, 640), (3.0, 2, [1.0, 0.5], 4.0, 40),
+    ])
+    def test_budget_check_covers_the_traced_peak(self, monkeypatch, beta, n, p,
+                                                  cutoff, resolution):
+        # the bytes checked against the budget bound everything the
+        # quadrature holds, not only its integrand grid
+        checked = []
+        monkeypatch.setattr(verify_module, "check_budget",
+                            lambda nbytes, **kw: checked.append(nbytes))
+        _, peak = traced_peak(
+            lambda: lemma31_integral(beta, n, p, cutoff, resolution=resolution))
+        assert len(checked) == 1
+        assert peak <= checked[0]
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
