@@ -683,20 +683,34 @@ def damp(src: np.ndarray, half: np.ndarray, out: np.ndarray) -> None:
 DRAW_DECAY = 1.0  # s: random_test_kernel's extra decay beyond H^alpha
 
 
-def random_test_kernel(grid: GridSpec, k: int, alpha: float, seed: int,
-                       budget=None) -> MarginalKernel:
-    """Seeded random kernel with enough momentum decay to have finite H^alpha norms.
-
-    Independent complex Gaussians, damped in place by prod <p_j>^-(alpha+s)
-    <p'_j>^-(alpha+s) (s = DRAW_DECAY), then hermitized and symmetrized in
-    place: the draw holds at most two kernel-sized arrays.
-    """
+def random_draw(grid: GridSpec, k: int, alpha: float, seed: int,
+                budget=None) -> MarginalKernel:
+    """random_test_kernel before its projection: independent complex
+    Gaussians, damped in place by prod <p_j>^-(alpha+s) <p'_j>^-(alpha+s)
+    (s = DRAW_DECAY).  One kernel-sized array, checked against the budget."""
     check_budget(grid.kernel_bytes(k), budget, what=f"k={k} test kernel")
     rng = np.random.default_rng(seed)
     shape = grid.kernel_shape(k)
     data = rng.standard_normal(shape + (2,)).view(np.complex128).reshape(shape)
     damp(data, bracket_envelope(grid, k, -(alpha + DRAW_DECAY)), data)
-    return symmetrize(hermitize(MarginalKernel(grid, k, data)))
+    return MarginalKernel(grid, k, data)
+
+
+def project_draw(kernel: MarginalKernel) -> MarginalKernel:
+    """hermitize, then symmetrize, in the kernel's array (symmetrize's
+    scratch is freed on return)."""
+    return symmetrize(hermitize(kernel))
+
+
+def random_test_kernel(grid: GridSpec, k: int, alpha: float, seed: int,
+                       budget=None) -> MarginalKernel:
+    """Seeded random kernel with enough momentum decay to have finite H^alpha norms.
+
+    The projected draw project_draw(random_draw(...)): damped Gaussians,
+    hermitized and symmetrized in place, so the draw holds at most two
+    kernel-sized arrays.
+    """
+    return project_draw(random_draw(grid, k, alpha, seed, budget))
 
 
 # -- serialization ------------------------------------------------------------

@@ -270,8 +270,9 @@ def collapse(kernel, interaction: Interaction, terms=None, contractions=None):
     terms is a list of (j, side, sign): side 1 is the unprimed term (B1_j,
     or its quintic analogue), side 2 the primed one, and sign +1 or -1.  The
     default is B^(k) = sum_j (T1_j - T2_j).  contractions, if given, is
-    cubic_contractions(kernel) for a dense kernel and a cubic interaction.
-    A factorized or low-rank kernel gives a LowRankKernel, a dense one a
+    cubic_contractions(kernel) for a dense kernel and a cubic interaction;
+    then only the kernel's grid and k are read, not its array.  A
+    factorized or low-rank kernel gives a LowRankKernel, a dense one a
     MarginalKernel.
     """
     offset = interaction.source_offset

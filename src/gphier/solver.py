@@ -359,7 +359,8 @@ def _duhamel_nodes(sources, times, rule, start, grid, k, interaction):
 
     sources gives the (k+offset)-level kernel at each node: a list, or an
     iterator such as another level's _duhamel_nodes, read one node at a
-    time.  start is the level-k initial data: a dense array, or a
+    time.  start is the level-k initial data: the dense arrays the phase
+    pass adds to each prefix (gamma0's, or none for zero data), or a
     LowRankLevel holding only its start (then every node is low rank and the
     level keeps their column stack, _low_rank_nodes).  Node i is yielded
     before source i+1 is collapsed, and the generator keeps no reference to
@@ -373,7 +374,7 @@ def _duhamel_nodes(sources, times, rule, start, grid, k, interaction):
     for i, g in enumerate(_integrands(sources, times, interaction, dense=True)):
         prefix = integ.push(g)
         yield MarginalKernel(
-            grid, k, apply_free_phase(np.empty_like(prefix), grid, k, times[i], start, prefix))
+            grid, k, apply_free_phase(np.empty_like(prefix), grid, k, times[i], *start, prefix))
 
 
 def _low_rank_nodes(sources, times, rule, level, interaction):
@@ -424,9 +425,9 @@ def _closure_states(gamma0: HierarchySequence, config: SolverConfig) -> dict:
 def _initial_data(gamma0: HierarchySequence, config: SolverConfig, low_rank) -> dict:
     """Level -> the start _duhamel_nodes takes at every sourced level: the
     rank-one factors of a level in low_rank (factorized in gamma0), else
-    gamma0's dense array."""
+    the terms each node adds to its prefix: gamma0's dense array."""
     return {k: LowRankKernel.from_factorized(gamma0.level(k)) if k in low_rank
-            else as_dense(gamma0.level(k), config.budget).data
+            else (as_dense(gamma0.level(k), config.budget).data,)
             for k in config.sourced_levels}
 
 
@@ -650,12 +651,15 @@ def _expansion(gamma_top, nodes, bottom: int, config: SolverConfig) -> dict:
     list of expansion term (top - k)/off, for k = top-off, top-2 off, ..,
     bottom.  They are those levels of _step's sweep on the data (0, .., 0,
     gamma_top) with level-top nodes `nodes` (a list, or an iterator read
-    once) and no closure, each stored as plan() picks for those data."""
+    once) and no closure, each stored as plan() picks for those data.  The
+    zero data start a low-rank level as zero factors and add no term to a
+    dense level's nodes."""
     top, off = gamma_top.k, config.offset
     sub = replace(config, K=top, closure=ClosureRule())
-    data = HierarchySequence(
-        top, config.params.xi, tuple(_zero(config.grid, k) for k in range(1, top)) + (gamma_top,))
-    start = _initial_data(data, sub, plan(sub, data).low_rank)
+    zeros = tuple(_zero(config.grid, k) for k in range(1, top))
+    low_rank = plan(sub, HierarchySequence(top, config.params.xi, zeros + (gamma_top,))).low_rank
+    start = {k: LowRankKernel.from_factorized(zeros[k - 1]) if k in low_rank else ()
+             for k in sub.sourced_levels}
     levels = {k: [None] * (config.N_t + 1) for k in range(top - off, bottom - 1, -off)}
     _step(levels, {**levels, top: nodes}, config.times(), start, {}, sub)
     return levels

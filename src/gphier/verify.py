@@ -18,13 +18,19 @@ direction, and the downstream theorem checks only need some valid constant.
 from __future__ import annotations
 
 import math
+from concurrent import futures
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .kernels import MarginalKernel, bracket_envelope, check_budget, damp, random_test_kernel
+from . import blocks
+# the battery draws through random_draw; random_test_kernel stays bound for perfbench/spans.py
+from .kernels import (MarginalKernel, bracket_envelope, check_budget, project_draw, random_draw,
+                      random_test_kernel)
 from .norms import sobolev_norm
-from .operators import Interaction, collapse, collapse_b1, collapse_b2, cubic_contractions
+from .operators import (Interaction, _contracted, _shifts, _trace_last_pairs, collapse,
+                        collapse_b1, collapse_b2)
 from .spectral import GridSpec
 
 
@@ -190,6 +196,82 @@ class ConstantEstimate:
 
 
 SAFETY_FACTOR = 1.5
+GROUPS = 16  # a row group of _damped_measures holds about 1/GROUPS of a level
+
+
+def _row_groups(grid: GridSpec, kp: int) -> tuple:
+    """(R, step, rows): the level-kp matrix is R x R, blocks.rows cuts it
+    into slices of step rows, and a row group of _damped_measures is rows
+    rows: a multiple of step and of M^n (whole runs of the last unprimed
+    variable), about R/GROUPS, or all R."""
+    R = grid.M ** (kp * grid.n)
+    step = min(R, max(1, blocks.BLOCK // R))
+    unit = math.lcm(step, grid.M ** grid.n)
+    return R, step, min(R, unit * max(1, R // GROUPS // unit))
+
+
+def _battery_bytes(grid: GridSpec, kp: int) -> int:
+    """What the battery holds at most for level-kp draws: the draw being
+    measured and the next one, each run's row group and norm buffer
+    (_damped_measures), the contractions (and, for n >= 2, partial traces
+    no larger than those of the whole level), the three collapse outputs
+    and a streamed norm's block buffer with 256 kB of numpy's iterator
+    buffers."""
+    R, step, rows = _row_groups(grid, kp)
+    runs = len(blocks.deal(range(0, R, rows), R * R))
+    M = grid.M
+    share = sum(((2 * M - 1) / M**2) ** i for i in range(1, grid.n + 1))
+    return int(2 * grid.kernel_bytes(kp) + runs * R * (16 * rows + 8 * step)
+               + share * grid.kernel_bytes(kp) + 3 * grid.kernel_bytes(kp - 1)
+               + 8 * blocks.BLOCK + 2**18)
+
+
+def _damped_measures(draw: MarginalKernel, half: np.ndarray, alpha: float) -> tuple:
+    """(sobolev_norm(g, alpha), cubic_contractions(g)) of g, the draw damped
+    by half (kernels.damp), bitwise, without building g.
+
+    The (unprimed x primed) matrix is walked in the row groups of
+    _row_groups, over the block pool.  Each blocks.rows slice of a group is
+    damped into the run's group buffer and gives the block sum that
+    norms._streamed_norm takes of it; the group is then traced
+    (operators._trace_last_pairs) into the contractions' rows.  A group
+    holds every value of the contracted variable for its rows, so each
+    contraction entry adds its planes in ascending p, as the whole-array
+    trace does.
+    """
+    grid, kp, n, M = draw.grid, draw.k, draw.grid.n, draw.grid.M
+    R, step, rows = _row_groups(grid, kp)
+    src = draw.data.reshape(R, R)
+    half = half.reshape(-1)
+    w = bracket_envelope(grid, kp, 2.0 * alpha).reshape(-1)
+    shifts = _shifts(M, n)
+    outs = [_contracted(draw.data.shape, 1, n) for _ in shifts]
+    out_rows = [out.reshape((R // M**n,) + out.shape[(kp - 1) * n:]) for out in outs]
+
+    def group(g, bufs):
+        buf, sq = bufs
+        end = min(g + rows, R)
+        sums = []
+        for s in range(g, end, step):
+            r = slice(s, min(s + step, R))
+            x, y = buf[s - g:r.stop - g], sq[:r.stop - s]
+            np.multiply(src[r], half[r, None], out=x)
+            x *= half
+            np.abs(x, out=y)
+            np.square(y, out=y)
+            y *= w[r, None]
+            y *= w
+            sums.append(float(np.sum(y)))
+        t = buf[:end - g].reshape((-1,) + (M,) * n + draw.data.shape[kp * n:])
+        lo, hi = g // M**n, end // M**n
+        _trace_last_pairs(t, 1 + n, shifts, [out[lo:hi] for out in out_rows])
+        return sums
+
+    sums = blocks.map_items(
+        group, range(0, R, rows), R * R,
+        lambda: (np.empty((rows, R), dtype=np.complex128), np.empty((step, R))))
+    total = math.fsum(x for part in sums for x in part)
+    return math.sqrt(total * grid.measure_weight ** (2 * kp)), list(zip(shifts, outs))
 
 
 def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
@@ -200,13 +282,16 @@ def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
     The sampled kernels differ across alpha only through the per-variable
     bracket damping, and that multiplier commutes with the hermitize and
     symmetrize projections.  Each base kernel is therefore drawn (and
-    projected) once and reweighted per alpha into one buffer (kernels.damp);
-    the draw is released before the next one is made, so
-    at most three level-sized arrays are held (a draw, its symmetrize
-    scratch, the buffer).  The draws are where nearly all of the estimation
-    time goes for k = 3.  One contraction pass per reweighted draw serves
-    the j=1 pair of terms and the full collapse.  Entries agree with
-    single-alpha estimates up to floating-point reassociation.
+    projected) once, and each alpha takes its norm and contractions in one
+    pass over the projected draw (_damped_measures), which never builds the
+    damped kernel.  One contraction pass serves the j=1 pair of terms and
+    the full collapse.  While a draw is measured, the next one is made
+    ahead on the block pool (blocks.ahead; unprojected, so one array),
+    and it is projected only after the measured draw is released: at most
+    two level-sized arrays are held.  Once per k, before the first draw,
+    that footprint (_battery_bytes) is checked against the budget.  The
+    draws are where most of the estimation time goes for k = 3.  Entries
+    equal the single-alpha estimates bit for bit.
     """
     alphas = tuple(alphas)
     k_range = tuple(k_range)
@@ -215,31 +300,38 @@ def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
     )
     acc = {a: {k: {"full": [], "term": []} for k in k_range} for a in alphas}
     for ki, k in enumerate(k_range):
+        check_budget(_battery_bytes(grid, k + 1), budget,
+                     what=f"the k={k} collapse-constant battery")
         halves = {a: bracket_envelope(grid, k + 1, -a) for a in alphas}
-        data = None  # reweighting buffer, allocated once the first draw passed its budget check
+
+        def draw(trial):
+            return random_draw(grid, k + 1, 0.0, int(draw_seeds[ki * trials + trial]), budget)
+
+        drawn = draw(0)  # the first draw is made on the caller
         for trial in range(trials):
-            base = random_test_kernel(
-                grid, k + 1, alpha=0.0,
-                seed=int(draw_seeds[ki * trials + trial]),
-                budget=budget,
-            ).data
-            if data is None:
-                data = np.empty_like(base)
-            for a in alphas:
-                damp(base, halves[a], data)
-                gamma = MarginalKernel(grid, k + 1, data)
-                denom = sobolev_norm(gamma, a)
-                if denom == 0.0:
-                    continue
-                shared = cubic_contractions(gamma)
-                term1 = collapse_b1(1, gamma, shared)
-                term2 = collapse_b2(1, gamma, shared)
-                full = collapse(gamma, Interaction(), contractions=shared)
-                del shared
-                acc[a][k]["term"].append(sobolev_norm(term1, a) / denom)
-                acc[a][k]["term"].append(sobolev_norm(term2, a) / denom)
-                acc[a][k]["full"].append(sobolev_norm(full, a) / (k * denom))
-            del base  # free this draw before the next one is made
+            gamma = project_draw(drawn)
+            del drawn
+            more = trial + 1 < trials
+            ahead = blocks.ahead(partial(draw, trial + 1), gamma.data.size) if more else None
+            try:
+                for a in alphas:
+                    denom, shared = _damped_measures(gamma, halves[a], a)
+                    if denom == 0.0:
+                        continue
+                    term1 = collapse_b1(1, gamma, shared)
+                    term2 = collapse_b2(1, gamma, shared)
+                    full = collapse(gamma, Interaction(), contractions=shared)
+                    del shared
+                    acc[a][k]["term"].append(sobolev_norm(term1, a) / denom)
+                    acc[a][k]["term"].append(sobolev_norm(term2, a) / denom)
+                    acc[a][k]["full"].append(sobolev_norm(full, a) / (k * denom))
+            except BaseException:
+                if ahead is not None:
+                    futures.wait([ahead])
+                raise
+            del gamma  # release this draw before the next one is projected
+            if more:
+                drawn = draw(trial + 1) if ahead is None else ahead.result()
     out = {}
     for a in alphas:
         rows = []

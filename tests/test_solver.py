@@ -444,6 +444,34 @@ class TestDuhamelChain:
         assert peak <= plan(config, gamma0).peak_bytes
 
 
+    @pytest.mark.parametrize("kind, K", [("cubic", 4), ("quintic", 5)])
+    def test_zero_data_take_no_dense_start(self, monkeypatch, kind, K):
+        # below a dense top level the expansion's sweep has zero data: its
+        # dense levels add no start term to their nodes, so no level-sized
+        # zero array is made for one (a low-rank level starts from zero
+        # factors)
+        grid = GridSpec(n=1, L=2 * np.pi, M=6)
+        phi = band_profile(grid, seed=68)
+        config = SolverConfig(
+            grid=grid, interaction=Interaction(kind, 1), params=PARAMS, K=K,
+            T=0.05, N_t=4,
+        )
+        gamma0 = product_sequence(phi, grid, K, 0.5, dense_up_to=K)
+        starts, original = [], solver_module._step
+
+        def step(levels, sources, times, start, closure, cfg):
+            starts.append(start)
+            return original(levels, sources, times, start, closure, cfg)
+
+        monkeypatch.setattr(solver_module, "_step", step)
+        duhamel_bound_rows(gamma0, config, c_hat=0.4)
+        assert starts
+        for start in starts:
+            # a dense level's start is the tuple of terms its nodes add
+            dense = [begin for begin in start.values() if isinstance(begin, tuple)]
+            assert dense and not any(dense)
+
+
 class TestSolve:
     def test_zero_initial_data_one_iteration(self):
         config = config_for(K=3)

@@ -2,13 +2,14 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 from dataclasses import asdict
 
 from gphier import blocks, verify as verify_module
-from gphier.kernels import MarginalKernel, bracket_envelope, random_test_kernel
+from gphier.kernels import MarginalKernel, bracket_envelope, damp, random_test_kernel
 from gphier.norms import sobolev_norm
 from gphier.operators import (
     Interaction,
@@ -227,13 +228,77 @@ class TestConstantEstimate:
         for alpha in alphas:
             assert est[alpha].rows == want[alpha]
 
-    def test_battery_holds_one_draw_and_its_reweighting(self):
-        # a draw with its symmetrize scratch, plus the reweighting buffer;
-        # the whole-array passes held about six level-3 kernels
+    def test_battery_holds_two_draws(self):
+        # the measured draw and the next one (or a draw and its symmetrize
+        # scratch), plus row groups and contractions; a reweighting buffer
+        # beside them took about 3.1 level-3 kernels, and the whole-array
+        # passes about six
         grid = GridSpec(1, 2.0 * np.pi, 8)
         _, peak = traced_peak(lambda: estimate_collapse_battery(
             (1.0,), grid, k_range=(2,), trials=2, seed=5))
-        assert peak <= 3.2 * grid.kernel_bytes(3)
+        assert peak <= 2.8 * grid.kernel_bytes(3)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n, M, k", [(1, 8, 2), (1, 10, 2), (2, 4, 1)])
+    def test_battery_budget_check_covers_the_traced_peak(self, monkeypatch, workers,
+                                                         n, M, k):
+        # the bytes checked once per k bound everything the battery holds,
+        # not only the one draw that random_draw checks
+        monkeypatch.setattr(blocks, "WORKERS", workers)
+        monkeypatch.setattr(blocks, "MIN_POOLED", 0)
+        checked = []
+        monkeypatch.setattr(verify_module, "check_budget",
+                            lambda nbytes, *args, **kw: checked.append(nbytes))
+        grid = GridSpec(n, 2.0 * np.pi, M)
+        _, peak = traced_peak(lambda: estimate_collapse_battery(
+            (0.6, 2.0), grid, k_range=(k,), trials=3, seed=5))
+        assert len(checked) == 1
+        assert peak <= checked[0]
+
+    def test_battery_waits_for_the_draw_ahead_when_it_raises(self, monkeypatch):
+        # a measurement that raises leaves no draw running on the pool
+        monkeypatch.setattr(blocks, "WORKERS", 2)
+        monkeypatch.setattr(blocks, "MIN_POOLED", 0)
+        made, original = [], verify_module.random_draw
+
+        def slow_draw(*args):
+            time.sleep(0.2)
+            made.append(original(*args))
+            return made[-1]
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("measurement failed")
+
+        monkeypatch.setattr(verify_module, "random_draw", slow_draw)
+        monkeypatch.setattr(verify_module, "collapse_b1", failing)
+        with pytest.raises(RuntimeError, match="measurement failed"):
+            estimate_collapse_battery((1.0,), GRID, k_range=(2,), trials=3, seed=5)
+        assert len(made) == 2  # the first draw, and the one made ahead
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n, M, kp, block", [
+        (1, 6, 2, blocks.BLOCK), (1, 6, 3, blocks.BLOCK), (1, 8, 2, blocks.BLOCK),
+        (1, 8, 3, blocks.BLOCK), (1, 10, 2, blocks.BLOCK), (1, 10, 3, blocks.BLOCK),
+        (1, 16, 2, blocks.BLOCK), (1, 16, 3, blocks.BLOCK), (2, 4, 2, blocks.BLOCK),
+        (2, 4, 2, 1 << 10)])
+    def test_damped_measures_match_whole_array_passes(self, monkeypatch, workers, n, M, kp,
+                                                      block):
+        # the fused pass takes the norm and the contractions of the damped
+        # draw in row groups; at M=10 the 65-row slices split the runs of
+        # the contracted variable, and n=2 traces a group component by
+        # component (one group, or sixteen with 1024-entry blocks)
+        monkeypatch.setattr(blocks, "WORKERS", workers)
+        monkeypatch.setattr(blocks, "MIN_POOLED", 0)
+        monkeypatch.setattr(blocks, "BLOCK", block)
+        grid = GridSpec(n, 2.0 * np.pi, M)
+        draw = random_test_kernel(grid, kp, alpha=0.0, seed=M + kp)
+        half = bracket_envelope(grid, kp, -0.6)
+        norm, shared = verify_module._damped_measures(draw, half, 0.6)
+        damp(draw.data, half, draw.data)  # in place: one level-sized array at M=16
+        assert norm == sobolev_norm(draw, 0.6)
+        want = cubic_contractions(draw)
+        assert [c for c, _ in shared] == [c for c, _ in want]
+        assert all(np.array_equal(got, C) for (_, got), (_, C) in zip(shared, want))
 
     @pytest.mark.parametrize("k,seed", [(2, 21), (3, 22)])
     def test_exchange_assembly_matches_direct_collapse(self, k, seed):
