@@ -47,7 +47,7 @@ from .solver import (
     plan,
     solve,
 )
-from .spectral import GridSpec
+from .spectral import GridSpec, axis_sum, inverse_transform
 from .verify import (
     binomial_growth_check,
     estimate_collapse_constant,
@@ -155,12 +155,7 @@ def _gaussian_profile(profile: dict, grid: GridSpec) -> np.ndarray:
     width = _typed(profile, "width", _positive, required=True)
     amplitude = _typed(profile, "amplitude", complex, 1.0)
     center = _typed(profile, "center", float, 0.0)
-    x = grid.positions - center
-    rsq = np.zeros((grid.M,) * grid.n)
-    for axis in range(grid.n):
-        shape = [1] * grid.n
-        shape[axis] = grid.M
-        rsq = rsq + (x**2).reshape(shape)
+    rsq = axis_sum([(grid.positions - center) ** 2] * grid.n)
     values = amplitude * np.exp(-rsq / (2.0 * width**2))
     target = _typed(profile, "normalize_mass", _positive)
     if target is not None:
@@ -181,12 +176,7 @@ def _plane_wave_profile(profile: dict, grid: GridSpec) -> np.ndarray:
     modes = p0 * grid.L / (2.0 * np.pi)
     if np.max(np.abs(modes - np.round(modes))) > 1e-9:
         raise CliError("config field 'initial_data.profile.p0' is not on the momentum lattice")
-    phase = np.zeros((grid.M,) * grid.n)
-    for axis in range(grid.n):
-        shape = [1] * grid.n
-        shape[axis] = grid.M
-        phase = phase + (p0[axis] * grid.positions).reshape(shape)
-    return amplitude * np.exp(1j * phase)
+    return amplitude * np.exp(1j * axis_sum([p * grid.positions for p in p0]))
 
 
 def build_profile(cfg: dict, grid: GridSpec) -> np.ndarray:
@@ -205,8 +195,6 @@ def build_profile(cfg: dict, grid: GridSpec) -> np.ndarray:
         stored_grid, phi_hat = load_wavefunction(path)
         if stored_grid != grid:
             raise CliError(f"initial data file {path} was written for a different grid")
-        from .spectral import inverse_transform
-
         return inverse_transform(phi_hat, grid)
     raise CliError(f"unknown initial_data.profile.kind {kind!r}")
 
@@ -540,6 +528,10 @@ def cmd_estimate_constant(args) -> int:
     k_range = _typed(cfg, "k_range", lambda v: tuple(_integer(k) for k in v),
                      (1, 2, 3))
     trials = _typed(cfg, "trials", _integer, 50)
+    if trials < 1:
+        raise CliError("config field 'trials' must be >= 1")
+    if not k_range or min(k_range) < 1:
+        raise CliError("config field 'k_range' must list one k >= 1 or more")
     seed = args.seed if args.seed is not None else _typed(cfg, "seed", _integer, 0)
     out = prepare_output(args, cfg, "estimate-constant")
 

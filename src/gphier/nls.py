@@ -16,19 +16,13 @@ import numpy as np
 
 from .kernels import FactorizedKernel, HierarchySequence
 from .operators import CUBIC, Interaction
-from .spectral import GridSpec
+from .spectral import GridSpec, axis_sum
 
 
 @lru_cache(maxsize=32)
 def _fft_psq(n: int, L: float, M: int) -> np.ndarray:
     """|p|^2 on the unshifted FFT lattice, shape (M,)*n."""
-    freq = (2.0 * np.pi * np.fft.fftfreq(M, d=L / M)) ** 2
-    psq = np.zeros((M,) * n)
-    for axis in range(n):
-        shape = [1] * n
-        shape[axis] = M
-        psq = psq + freq.reshape(shape)
-    return psq
+    return axis_sum([(2.0 * np.pi * np.fft.fftfreq(M, d=L / M)) ** 2] * n)
 
 
 def _power(interaction: Interaction) -> int:

@@ -28,11 +28,14 @@ The three kernel representations (kernels: dense, factorized, low rank)
 flow through these operators as follows.  Factorized kernels take a fast
 path that never materializes the input level.  Each collapse term of
 prod phi phi' replaces one factor by a modified one-particle profile h, a
-truncated convolution of profiles.  Summing the terms of one side over j
-gives the one-level vector S = sum_j sign_j phi x .. h (slot j) .. x phi of
-size M^(kn), built from the prefix products P_i = phi^(x i); the output is
-the low-rank kernel S_1 x conj(P_k) + P_k x conj(S_2), with factors
-U = [S_1, P_k] and V = [P_k, S_2].  It matches the dense path to rounding.
+truncated convolution of profiles.  Each full convolution (_convolve)
+adds np.convolve of the operands' last-axis rows at the summed index of
+their leading axes: one np.convolve call for n = 1, numpy only for every
+n.  Summing the terms of one side over j gives the one-level vector
+S = sum_j sign_j phi x .. h (slot j) .. x phi of size M^(kn), built from
+the prefix products P_i = phi^(x i); the output is the low-rank kernel
+S_1 x conj(P_k) + P_k x conj(S_2), with factors U = [S_1, P_k] and
+V = [P_k, S_2].  It matches the dense path to rounding.
 A low-rank input U V^H is collapsed from its factors, into a LowRankKernel
 too: each factor's rows are summed over the contracted variables of one
 lattice-index sum sigma (U_bar, V_bar), and the shift of particle j by
@@ -58,7 +61,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.signal import convolve as _nd_convolve
 
 from . import blocks
 from .kernels import (
@@ -220,6 +222,17 @@ def cubic_contractions(kernel: MarginalKernel) -> list:
     return list(zip(shifts, outs))
 
 
+def contraction_bytes(grid: GridSpec, kp: int, offset: int) -> int:
+    """Transient bytes of a dense collapse of a level-kp kernel: the
+    contraction outputs, and for n >= 2 the partial traces of leading
+    components (cubic_contractions and _quintic_contractions)."""
+    M = grid.M
+    share = sum(((2 * M - 1) / M**2) ** i for i in range(1, grid.n + 1))
+    if offset == 2:
+        share += ((3 * M * M - 3 * M + 1) / M**4) ** grid.n
+    return int(share * grid.kernel_bytes(kp))
+
+
 def _shift_add(out: np.ndarray, src: np.ndarray, shifts, sign: int):
     """out[idx] += sign * src[idx - c], with idx shifted by c along each
     (axis, c) of shifts and truncated to the overlap (_offset_ranges)."""
@@ -329,9 +342,18 @@ def _reverse_all(a: np.ndarray) -> np.ndarray:
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.ndim == 1:
-        return np.convolve(a, b)
-    return _nd_convolve(a, b, mode="full", method="direct")
+    """Full convolution of two n-d arrays: np.convolve of each pair of
+    last-axis rows, added into the output row at the summed leading index
+    (for n = 1, one np.convolve call)."""
+    out = np.empty([x + y - 1 for x, y in zip(a.shape, b.shape)], np.result_type(a, b))
+    started = set()
+    for i in np.ndindex(a.shape[:-1]):
+        for j in np.ndindex(b.shape[:-1]):
+            s = tuple(x + y for x, y in zip(i, j))
+            row = np.convolve(a[i], b[j])
+            out[s] = out[s] + row if s in started else row
+            started.add(s)
+    return out
 
 
 def _center_slice(arr: np.ndarray, off: int, M: int) -> np.ndarray:

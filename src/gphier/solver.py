@@ -89,7 +89,8 @@ from .kernels import (
 )
 # solve() takes no level_diff_norm; the name stays bound for perfbench/spans.py
 from .norms import NormParams, level_diff_norm, sobolev_norm, weighted_distance, weighted_norm
-from .operators import CUBIC, QUINTIC, Interaction, apply_btilde, apply_free_phase, free_evolve
+from .operators import (CUBIC, QUINTIC, Interaction, apply_btilde, apply_free_phase,
+                        contraction_bytes, free_evolve)
 from .spectral import GridSpec
 
 FREE_TOP = "free_top"
@@ -468,17 +469,6 @@ def _qr_bytes(rows: int, columns: int) -> int:
     return 16 * (3 * entries + 2 * rows + columns**2 + 2 * min(entries, np.getbufsize()))
 
 
-def _contraction_bytes(grid: GridSpec, kp: int, offset: int) -> int:
-    """Transient bytes of a dense collapse of a level-kp kernel: the
-    contraction outputs, and for n >= 2 the partial traces of leading
-    components (cubic_contractions and _quintic_contractions)."""
-    M = grid.M
-    share = sum(((2 * M - 1) / M**2) ** i for i in range(1, grid.n + 1))
-    if offset == 2:
-        share += ((3 * M * M - 3 * M + 1) / M**4) ** grid.n
-    return int(share * grid.kernel_bytes(kp))
-
-
 def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
     """Walk solve()'s sweep once, without building arrays.
 
@@ -558,7 +548,7 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
             work = 5 * factors(k, 2 * groups * widest) // 2 + _pass_bytes(grid, k)
         elif src in sourced | dense_closure:
             # a dense collapse passes over the source level
-            work = _pass_bytes(grid, src) + _contraction_bytes(grid, src, off)
+            work = _pass_bytes(grid, src) + contraction_bytes(grid, src, off)
         else:
             work = _pass_bytes(grid, k)
         # the buffers and the growing new list, then each node's passes

@@ -88,16 +88,18 @@ class GridSpec:
         return 16 * self.kernel_entries(k)
 
 
+def axis_sum(vectors) -> np.ndarray:
+    """sum_a vectors[a] laid along axis a, of shape (len(v) for v in
+    vectors): added in axis order onto zeros."""
+    out = np.zeros([len(v) for v in vectors])
+    for axis, v in enumerate(vectors):
+        out = out + v.reshape([-1 if a == axis else 1 for a in range(out.ndim)])
+    return out
+
+
 @lru_cache(maxsize=64)
 def _variable_bracket_cached(n: int, L: float, M: int) -> np.ndarray:
-    grid = GridSpec(n, L, M)
-    q = grid.momenta
-    psq = np.zeros((M,) * n)
-    for axis in range(n):
-        shape = [1] * n
-        shape[axis] = M
-        psq = psq + (q ** 2).reshape(shape)
-    return np.sqrt(1.0 + psq)
+    return np.sqrt(1.0 + axis_sum([GridSpec(n, L, M).momenta ** 2] * n))
 
 
 def variable_bracket(grid: GridSpec) -> np.ndarray:

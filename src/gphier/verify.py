@@ -30,8 +30,8 @@ from .kernels import (MarginalKernel, bracket_envelope, check_budget, project_dr
                       random_test_kernel)
 from .norms import sobolev_norm
 from .operators import (Interaction, _contracted, _shifts, _trace_last_pairs, collapse,
-                        collapse_b1, collapse_b2)
-from .spectral import GridSpec
+                        collapse_b1, collapse_b2, contraction_bytes)
+from .spectral import GridSpec, axis_sum
 
 
 def _bracket_sq(x: np.ndarray) -> np.ndarray:
@@ -72,18 +72,10 @@ def lemma31_integral(beta: float, n: int, p, cutoff: float,
     h = 2.0 * cutoff / resolution
     mids = -cutoff + h * (np.arange(resolution) + 0.5)
 
-    def axis_shape(axis):
-        shape = [1] * (2 * n)
-        shape[axis] = resolution
-        return shape
-
-    qsq = np.zeros((1,) * (2 * n))
-    qpsq = np.zeros((1,) * (2 * n))
+    psq = axis_sum([mids**2] * n)
+    qsq, qpsq = psq.reshape(psq.shape + (1,) * n), psq.reshape((1,) * n + psq.shape)
     shiftsq = 0.0
-    m2 = mids**2
     for a in range(n):
-        qsq = qsq + m2.reshape(axis_shape(a))
-        qpsq = qpsq + m2.reshape(axis_shape(n + a))
         diff = p[a] + mids[None, :] - mids[:, None]
         diff **= 2
         shape = [1] * (2 * n)
@@ -213,17 +205,15 @@ def _row_groups(grid: GridSpec, kp: int) -> tuple:
 def _battery_bytes(grid: GridSpec, kp: int) -> int:
     """What the battery holds at most for level-kp draws: the draw being
     measured and the next one, each run's row group and norm buffer
-    (_damped_measures), the contractions (and, for n >= 2, partial traces
-    no larger than those of the whole level), the three collapse outputs
+    (_damped_measures), the contractions and partial traces of a dense
+    cubic collapse (contraction_bytes), the three collapse outputs
     and a streamed norm's block buffer with 256 kB of numpy's iterator
     buffers."""
     R, step, rows = _row_groups(grid, kp)
     runs = len(blocks.deal(range(0, R, rows), R * R))
-    M = grid.M
-    share = sum(((2 * M - 1) / M**2) ** i for i in range(1, grid.n + 1))
-    return int(2 * grid.kernel_bytes(kp) + runs * R * (16 * rows + 8 * step)
-               + share * grid.kernel_bytes(kp) + 3 * grid.kernel_bytes(kp - 1)
-               + 8 * blocks.BLOCK + 2**18)
+    return (2 * grid.kernel_bytes(kp) + runs * R * (16 * rows + 8 * step)
+            + contraction_bytes(grid, kp, 1) + 3 * grid.kernel_bytes(kp - 1)
+            + 8 * blocks.BLOCK + 2**18)
 
 
 def _damped_measures(draw: MarginalKernel, half: np.ndarray, alpha: float) -> tuple:
@@ -295,6 +285,9 @@ def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
     """
     alphas = tuple(alphas)
     k_range = tuple(k_range)
+    if trials < 1 or not k_range or min(k_range) < 1:
+        raise ValueError(f"the battery needs trials >= 1 and ks >= 1, got {trials} "
+                         f"trials and k_range {k_range}")
     draw_seeds = np.random.SeedSequence(seed).generate_state(
         len(k_range) * trials
     )

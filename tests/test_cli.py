@@ -607,6 +607,18 @@ class TestEstimateConstantCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["c_hat"] > 0
 
+    @pytest.mark.parametrize("name, value", [
+        ("trials", 0), ("trials", -1), ("k_range", [0]), ("k_range", []),
+    ])
+    def test_out_of_range_field_is_named(self, tmp_path, capsys, name, value):
+        # trials = 0 ended in an IndexError traceback; the others named no field
+        out = tmp_path / "out"
+        cfg = {**self.cfg(), name: value}
+        rc = main(["estimate-constant", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: config field {name!r} must")
+        assert not list(out.glob("*.csv"))
+
     def test_deterministic_between_runs(self, tmp_path):
         cfg_path = write_cfg(tmp_path, self.cfg())
         out_a, out_b, out_c = (tmp_path / d for d in ("a", "b", "c"))

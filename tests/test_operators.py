@@ -1,6 +1,10 @@
 """Free evolution and collapse operators against brute-force and closed-form oracles."""
 
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from gphier.kernels import (
 )
 from gphier.operators import (
     Interaction,
+    _convolve,
     _quintic_contractions,
     _trace_last_pairs,
     apply_btilde,
@@ -406,6 +411,43 @@ class TestDispatch:
         expected = np.zeros_like(phi)
         expected[GRID.M // 2] = abs(amp) ** 4 * amp * GRID.measure_weight**4
         np.testing.assert_allclose(h, expected, atol=1e-14)
+
+
+# -- the profiles' convolution, numpy only ------------------------------------------
+
+def brute_convolve(a, b):
+    """out[z] = sum over x + y = z of a[x] b[y], entry by entry."""
+    out = np.zeros([x + y - 1 for x, y in zip(a.shape, b.shape)], dtype=np.complex128)
+    for x in np.ndindex(a.shape):
+        for y in np.ndindex(b.shape):
+            out[tuple(i + j for i, j in zip(x, y))] += a[x] * b[y]
+    return out
+
+
+class TestNumpyConvolution:
+    def test_one_axis_is_np_convolve(self):
+        phi = random_profile(GridSpec(1, 2 * np.pi, 12), seed=91)
+        np.testing.assert_array_equal(_convolve(phi, np.conj(phi[::-1])),
+                                      np.convolve(phi, np.conj(phi[::-1])))
+
+    @pytest.mark.parametrize("shapes", [((5, 3), (2, 4)), ((3, 2, 4), (2, 3, 2))],
+                             ids=["n2", "n3"])
+    def test_matches_brute_force_sum(self, shapes):
+        rng = np.random.default_rng(92)
+        a, b = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes)
+        assert max_rel(_convolve(a, b), brute_convolve(a, b)) < 1e-14
+
+    def test_gphier_imports_no_scipy(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import importlib, pkgutil, sys, gphier\n"
+                "names = [m.name for m in pkgutil.iter_modules(gphier.__path__)]\n"
+                "for name in names:\n"
+                "    importlib.import_module('gphier.' + name)\n"
+                "print(len(names), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, check=True)
+        assert proc.stdout.split() == [str(len(list((src / "gphier").glob("[!_]*.py")))), "[]"]
 
 
 # -- the one-pass kernels against the formulas they replaced -----------------------

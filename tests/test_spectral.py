@@ -3,6 +3,7 @@ import pytest
 
 from gphier.spectral import (
     GridSpec,
+    axis_sum,
     forward_transform,
     inverse_transform,
     variable_bracket,
@@ -75,6 +76,13 @@ class TestBracket:
         q = g.momenta
         expect = np.sqrt(1.0 + q[:, None] ** 2 + q[None, :] ** 2)
         np.testing.assert_allclose(w, expect, rtol=1e-14)
+
+    def test_axis_sum_adds_in_axis_order(self):
+        a, b, c = np.arange(3.0), np.arange(4.0) / 3.0, np.array([-0.1, 0.7])
+        out = axis_sum([a, b, c])
+        assert out.shape == (3, 4, 2)
+        expect = (0.0 + a[:, None, None]) + b[None, :, None] + c[None, None, :]
+        assert out.tobytes() == expect.tobytes()
 
 
 class TestTransforms:

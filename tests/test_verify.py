@@ -204,6 +204,13 @@ class TestConstantEstimate:
         assert est.k_spread >= 1.0
         assert json.dumps(asdict(est))
 
+    @pytest.mark.parametrize("trials, k_range", [(0, (1,)), (-1, (1,)), (2, ()), (2, (0, 1))])
+    def test_battery_refuses_no_trials_and_no_ks(self, trials, k_range):
+        # trials = 0 ended in an IndexError on the first draw; the others
+        # in errors from numpy, max() or the collapse
+        with pytest.raises(ValueError, match="the battery needs trials >= 1 and ks >= 1"):
+            estimate_collapse_battery((1.0,), GRID, k_range=k_range, trials=trials)
+
     def test_battery_matches_single_alpha_estimates(self):
         # the battery reweights one set of projected draws per alpha; each
         # entry must reproduce the standalone estimate bit for bit
