@@ -93,6 +93,14 @@ def _field(cfg: dict, name: str, default=None, required: bool = False):
     return default
 
 
+def _section(cfg: dict, name: str) -> dict:
+    """A required field that must hold a JSON object."""
+    value = _field(cfg, name, required=True)
+    if not isinstance(value, dict):
+        raise CliError(f"config field {name!r} must be a JSON object")
+    return value
+
+
 def _integer(value) -> int:
     """int(value), refusing a number with a fractional part."""
     if isinstance(value, float) and not value.is_integer():
@@ -132,7 +140,7 @@ def _typed(section: dict, name: str, cast, default=None, required: bool = False)
 
 
 def build_grid(cfg: dict) -> GridSpec:
-    section = _field(cfg, "grid", required=True)
+    section = _section(cfg, "grid")
     n = _typed(section, "n", _integer, 1)
     L = _typed(section, "L", float, required=True)
     M = _typed(section, "M", _integer, required=True)
@@ -181,8 +189,8 @@ def _plane_wave_profile(profile: dict, grid: GridSpec) -> np.ndarray:
 
 def build_profile(cfg: dict, grid: GridSpec) -> np.ndarray:
     """Position-space wavefunction from an initial_data.profile section."""
-    data = _field(cfg, "initial_data", required=True)
-    profile = _field(data, "profile", required=True)
+    data = _section(cfg, "initial_data")
+    profile = _section(data, "profile")
     kind = _field(profile, "kind", required=True)
     if kind == "gaussian":
         return _gaussian_profile(profile, grid)
@@ -201,7 +209,7 @@ def build_profile(cfg: dict, grid: GridSpec) -> np.ndarray:
 
 def build_initial_sequence(cfg: dict, grid: GridSpec, K: int, xi: float,
                            budget=None) -> HierarchySequence:
-    data = _field(cfg, "initial_data", required=True)
+    data = _section(cfg, "initial_data")
     kind = _field(data, "kind", "factorized")
     if kind == "zero":
         zero = np.zeros((grid.M,) * grid.n, dtype=complex)
@@ -210,7 +218,7 @@ def build_initial_sequence(cfg: dict, grid: GridSpec, K: int, xi: float,
         return factorized_sequence(build_profile(cfg, grid), grid, K, xi,
                                    dense_up_to=0)
     if kind == "levels":
-        paths = _field(data, "paths", required=True)
+        paths = _section(data, "paths")
         levels = []
         for k in range(1, K + 1):
             key = str(k)
@@ -474,7 +482,7 @@ def cmd_compare_nls(args) -> int:
     grid = config.grid
     out = prepare_output(args, cfg, "compare-nls")
 
-    data = _field(cfg, "initial_data", required=True)
+    data = _section(cfg, "initial_data")
     if _field(data, "kind", "factorized") != "factorized":
         raise CliError("compare-nls requires factorized initial data")
     phi = build_profile(cfg, grid)
@@ -530,8 +538,8 @@ def cmd_estimate_constant(args) -> int:
     trials = _typed(cfg, "trials", _integer, 50)
     if trials < 1:
         raise CliError("config field 'trials' must be >= 1")
-    if not k_range or min(k_range) < 1:
-        raise CliError("config field 'k_range' must list one k >= 1 or more")
+    if not k_range or min(k_range) < 1 or len(set(k_range)) < len(k_range):
+        raise CliError("config field 'k_range' must list one k >= 1 or more, each once")
     seed = args.seed if args.seed is not None else _typed(cfg, "seed", _integer, 0)
     out = prepare_output(args, cfg, "estimate-constant")
 
@@ -579,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     }
     solver_flags = ("--override-budget", "--quadrature", "--closure")
     specs = [
-        ("solve", cmd_solve, "iterate the truncated hierarchy from a config",
+        ("solve", cmd_solve, "run the truncated hierarchy's sweep from a config",
          ("--seed", *solver_flags, "--emit-plots")),
         ("verify-lemmas", cmd_verify_lemmas, "run the integral and growth checks", ()),
         ("compare-nls", cmd_compare_nls, "compare marginals with the NLS oracle",

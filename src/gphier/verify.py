@@ -13,6 +13,9 @@ logarithmic divergence at beta = n, and scan a |p| ladder for the sup claim.
 The operator-norm constant C of ||B gamma|| <= C k ||gamma|| is estimated by
 random sampling and inflated by 1.5; random draws undersample the extremal
 direction, and the downstream theorem checks only need some valid constant.
+A sample is gamma = D_alpha g, a random kernel g damped by <p>^-alpha on
+every variable, so ||gamma||_{H^alpha} = ||g||_{L^2}: one norm per draw
+serves every alpha.
 """
 
 from __future__ import annotations
@@ -188,80 +191,63 @@ class ConstantEstimate:
 
 
 SAFETY_FACTOR = 1.5
-GROUPS = 16  # a row group of _damped_measures holds about 1/GROUPS of a level
+GROUPS = 16  # a row group of _damped_contractions holds about 1/GROUPS of a level
 
 
 def _row_groups(grid: GridSpec, kp: int) -> tuple:
-    """(R, step, rows): the level-kp matrix is R x R, blocks.rows cuts it
-    into slices of step rows, and a row group of _damped_measures is rows
-    rows: a multiple of step and of M^n (whole runs of the last unprimed
-    variable), about R/GROUPS, or all R."""
-    R = grid.M ** (kp * grid.n)
-    step = min(R, max(1, blocks.BLOCK // R))
-    unit = math.lcm(step, grid.M ** grid.n)
-    return R, step, min(R, unit * max(1, R // GROUPS // unit))
+    """(R, rows): the level-kp matrix is R x R, and a row group of
+    _damped_contractions is rows rows, the smallest multiple of M^n (whole
+    runs of the last unprimed variable) that is at least R/GROUPS and at
+    least BLOCK/R (so a small level stays one group), or all R."""
+    R, unit = grid.M ** (kp * grid.n), grid.M ** grid.n
+    least = max(R // GROUPS, blocks.BLOCK // R)
+    return R, min(R, -(-least // unit) * unit)
 
 
 def _battery_bytes(grid: GridSpec, kp: int) -> int:
     """What the battery holds at most for level-kp draws: the draw being
-    measured and the next one, each run's row group and norm buffer
-    (_damped_measures), the contractions and partial traces of a dense
-    cubic collapse (contraction_bytes), the three collapse outputs
-    and a streamed norm's block buffer with 256 kB of numpy's iterator
-    buffers."""
-    R, step, rows = _row_groups(grid, kp)
+    measured and the next one, each run's row group (_damped_contractions),
+    the contractions and partial traces of a dense cubic collapse
+    (contraction_bytes), the three collapse outputs and a streamed norm's
+    block buffer with 256 kB of numpy's iterator buffers."""
+    R, rows = _row_groups(grid, kp)
     runs = len(blocks.deal(range(0, R, rows), R * R))
-    return (2 * grid.kernel_bytes(kp) + runs * R * (16 * rows + 8 * step)
+    return (2 * grid.kernel_bytes(kp) + runs * 16 * rows * R
             + contraction_bytes(grid, kp, 1) + 3 * grid.kernel_bytes(kp - 1)
             + 8 * blocks.BLOCK + 2**18)
 
 
-def _damped_measures(draw: MarginalKernel, half: np.ndarray, alpha: float) -> tuple:
-    """(sobolev_norm(g, alpha), cubic_contractions(g)) of g, the draw damped
-    by half (kernels.damp), bitwise, without building g.
+def _damped_contractions(draw: MarginalKernel, half: np.ndarray) -> list:
+    """cubic_contractions(g) of g, the draw damped by half (kernels.damp),
+    bitwise, without building g.
 
     The (unprimed x primed) matrix is walked in the row groups of
-    _row_groups, over the block pool.  Each blocks.rows slice of a group is
-    damped into the run's group buffer and gives the block sum that
-    norms._streamed_norm takes of it; the group is then traced
-    (operators._trace_last_pairs) into the contractions' rows.  A group
-    holds every value of the contracted variable for its rows, so each
-    contraction entry adds its planes in ascending p, as the whole-array
-    trace does.
+    _row_groups, over the block pool.  Each group is damped into the run's
+    buffer and traced (operators._trace_last_pairs) into the contractions'
+    rows.  A group holds every value of the contracted variable for its
+    rows, so each contraction entry adds its planes in ascending p, as the
+    whole-array trace does.
     """
     grid, kp, n, M = draw.grid, draw.k, draw.grid.n, draw.grid.M
-    R, step, rows = _row_groups(grid, kp)
+    R, rows = _row_groups(grid, kp)
     src = draw.data.reshape(R, R)
     half = half.reshape(-1)
-    w = bracket_envelope(grid, kp, 2.0 * alpha).reshape(-1)
     shifts = _shifts(M, n)
     outs = [_contracted(draw.data.shape, 1, n) for _ in shifts]
     out_rows = [out.reshape((R // M**n,) + out.shape[(kp - 1) * n:]) for out in outs]
 
-    def group(g, bufs):
-        buf, sq = bufs
-        end = min(g + rows, R)
-        sums = []
-        for s in range(g, end, step):
-            r = slice(s, min(s + step, R))
-            x, y = buf[s - g:r.stop - g], sq[:r.stop - s]
-            np.multiply(src[r], half[r, None], out=x)
-            x *= half
-            np.abs(x, out=y)
-            np.square(y, out=y)
-            y *= w[r, None]
-            y *= w
-            sums.append(float(np.sum(y)))
-        t = buf[:end - g].reshape((-1,) + (M,) * n + draw.data.shape[kp * n:])
-        lo, hi = g // M**n, end // M**n
+    def group(g, buf):
+        r = slice(g, min(g + rows, R))
+        x = buf[:r.stop - g]
+        np.multiply(src[r], half[r, None], out=x)
+        x *= half
+        t = x.reshape((-1,) + (M,) * n + draw.data.shape[kp * n:])
+        lo, hi = g // M**n, r.stop // M**n
         _trace_last_pairs(t, 1 + n, shifts, [out[lo:hi] for out in out_rows])
-        return sums
 
-    sums = blocks.map_items(
-        group, range(0, R, rows), R * R,
-        lambda: (np.empty((rows, R), dtype=np.complex128), np.empty((step, R))))
-    total = math.fsum(x for part in sums for x in part)
-    return math.sqrt(total * grid.measure_weight ** (2 * kp)), list(zip(shifts, outs))
+    blocks.map_items(group, range(0, R, rows), R * R,
+                     lambda: np.empty((rows, R), dtype=np.complex128))
+    return list(zip(shifts, outs))
 
 
 def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
@@ -269,24 +255,27 @@ def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
                               budget=None) -> dict:
     """Constant estimates for several alpha values sharing one set of draws.
 
-    The sampled kernels differ across alpha only through the per-variable
-    bracket damping, and that multiplier commutes with the hermitize and
-    symmetrize projections.  Each base kernel is therefore drawn (and
-    projected) once, and each alpha takes its norm and contractions in one
-    pass over the projected draw (_damped_measures), which never builds the
-    damped kernel.  One contraction pass serves the j=1 pair of terms and
-    the full collapse.  While a draw is measured, the next one is made
-    ahead on the block pool (blocks.ahead; unprojected, so one array),
-    and it is projected only after the measured draw is released: at most
-    two level-sized arrays are held.  Once per k, before the first draw,
-    that footprint (_battery_bytes) is checked against the budget.  The
-    draws are where most of the estimation time goes for k = 3.  Entries
-    equal the single-alpha estimates bit for bit.
+    The sampled kernels D_alpha g differ across alpha only through the
+    bracket damping D_alpha (<p>^-alpha on every variable), which commutes
+    with the hermitize and symmetrize projections, so each base kernel g is
+    drawn (and projected) once.  The denominator ||D_alpha g||_{H^alpha} is
+    ||g||_{L^2} for every alpha, one norm per draw; a draw of norm 0 is
+    skipped.  Each alpha takes the contractions of D_alpha g in one pass
+    over the projected draw (_damped_contractions), which never builds the
+    damped kernel; they serve the j=1 pair of terms and the full collapse.
+    While a draw is measured, the next one is made ahead on the block pool
+    (blocks.ahead; unprojected, so one array), and it is projected only
+    after the measured draw is released: at most two level-sized arrays
+    are held.  Once per k, before the first draw, that footprint
+    (_battery_bytes) is checked against the budget.  The draws are where
+    most of the estimation time goes for k = 3.  Entries equal the
+    single-alpha estimates bit for bit.  The ks must be distinct: rows of
+    a repeated k would pool its draws.
     """
     alphas = tuple(alphas)
     k_range = tuple(k_range)
-    if trials < 1 or not k_range or min(k_range) < 1:
-        raise ValueError(f"the battery needs trials >= 1 and ks >= 1, got {trials} "
+    if trials < 1 or not k_range or min(k_range) < 1 or len(set(k_range)) < len(k_range):
+        raise ValueError(f"the battery needs trials >= 1 and distinct ks >= 1, got {trials} "
                          f"trials and k_range {k_range}")
     draw_seeds = np.random.SeedSequence(seed).generate_state(
         len(k_range) * trials
@@ -307,10 +296,9 @@ def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
             more = trial + 1 < trials
             ahead = blocks.ahead(partial(draw, trial + 1), gamma.data.size) if more else None
             try:
-                for a in alphas:
-                    denom, shared = _damped_measures(gamma, halves[a], a)
-                    if denom == 0.0:
-                        continue
+                denom = sobolev_norm(gamma, 0.0)  # ||D_a g||_{H^a} for every alpha a
+                for a in (alphas if denom != 0.0 else ()):
+                    shared = _damped_contractions(gamma, halves[a])
                     term1 = collapse_b1(1, gamma, shared)
                     term2 = collapse_b2(1, gamma, shared)
                     full = collapse(gamma, Interaction(), contractions=shared)

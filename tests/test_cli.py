@@ -418,6 +418,26 @@ class TestErrorHandling:
         assert captured.err.startswith(f"error: config field {name!r} is invalid")
         assert "preflight" not in captured.out
 
+    @pytest.mark.parametrize("section, value", [
+        ("grid", "L and M"), ("grid", [8]), ("initial_data", "gaussian"),
+        ("profile", "gaussian"), ("paths", "a b"), ("paths", "1 2 3"),
+    ])
+    def test_section_must_be_an_object(self, tmp_path, capsys, section, value):
+        # a string ended in "string indices must be integers", a list or a
+        # string without the key in "config field 'L' is missing"
+        cfg = solve_cfg()
+        if section == "profile":
+            cfg["initial_data"]["profile"] = value
+        elif section == "paths":
+            cfg["initial_data"] = {"kind": "levels", "paths": value}
+        else:
+            cfg[section] = value
+        rc = main(["solve", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: config field {section!r} must be a JSON object")
+
     def test_integral_float_is_an_integer(self, tmp_path):
         cfg = solve_cfg(K=3.0, N_t=4.0, grid={"n": 1.0, "L": TWO_PI, "M": 6.0})
         assert main(["solve", "--config", write_cfg(tmp_path, cfg),
@@ -609,9 +629,11 @@ class TestEstimateConstantCommand:
 
     @pytest.mark.parametrize("name, value", [
         ("trials", 0), ("trials", -1), ("k_range", [0]), ("k_range", []),
+        ("k_range", [1, 1]),
     ])
     def test_out_of_range_field_is_named(self, tmp_path, capsys, name, value):
-        # trials = 0 ended in an IndexError traceback; the others named no field
+        # trials = 0 ended in an IndexError traceback; the others named no
+        # field, and [1, 1] wrote two k=1 rows that each pooled both runs' draws
         out = tmp_path / "out"
         cfg = {**self.cfg(), name: value}
         rc = main(["estimate-constant", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])

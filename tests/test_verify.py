@@ -163,11 +163,11 @@ def battery_rows_whole(alphas, grid, k_range, trials, seed) -> dict:
         full, term = {a: [] for a in alphas}, {a: [] for a in alphas}
         for trial in range(trials):
             base = random_test_kernel_whole(grid, k + 1, 0.0, int(draw_seeds[ki * trials + trial]))
+            denom = sobolev_norm(base, 0.0)  # ||gamma||_{H^a} of every damped gamma below
             for a in alphas:
                 half = bracket_envelope(grid, k + 1, -a)
                 rows_half = half.reshape(half.shape + (1,) * half.ndim)
                 gamma = MarginalKernel(grid, k + 1, base.data * rows_half * half)
-                denom = sobolev_norm(gamma, a)
                 shared = cubic_contractions(gamma)
                 term1, term2 = collapse_b1(1, gamma, shared), collapse_b2(1, gamma, shared)
                 term[a] += [sobolev_norm(term1, a) / denom, sobolev_norm(term2, a) / denom]
@@ -204,11 +204,14 @@ class TestConstantEstimate:
         assert est.k_spread >= 1.0
         assert json.dumps(asdict(est))
 
-    @pytest.mark.parametrize("trials, k_range", [(0, (1,)), (-1, (1,)), (2, ()), (2, (0, 1))])
+    @pytest.mark.parametrize("trials, k_range", [(0, (1,)), (-1, (1,)), (2, ()), (2, (0, 1)),
+                                                 (2, (1, 1))])
     def test_battery_refuses_no_trials_and_no_ks(self, trials, k_range):
         # trials = 0 ended in an IndexError on the first draw; the others
-        # in errors from numpy, max() or the collapse
-        with pytest.raises(ValueError, match="the battery needs trials >= 1 and ks >= 1"):
+        # in errors from numpy, max() or the collapse, and a repeated k in
+        # two rows that each pooled both of its runs' draws
+        with pytest.raises(ValueError,
+                           match="the battery needs trials >= 1 and distinct ks >= 1"):
             estimate_collapse_battery((1.0,), GRID, k_range=k_range, trials=trials)
 
     def test_battery_matches_single_alpha_estimates(self):
@@ -245,8 +248,17 @@ class TestConstantEstimate:
             (1.0,), grid, k_range=(2,), trials=2, seed=5))
         assert peak <= 2.8 * grid.kernel_bytes(3)
 
+    def test_battery_row_groups_hold_a_sixteenth_at_m12(self, monkeypatch):
+        # row groups of lcm(37, 12) = 444 rows, a quarter of the level per
+        # run, took 2.72 level-3 kernels
+        monkeypatch.setattr(blocks, "WORKERS", 2)
+        grid = GridSpec(1, 2.0 * np.pi, 12)
+        _, peak = traced_peak(lambda: estimate_collapse_battery(
+            (0.6, 2.0), grid, k_range=(2,), trials=3, seed=5))
+        assert peak <= 2.5 * grid.kernel_bytes(3)
+
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("n, M, k", [(1, 8, 2), (1, 10, 2), (2, 4, 1)])
+    @pytest.mark.parametrize("n, M, k", [(1, 8, 2), (1, 10, 2), (1, 12, 2), (2, 4, 1)])
     def test_battery_budget_check_covers_the_traced_peak(self, monkeypatch, workers,
                                                          n, M, k):
         # the bytes checked once per k bound everything the battery holds,
@@ -261,6 +273,19 @@ class TestConstantEstimate:
             (0.6, 2.0), grid, k_range=(k,), trials=3, seed=5))
         assert len(checked) == 1
         assert peak <= checked[0]
+
+    @pytest.mark.parametrize("n, M, kp", [
+        (1, 6, 2), (1, 6, 3), (1, 8, 2), (1, 8, 3), (1, 10, 2), (1, 10, 3), (1, 12, 2),
+        (1, 12, 3), (1, 16, 2), (1, 16, 3), (1, 16, 4), (2, 4, 2), (2, 4, 3), (2, 6, 2)])
+    def test_row_groups_are_whole_runs_near_a_sixteenth(self, n, M, kp):
+        R, rows = verify_module._row_groups(GridSpec(n, 2.0 * np.pi, M), kp)
+        least = max(R // verify_module.GROUPS, blocks.BLOCK // R)
+        assert R == M ** (kp * n)
+        assert rows == R or rows % M**n == 0
+        assert min(R, blocks.BLOCK // R) <= rows < least + M**n
+
+    def test_row_groups_at_m12(self):
+        assert verify_module._row_groups(GridSpec(1, 2.0 * np.pi, 12), 3) == (1728, 108)
 
     def test_battery_waits_for_the_draw_ahead_when_it_raises(self, monkeypatch):
         # a measurement that raises leaves no draw running on the pool
@@ -290,22 +315,31 @@ class TestConstantEstimate:
         (2, 4, 2, 1 << 10)])
     def test_damped_measures_match_whole_array_passes(self, monkeypatch, workers, n, M, kp,
                                                       block):
-        # the fused pass takes the norm and the contractions of the damped
-        # draw in row groups; at M=10 the 65-row slices split the runs of
-        # the contracted variable, and n=2 traces a group component by
-        # component (one group, or sixteen with 1024-entry blocks)
+        # the fused pass takes the contractions of the damped draw in row
+        # groups; n=2 traces a group component by component (one group, or
+        # sixteen with 1024-entry blocks)
         monkeypatch.setattr(blocks, "WORKERS", workers)
         monkeypatch.setattr(blocks, "MIN_POOLED", 0)
         monkeypatch.setattr(blocks, "BLOCK", block)
         grid = GridSpec(n, 2.0 * np.pi, M)
         draw = random_test_kernel(grid, kp, alpha=0.0, seed=M + kp)
         half = bracket_envelope(grid, kp, -0.6)
-        norm, shared = verify_module._damped_measures(draw, half, 0.6)
+        shared = verify_module._damped_contractions(draw, half)
         damp(draw.data, half, draw.data)  # in place: one level-sized array at M=16
-        assert norm == sobolev_norm(draw, 0.6)
         want = cubic_contractions(draw)
         assert [c for c, _ in shared] == [c for c, _ in want]
         assert all(np.array_equal(got, C) for (_, got), (_, C) in zip(shared, want))
+
+    @pytest.mark.parametrize("a", [0.6, 1.0, 2.0])
+    @pytest.mark.parametrize("n, M, kp", [(1, 6, 2), (1, 6, 3), (1, 8, 2), (1, 8, 3),
+                                          (1, 16, 2), (1, 16, 3), (2, 4, 2)])
+    def test_damped_norm_is_the_l2_norm(self, n, M, kp, a):
+        # <p>^(2a) <p>^(-2a) = 1: the battery's one denominator per draw
+        grid = GridSpec(n, 2.0 * np.pi, M)
+        g = random_test_kernel(grid, kp, alpha=0.0, seed=M + kp)
+        want = sobolev_norm(g, 0.0)
+        damp(g.data, bracket_envelope(grid, kp, -a), g.data)  # in place, as above
+        assert sobolev_norm(g, a) == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("k,seed", [(2, 21), (3, 22)])
     def test_exchange_assembly_matches_direct_collapse(self, k, seed):
