@@ -450,12 +450,9 @@ def _swapped_rows(kernel, factor: np.ndarray, i: int) -> np.ndarray:
     return factor.reshape((M,) * (k * n) + (-1,)).transpose(axes).reshape(factor.shape)
 
 
-def frobenius_norm(kernel) -> float:
-    """||gamma||_F, the scale both defects divide by.  Dense: the row-block
-    sums of the (unprimed x primed) matrix added in block order; low rank:
-    ||R_U V^H|| (product_norm)."""
-    if isinstance(kernel, LowRankKernel):
-        return product_norm(kernel.U, kernel.V)
+def frobenius_norm(kernel: MarginalKernel) -> float:
+    """||gamma||_F of a dense kernel, the scale both defects divide by: the
+    row-block sums of the (unprimed x primed) matrix added in block order."""
     rows = kernel.grid.M ** (kernel.k * kernel.grid.n)
     mat = kernel.data.reshape(rows, rows)
     return math.sqrt(sum(blocks.rows(lambda r, buf: _sq_norm(mat[r], buf), mat)))
@@ -483,11 +480,6 @@ def _node_columns(W: np.ndarray) -> list:
     return [int(np.flatnonzero(w)[-1]) + 1 if w.any() else 0 for w in W]
 
 
-def _node_scales(scale, W: np.ndarray):
-    """The given scale (one, or one per node) for every node, or None."""
-    return None if scale is None else np.broadcast_to(scale, len(W)).tolist()
-
-
 def _node_sq_norms(r: np.ndarray, y: np.ndarray, W: np.ndarray, columns: list) -> list:
     """||(R[:m, :m] diag(w)) y[:, :m]^H||^2 for each node (w = W[i, :m],
     m = columns[i]), formed as its entrywise conjugate."""
@@ -499,33 +491,31 @@ def _node_sq_norms(r: np.ndarray, y: np.ndarray, W: np.ndarray, columns: list) -
     return out
 
 
-def _hermiticity_defects(kernel, scale=None) -> list:
+def _hermiticity_defects(kernel) -> list:
     """Each node's ||gamma - gamma^*|| / ||gamma|| (0.0 for a zero node).
 
     One thin_r of the interleaved stack [u_0, v_0, u_1, v_1, ..] (columns
     of C_U and C_V alternating): node i's columns are its first 2m, so with
     R_u, R_v the even and odd columns of that block of R, A = R_u W R_v^H
     is gamma in an orthonormal basis.  ||gamma|| = ||A|| and
-    ||gamma - gamma^*|| = ||A - A^H||, from 2m x 2m products only.  A given
-    scale replaces ||A||.
+    ||gamma - gamma^*|| = ||A - A^H||, from 2m x 2m products only.
     """
     U, V, W = _level_stacks(kernel)
-    scales = _node_scales(scale, W)
     stack = np.empty((U.shape[0], 2 * U.shape[1]), dtype=np.complex128)
     stack[:, 0::2], stack[:, 1::2] = U, V
     r = thin_r(stack)
     del stack
     out = []
-    for i, (w, m) in enumerate(zip(W, _node_columns(W))):
+    for w, m in zip(W, _node_columns(W)):
         block = r[:2 * m, :2 * m]
         a = (block[:, 0::2] * w[:m]) @ np.conj(block[:, 1::2].T)
-        norm = math.sqrt(_sq_norm(a, np.empty_like(a))) if scales is None else scales[i]
+        norm = math.sqrt(_sq_norm(a, np.empty_like(a)))
         diff = a - np.conj(a.T)
         out.append(math.sqrt(_sq_norm(diff, diff)) / norm if norm != 0.0 else 0.0)
     return out
 
 
-def _symmetry_defects(kernel, scale=None) -> list:
+def _symmetry_defects(kernel) -> list:
     """Each node's largest ||gamma - Theta gamma Theta|| / ||gamma|| over
     the swaps Theta of particles 0 and s (0.0 for a zero node).
 
@@ -533,19 +523,18 @@ def _symmetry_defects(kernel, scale=None) -> list:
     Theta) / 2 the difference is 2 (P+ gamma P- + P- gamma P+), two
     orthogonal terms: (C_U + Theta C_U) W (C_V - Theta C_V)^H / 2 and
     (C_U - Theta C_U) W (C_V + Theta C_V)^H / 2.  One thin_r of each of
-    C_U +- Theta C_U per swap serves every node.  Without a scale,
-    ||gamma||^2 = ||P+ gamma||^2 + ||P- gamma||^2 comes from the first
-    swap's two R.  The swapped and summed stacks are made one QR at a time.
+    C_U +- Theta C_U per swap serves every node.  ||gamma||^2 = ||P+
+    gamma||^2 + ||P- gamma||^2 comes from the first swap's two R.  The
+    swapped and summed stacks are made one QR at a time.
     """
     U, V, W = _level_stacks(kernel)
-    scales = _node_scales(scale, W)
     columns = _node_columns(W)
     worst = [0.0] * len(W)
     for s in range(1, kernel.k):
         su = _swapped_rows(kernel, U, s)
         r_plus, r_minus = thin_r(U + su), thin_r(U - su)
         del su
-        if scales is None:
+        if s == 1:
             scales = [math.sqrt(a + b) / 2.0 for a, b in zip(
                 _node_sq_norms(r_plus, V, W, columns), _node_sq_norms(r_minus, V, W, columns))]
         sv = _swapped_rows(kernel, V, s)
@@ -560,16 +549,16 @@ def _symmetry_defects(kernel, scale=None) -> list:
 def symmetry_defect(kernel, scale: float | None = None) -> float:
     """Largest relative deviation from Theta_sigma invariance over swaps.
 
-    scale is frobenius_norm(kernel), computed here if not given.  A dense
-    kernel's swap difference is formed one leading-axis slice at a time, in
-    a buffer per run of slices, the runs spread over the block pool; the
+    A dense kernel's scale is frobenius_norm(kernel), computed here if not
+    given; its swap difference is formed one leading-axis slice at a time,
+    in a buffer per run of slices, the runs spread over the block pool; the
     slice sums are added in slice order.  A LowRankLevel gives the largest
-    over its nodes, and a LowRankKernel its own, from the factors
-    (_symmetry_defects; a level's scale is one per node).
+    over its nodes, and a LowRankKernel its own, each divided by its own
+    norm from the factors (_symmetry_defects); scale is not read.
     """
     k, n = kernel.k, kernel.grid.n
     if isinstance(kernel, (LowRankKernel, LowRankLevel)):
-        return max(_symmetry_defects(kernel, scale), default=0.0)
+        return max(_symmetry_defects(kernel), default=0.0)
     if scale is None:
         scale = frobenius_norm(kernel)
     if scale == 0.0:
@@ -593,13 +582,13 @@ def symmetry_defect(kernel, scale: float | None = None) -> float:
 def hermiticity_defect(kernel, scale: float | None = None) -> float:
     """||gamma - gamma^*|| / ||gamma||, without forming the adjoint.
 
-    scale is ||gamma|| = frobenius_norm(kernel), computed here if not given.
-    A LowRankLevel gives the largest over its nodes, and a LowRankKernel its
-    own, from the factors (_hermiticity_defects; a level's scale is one per
-    node).  For a dense kernel the squared difference is summed over _TILE
-    x _TILE tiles of the (unprimed, primed) matrix; tile (j, i) of gamma -
-    gamma^* is minus the conjugate transpose of tile (i, j), so only tiles
-    with j >= i are formed.
+    A dense kernel's scale is ||gamma|| = frobenius_norm(kernel), computed
+    here if not given.  A LowRankLevel gives the largest over its nodes, and
+    a LowRankKernel its own, each divided by its own norm from the factors
+    (_hermiticity_defects); scale is not read.  For a dense kernel the
+    squared difference is summed over _TILE x _TILE tiles of the (unprimed,
+    primed) matrix; tile (j, i) of gamma - gamma^* is minus the conjugate
+    transpose of tile (i, j), so only tiles with j >= i are formed.
     A row of full tiles is differenced in two passes into a buffer that
     holds each tile contiguously, squared in place and summed per tile by
     numpy (not BLAS); ragged edge tiles go one at a time.  Tile rows go to
@@ -607,7 +596,7 @@ def hermiticity_defect(kernel, scale: float | None = None) -> float:
     added in row-major tile order.
     """
     if isinstance(kernel, (LowRankKernel, LowRankLevel)):
-        return max(_hermiticity_defects(kernel, scale), default=0.0)
+        return max(_hermiticity_defects(kernel), default=0.0)
     rows = kernel.grid.M ** (kernel.k * kernel.grid.n)
     mat = kernel.data.reshape(rows, rows)
     if scale is None:

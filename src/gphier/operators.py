@@ -50,9 +50,14 @@ view of a kernel in the row blocks of blocks.rows, spread over the block
 pool.  The free phase can first write a sum of arrays into its target in
 the same pass, so a Duhamel node or a free-evolved copy is written once.
 The dense collapse builds each contraction C_c plane by plane, adding
-t[.., p, .., p - c] over ascending p (the order np.trace adds in), with the
-shifts spread over the pool and the shift-adds into the output made
-serially in shift order.  Every output is bitwise that of one worker.
+t[.., p, .., p - c] over ascending p (the order np.trace adds in), in one
+trace pass (cubic_contractions): row groups of the matrix view, whole
+runs of the contracted variable, over the pool.  A group of the kernel's
+rows is a view, one per pool run; a group damped on the way (the
+collapse-constant battery) is a copy of about 1/GROUPS of the level.  The
+quintic pass then traces each cubic output, one per pool item.  The
+shift-adds into the output are made serially in shift order.  Every
+output is bitwise that of one worker.
 """
 
 from __future__ import annotations
@@ -189,48 +194,80 @@ def _shifts(M: int, n: int) -> list:
     return list(product(range(-(M - 1), M), repeat=n))
 
 
-def _by_last_component(shifts, entries: int) -> list:
-    """Shift indices in runs for the block pool (blocks.deal over a kernel
-    of that many entries), each last component in one run."""
-    runs = blocks.deal(sorted({c[-1] for c in shifts}), entries)
-    return [[i for i, c in enumerate(shifts) if c[-1] in run] for run in runs]
-
-
 def _contracted(shape: tuple, pairs: int, n: int) -> np.ndarray:
     """Output array of a contraction removing `pairs` variable pairs."""
     return np.empty(shape[:len(shape) - 2 * pairs * n], dtype=np.complex128)
 
 
-def cubic_contractions(kernel: MarginalKernel) -> list:
+GROUPS = 16  # a damped row group of cubic_contractions holds about 1/GROUPS of a level
+
+
+def _row_groups(grid: GridSpec, kp: int, damped: bool) -> tuple:
+    """(R, rows): the level-kp matrix is R x R, and a row group of
+    cubic_contractions is rows rows, whole runs of the last unprimed
+    variable (M^n rows).  A damped group, copied into its run's buffer, is
+    the smallest multiple of M^n at least R/GROUPS and BLOCK/R (so a small
+    level stays one group), or all R.  An undamped group is a view, so
+    each run of blocks.deal takes all of its rows as one group."""
+    R, unit = grid.M ** (kp * grid.n), grid.M ** grid.n
+    if damped:
+        least = max(R // GROUPS, blocks.BLOCK // R)
+    else:
+        least = -(-R // len(blocks.deal(range(R // unit), R * R)))
+    return R, min(R, -(-least // unit) * unit)
+
+
+def cubic_contractions(kernel: MarginalKernel, half: np.ndarray = None) -> list:
     """[(c, C_c)] over all shift vectors for the last-pair contraction of a
-    dense kernel, for several collapse terms to share.
+    dense kernel, for several collapse terms to share; given half (an
+    envelope of kernels.bracket_envelope), those of the kernel damped by
+    half on both sides, bitwise, without building it.
 
     The contractions are the expensive part of a dense cubic collapse; they
-    take about 2/M of the kernel's memory.  The shifts are spread over the
-    block pool; the outputs are allocated here, on the calling thread.
+    take about 2/M of the kernel's memory.  The (unprimed x primed) matrix
+    is walked in the row groups of _row_groups over the block pool, and
+    each group is traced into the contractions' rows.  A damped group is
+    first damped into its run's buffer.  A group holds every value of the
+    contracted variable for its rows, so each contraction entry adds its
+    planes in ascending p, as np.trace does.  The outputs and buffers are
+    allocated here, on the calling thread.
     """
     grid = kernel.grid
     kp, n, M = kernel.k, grid.n, grid.M
+    R, rows = _row_groups(grid, kp, half is not None)
+    src = kernel.data.reshape(R, R)
+    half = None if half is None else half.reshape(-1)
     shifts = _shifts(M, n)
     outs = [_contracted(kernel.data.shape, 1, n) for _ in shifts]
+    out_rows = [out.reshape((R // M**n,) + out.shape[(kp - 1) * n:]) for out in outs]
 
-    def run(idx):
-        _trace_last_pairs(kernel.data, kp * n, [shifts[i] for i in idx],
-                          [outs[i] for i in idx])
+    def group(g, buf):
+        r = slice(g, min(g + rows, R))
+        x = src[r]
+        if half is not None:
+            x = np.multiply(x, half[r, None], out=buf[:r.stop - g])
+            x *= half
+        t = x.reshape((-1,) + (M,) * n + kernel.data.shape[kp * n:])
+        lo, hi = g // M**n, r.stop // M**n
+        _trace_last_pairs(t, 1 + n, shifts, [out[lo:hi] for out in out_rows])
 
-    blocks.map_blocks(run, _by_last_component(shifts, kernel.data.size))
+    blocks.map_items(group, range(0, R, rows), R * R,
+                     lambda: None if half is None else np.empty((rows, R), dtype=np.complex128))
     return list(zip(shifts, outs))
 
 
-def contraction_bytes(grid: GridSpec, kp: int, offset: int) -> int:
+def contraction_bytes(grid: GridSpec, kp: int, offset: int, damped: bool = False) -> int:
     """Transient bytes of a dense collapse of a level-kp kernel: the
-    contraction outputs, and for n >= 2 the partial traces of leading
-    components (cubic_contractions and _quintic_contractions)."""
+    contraction outputs, for n >= 2 the partial traces of leading
+    components (cubic_contractions and _quintic_contractions), and for a
+    damped cubic_contractions each run's group buffer."""
     M = grid.M
     share = sum(((2 * M - 1) / M**2) ** i for i in range(1, grid.n + 1))
     if offset == 2:
         share += ((3 * M * M - 3 * M + 1) / M**4) ** grid.n
-    return int(share * grid.kernel_bytes(kp))
+    R, rows = _row_groups(grid, kp, damped)
+    runs = len(blocks.deal(range(0, R, rows), R * R)) if damped else 0
+    return int(share * grid.kernel_bytes(kp)) + runs * 16 * rows * R
 
 
 def _shift_add(out: np.ndarray, src: np.ndarray, shifts, sign: int):
@@ -249,30 +286,26 @@ def _shift_add(out: np.ndarray, src: np.ndarray, shifts, sign: int):
 def _quintic_contractions(kernel: MarginalKernel) -> list:
     """[(c_total, C)] over shift vectors for the double-pair contraction.
 
-    The two (q_i, q'_i) pairs are traced one after the other; the shift in
-    the j-th slot only sees the sum of the two per-pair offsets, and totals
-    with a component of size >= M (which would shift every entry off the
-    lattice) are skipped.  The first pair's shifts are spread over the block
-    pool; outputs and the one-pair traces are allocated here, on the calling
-    thread.
+    The two (q_i, q'_i) pairs are traced one after the other: the first in
+    cubic_contractions, then each of its outputs at the shifts it keeps, one
+    output per block-pool item.  The shift in the j-th slot only sees the
+    sum of the two per-pair offsets, and totals with a component of size
+    >= M (which would shift every entry off the lattice) are skipped.  The
+    outputs are allocated here, on the calling thread.
     """
     grid = kernel.grid
     kp, n, M = kernel.k, grid.n, grid.M
-    shifts = _shifts(M, n)
-    first = [_contracted(kernel.data.shape, 1, n) for _ in shifts]
-    second = [[c1 for c1 in shifts if all(abs(a + b) < M for a, b in zip(c1, c2))]
-              for c2 in shifts]
+    first = cubic_contractions(kernel)
+    second = [[c1 for c1, _ in first if all(abs(a + b) < M for a, b in zip(c1, c2))]
+              for c2, _ in first]
     outs = [[_contracted(kernel.data.shape, 2, n) for _ in c1s] for c1s in second]
 
-    def run(idx):
-        _trace_last_pairs(kernel.data, kp * n, [shifts[i] for i in idx],
-                          [first[i] for i in idx])
-        for i in idx:
-            _trace_last_pairs(first[i], (kp - 1) * n, second[i], outs[i])
+    def trace(i, _):
+        _trace_last_pairs(first[i][1], (kp - 1) * n, second[i], outs[i])
 
-    blocks.map_blocks(run, _by_last_component(shifts, kernel.data.size))
+    blocks.map_items(trace, range(len(first)), kernel.data.size)
     return [(tuple(a + b for a, b in zip(c1, c2)), C)
-            for c2, c1s, Cs in zip(shifts, second, outs) for c1, C in zip(c1s, Cs)]
+            for (c2, _), c1s, Cs in zip(first, second, outs) for c1, C in zip(c1s, Cs)]
 
 
 # -- the collapse -------------------------------------------------------------------

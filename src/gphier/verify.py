@@ -15,7 +15,9 @@ random sampling and inflated by 1.5; random draws undersample the extremal
 direction, and the downstream theorem checks only need some valid constant.
 A sample is gamma = D_alpha g, a random kernel g damped by <p>^-alpha on
 every variable, so ||gamma||_{H^alpha} = ||g||_{L^2}: one norm per draw
-serves every alpha.
+serves every alpha.  gamma itself is never built: operators.cubic_contractions
+damps each row group of g as it traces it, in the trace pass that every
+dense collapse takes.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ import numpy as np
 
 from . import blocks
 # the battery draws through random_draw; random_test_kernel stays bound for perfbench/spans.py
-from .kernels import (MarginalKernel, bracket_envelope, check_budget, project_draw, random_draw,
+from .kernels import (bracket_envelope, check_budget, project_draw, random_draw,
                       random_test_kernel)
 from .norms import sobolev_norm
-from .operators import (Interaction, _contracted, _shifts, _trace_last_pairs, collapse,
-                        collapse_b1, collapse_b2, contraction_bytes)
+from .operators import (Interaction, collapse, collapse_b1, collapse_b2, contraction_bytes,
+                        cubic_contractions)
 from .spectral import GridSpec, axis_sum
 
 
@@ -191,63 +193,17 @@ class ConstantEstimate:
 
 
 SAFETY_FACTOR = 1.5
-GROUPS = 16  # a row group of _damped_contractions holds about 1/GROUPS of a level
-
-
-def _row_groups(grid: GridSpec, kp: int) -> tuple:
-    """(R, rows): the level-kp matrix is R x R, and a row group of
-    _damped_contractions is rows rows, the smallest multiple of M^n (whole
-    runs of the last unprimed variable) that is at least R/GROUPS and at
-    least BLOCK/R (so a small level stays one group), or all R."""
-    R, unit = grid.M ** (kp * grid.n), grid.M ** grid.n
-    least = max(R // GROUPS, blocks.BLOCK // R)
-    return R, min(R, -(-least // unit) * unit)
 
 
 def _battery_bytes(grid: GridSpec, kp: int) -> int:
     """What the battery holds at most for level-kp draws: the draw being
-    measured and the next one, each run's row group (_damped_contractions),
-    the contractions and partial traces of a dense cubic collapse
-    (contraction_bytes), the three collapse outputs and a streamed norm's
-    block buffer with 256 kB of numpy's iterator buffers."""
-    R, rows = _row_groups(grid, kp)
-    runs = len(blocks.deal(range(0, R, rows), R * R))
-    return (2 * grid.kernel_bytes(kp) + runs * 16 * rows * R
-            + contraction_bytes(grid, kp, 1) + 3 * grid.kernel_bytes(kp - 1)
-            + 8 * blocks.BLOCK + 2**18)
-
-
-def _damped_contractions(draw: MarginalKernel, half: np.ndarray) -> list:
-    """cubic_contractions(g) of g, the draw damped by half (kernels.damp),
-    bitwise, without building g.
-
-    The (unprimed x primed) matrix is walked in the row groups of
-    _row_groups, over the block pool.  Each group is damped into the run's
-    buffer and traced (operators._trace_last_pairs) into the contractions'
-    rows.  A group holds every value of the contracted variable for its
-    rows, so each contraction entry adds its planes in ascending p, as the
-    whole-array trace does.
-    """
-    grid, kp, n, M = draw.grid, draw.k, draw.grid.n, draw.grid.M
-    R, rows = _row_groups(grid, kp)
-    src = draw.data.reshape(R, R)
-    half = half.reshape(-1)
-    shifts = _shifts(M, n)
-    outs = [_contracted(draw.data.shape, 1, n) for _ in shifts]
-    out_rows = [out.reshape((R // M**n,) + out.shape[(kp - 1) * n:]) for out in outs]
-
-    def group(g, buf):
-        r = slice(g, min(g + rows, R))
-        x = buf[:r.stop - g]
-        np.multiply(src[r], half[r, None], out=x)
-        x *= half
-        t = x.reshape((-1,) + (M,) * n + draw.data.shape[kp * n:])
-        lo, hi = g // M**n, r.stop // M**n
-        _trace_last_pairs(t, 1 + n, shifts, [out[lo:hi] for out in out_rows])
-
-    blocks.map_items(group, range(0, R, rows), R * R,
-                     lambda: np.empty((rows, R), dtype=np.complex128))
-    return list(zip(shifts, outs))
+    measured and the next one, the contractions of the damped draw with
+    each run's row group (contraction_bytes), the three collapse outputs,
+    a streamed norm's block buffer with 256 kB of numpy's iterator buffers,
+    and 1 MiB for numpy.random, which numpy imports on the first draw of
+    a process (0.75 MB traced with numpy 2.4)."""
+    return (2 * grid.kernel_bytes(kp) + contraction_bytes(grid, kp, 1, damped=True)
+            + 3 * grid.kernel_bytes(kp - 1) + 8 * blocks.BLOCK + 2**18 + 2**20)
 
 
 def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
@@ -261,8 +217,10 @@ def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
     drawn (and projected) once.  The denominator ||D_alpha g||_{H^alpha} is
     ||g||_{L^2} for every alpha, one norm per draw; a draw of norm 0 is
     skipped.  Each alpha takes the contractions of D_alpha g in one pass
-    over the projected draw (_damped_contractions), which never builds the
-    damped kernel; they serve the j=1 pair of terms and the full collapse.
+    over the projected draw (operators.cubic_contractions with the
+    envelope: the row-group trace pass of every dense collapse, each
+    group damped into its run's buffer), which never builds the damped
+    kernel; they serve the j=1 pair of terms and the full collapse.
     While a draw is measured, the next one is made ahead on the block pool
     (blocks.ahead; unprojected, so one array), and it is projected only
     after the measured draw is released: at most two level-sized arrays
@@ -298,7 +256,7 @@ def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
             try:
                 denom = sobolev_norm(gamma, 0.0)  # ||D_a g||_{H^a} for every alpha a
                 for a in (alphas if denom != 0.0 else ()):
-                    shared = _damped_contractions(gamma, halves[a])
+                    shared = cubic_contractions(gamma, halves[a])
                     term1 = collapse_b1(1, gamma, shared)
                     term2 = collapse_b2(1, gamma, shared)
                     full = collapse(gamma, Interaction(), contractions=shared)

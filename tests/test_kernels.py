@@ -24,6 +24,7 @@ from gphier.kernels import (
     bracket_envelope,
     factorized_sequence,
     frobenius_norm,
+    product_norm,
     hermitize,
     hermiticity_defect,
     kernel_budget,
@@ -434,12 +435,10 @@ class TestLowRankDefects:
         lr = LowRankKernel(grid, k, U, V)
         herm, symm = long_double_defects(U, V, grid, k)
         assert (herm > 1e-11) == (symm > 1e-11) == (eps != 0.0)
-        scale = frobenius_norm(lr)
-        for got, want in ((hermiticity_defect(lr), herm), (hermiticity_defect(lr, scale), herm),
-                          (symmetry_defect(lr), symm), (symmetry_defect(lr, scale), symm)):
+        for got, want in ((hermiticity_defect(lr), herm), (symmetry_defect(lr), symm)):
             assert abs(got - want) <= 1e-12
         dense = lr.materialize()
-        assert scale == pytest.approx(frobenius_norm(dense), rel=1e-13)
+        assert product_norm(U, V) == pytest.approx(frobenius_norm(dense), rel=1e-13)
         for alpha in (0.0, 1.0):
             w = bracket_envelope(grid, k, alpha).reshape(-1).astype(np.longdouble)
             mat = U.astype(np.clongdouble) @ np.conj(V.T.astype(np.clongdouble))
@@ -451,7 +450,7 @@ class TestLowRankDefects:
     def test_zero_and_one_particle(self):
         grid = GridSpec(1, 2 * np.pi, 8)
         zero = LowRankKernel(grid, 2, np.zeros((64, 3)), np.ones((64, 3)))
-        assert frobenius_norm(zero) == 0.0
+        assert product_norm(zero.U, zero.V) == 0.0
         assert hermiticity_defect(zero) == symmetry_defect(zero) == 0.0
         one = random_low_rank(grid, 1, 3, seed=42)
         assert symmetry_defect(one) == 0.0
@@ -475,8 +474,8 @@ class TestLowRankDefects:
         script = (
             "import itertools\n"
             "import numpy as np\n"
-            "from gphier.kernels import LowRankKernel, frobenius_norm, "
-            "hermiticity_defect, symmetry_defect\n"
+            "from gphier.kernels import LowRankKernel, hermiticity_defect, product_norm, "
+            "symmetry_defect\n"
             "from gphier.norms import sobolev_norm\n"
             "from gphier.spectral import GridSpec\n"
             "grid = GridSpec(1, 2 * np.pi, 12)\n"
@@ -490,7 +489,7 @@ class TestLowRankDefects:
             "noise = rng.standard_normal((1728, 19)) * 1e-9\n"
             "for eps in (0.0, 1.0):\n"
             "    lr = LowRankKernel(grid, 3, U + eps * noise, V)\n"
-            "    print(repr(frobenius_norm(lr)), repr(hermiticity_defect(lr)),\n"
+            "    print(repr(product_norm(lr.U, lr.V)), repr(hermiticity_defect(lr)),\n"
             "          repr(symmetry_defect(lr)), repr(sobolev_norm(lr, 1.0)))\n"
         )
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))

@@ -14,15 +14,19 @@ from gphier.kernels import (
     FactorizedKernel,
     MarginalKernel,
     as_dense,
+    bracket_envelope,
+    damp,
     hermitize,
     random_test_kernel,
     symmetrize,
     trace,
 )
 from gphier.operators import (
+    GROUPS,
     Interaction,
     _convolve,
     _quintic_contractions,
+    _row_groups,
     _trace_last_pairs,
     apply_btilde,
     apply_free_phase,
@@ -574,20 +578,46 @@ class TestPlaneWiseContractions:
             assert np.array_equal(C, np_trace_last_pair(kernel.data, kp * grid.n, c))
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_quintic_bitwise_np_trace_for_every_shift(self, monkeypatch, workers):
+    @pytest.mark.parametrize("grid, kp", [
+        (GridSpec(n=1, L=2 * np.pi, M=6), 4),
+        (GridSpec(n=2, L=3.0, M=4), 3),
+    ])
+    def test_quintic_bitwise_np_trace_for_every_shift(self, monkeypatch, workers, grid, kp):
         monkeypatch.setattr(blocks, "WORKERS", workers)
-        grid, kp = GridSpec(n=1, L=2 * np.pi, M=6), 4
+        n = grid.n
         kernel = random_dense(grid, kp, seed=61)
         want = []
         for c2 in all_shifts(grid):
-            t2 = np_trace_last_pair(kernel.data, kp, c2)
+            t2 = np_trace_last_pair(kernel.data, kp * n, c2)
             for c1 in all_shifts(grid):
-                c = (c1[0] + c2[0],)
-                if abs(c[0]) < grid.M:
-                    want.append((c, np_trace_last_pair(t2, kp - 1, c1)))
+                c = tuple(a + b for a, b in zip(c1, c2))
+                if all(abs(a) < grid.M for a in c):
+                    want.append((c, np_trace_last_pair(t2, (kp - 1) * n, c1)))
         got = _quintic_contractions(kernel)
         assert [c for c, _ in got] == [c for c, _ in want]
         assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n, M, kp, block", [
+        (1, 6, 2, blocks.BLOCK), (1, 6, 3, blocks.BLOCK), (1, 8, 2, blocks.BLOCK),
+        (1, 8, 3, blocks.BLOCK), (1, 10, 2, blocks.BLOCK), (1, 10, 3, blocks.BLOCK),
+        (1, 16, 2, blocks.BLOCK), (1, 16, 3, blocks.BLOCK), (2, 4, 2, blocks.BLOCK),
+        (2, 4, 2, 1 << 10)])
+    def test_damped_bitwise_np_trace_of_the_damped_kernel(self, monkeypatch, workers, n, M,
+                                                          kp, block):
+        # each row group is damped into its run's buffer and traced; n=2
+        # traces a group component by component (one group, or sixteen
+        # with 1024-entry blocks)
+        monkeypatch.setattr(blocks, "WORKERS", workers)
+        monkeypatch.setattr(blocks, "BLOCK", block)
+        grid = GridSpec(n, 2.0 * np.pi, M)
+        draw = random_test_kernel(grid, kp, alpha=0.0, seed=M + kp)
+        half = bracket_envelope(grid, kp, -0.6)
+        got = cubic_contractions(draw, half)
+        damp(draw.data, half, draw.data)  # in place: one level-sized array at M=16
+        assert [c for c, _ in got] == all_shifts(grid)
+        for c, C in got:
+            assert np.array_equal(C, np_trace_last_pair(draw.data, kp * n, c))
 
     def test_two_component_double_pair_trace(self):
         # the quintic nesting at n=2 on a 3-particle array; side 3 keeps it
@@ -605,3 +635,31 @@ class TestPlaneWiseContractions:
             _trace_last_pairs(t2, (kp - 1) * n, shifts, second)
             for c1, C in zip(shifts, second):
                 assert np.array_equal(C, np_trace_last_pair(t2, (kp - 1) * n, c1))
+
+
+class TestRowGroups:
+    @pytest.mark.parametrize("n, M, kp", [
+        (1, 6, 2), (1, 6, 3), (1, 8, 2), (1, 8, 3), (1, 10, 2), (1, 10, 3), (1, 12, 2),
+        (1, 12, 3), (1, 16, 2), (1, 16, 3), (1, 16, 4), (2, 4, 2), (2, 4, 3), (2, 6, 2)])
+    def test_damped_groups_are_whole_runs_near_a_sixteenth(self, n, M, kp):
+        R, rows = _row_groups(GridSpec(n, 2.0 * np.pi, M), kp, True)
+        least = max(R // GROUPS, blocks.BLOCK // R)
+        assert R == M ** (kp * n)
+        assert rows == R or rows % M**n == 0
+        assert min(R, blocks.BLOCK // R) <= rows < least + M**n
+
+    def test_damped_groups_at_m12(self):
+        assert _row_groups(GridSpec(1, 2.0 * np.pi, 12), 3, True) == (1728, 108)
+
+    @pytest.mark.parametrize("workers, min_pooled", [(1, 0), (2, 1 << 30), (2, 0), (3, 0)])
+    @pytest.mark.parametrize("n, M, kp", [(1, 8, 3), (1, 10, 3), (1, 12, 3), (2, 4, 3)])
+    def test_undamped_group_is_one_deal_run(self, monkeypatch, workers, min_pooled, n, M, kp):
+        # a view needs no buffer, so each run of blocks.deal traces all of
+        # its rows at once: all R on one worker or below MIN_POOLED
+        monkeypatch.setattr(blocks, "WORKERS", workers)
+        monkeypatch.setattr(blocks, "MIN_POOLED", min_pooled)
+        R, rows = _row_groups(GridSpec(n, 2.0 * np.pi, M), kp, False)
+        runs = 1 if workers == 1 or R * R < min_pooled else workers
+        starts = range(0, R, rows)
+        assert len(blocks.deal(starts, R * R)) == len(starts) == runs
+        assert rows == -(-(R // M**n) // runs) * M**n

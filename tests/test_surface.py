@@ -106,3 +106,32 @@ def test_allowed_experiments_still_exist():
     # an allow-list entry whose definition is gone would hide nothing
     defined = {name for _, name, _ in _definitions()}
     assert ALLOWED <= defined
+
+
+def private_imports() -> list:
+    """module: name for every underscore-prefixed name a src/gphier module
+    takes from another gphier module, by import or as an attribute of an
+    imported gphier module (`operators._shifts`)."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        modules = set()  # local names bound to gphier modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "")
+                                                     .split(".")[0] == "gphier"):
+                for alias in node.names:
+                    if node.module in (None, "gphier"):  # from . import operators
+                        modules.add(alias.asname or alias.name)
+                    elif alias.name.startswith("_"):
+                        out.append(f"{path.stem}: {alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name) and node.value.id in modules):
+                out.append(f"{path.stem}: {node.value.id}.{node.attr}")
+    return sorted(out)
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a decision behind an underscore lives in its own module; a second
+    # module that calls it shares the decision without owning it
+    assert private_imports() == []
