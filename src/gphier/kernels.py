@@ -5,9 +5,11 @@ array with 2*k*n axes of length M: the first k*n axes are the unprimed
 variables (n consecutive axes per particle), the last k*n the primed ones.
 Index order per axis follows GridSpec.modes (m = -M/2 .. M/2-1).
 
-A kernel has one of three representations:
+A kernel has one of four representations:
 
 - dense (MarginalKernel): the whole array;
+- evolved (EvolvedKernel): U0(t) of a dense kernel, never written; its
+  readers phase its rows as they take them (matrix_rows);
 - factorized (FactorizedKernel): the lazy product prod_j phi(p_j)
   conj(phi(p'_j)), which stores only the one-particle profile; free
   evolution, norms, traces and collapses all have exact closed forms for it,
@@ -155,6 +157,81 @@ def free_phase_vector(grid: GridSpec, k: int, t: float) -> np.ndarray:
     return prefix_products(np.exp(-1j * t * variable_psq(grid)).reshape(-1), k)[k]
 
 
+def apply_free_phase(data: np.ndarray, grid: GridSpec, k: int, t: float,
+                     *terms: np.ndarray) -> np.ndarray:
+    """Free-evolution phase on a C-contiguous raw kernel array; returns data.
+
+    One pass over the (unprimed x primed) matrix view: row block r is first
+    set to the sum of the terms' blocks (in term order) if terms are given,
+    then multiplied by P[r, None] * conj(P) with P the phase vector of k
+    particle variables.  Without terms data is phased in place.
+    """
+    if t == 0.0 and not terms:
+        return data
+    rows = grid.M ** (k * grid.n)
+    mat = data.reshape(rows, rows, copy=False)
+    mats = [term.reshape(rows, rows) for term in terms]
+    ph = free_phase_vector(grid, k, t)
+    ph_conj = np.conj(ph)
+
+    def phase_block(r, phase):
+        block = mat[r]
+        if len(mats) == 1:
+            np.copyto(block, mats[0][r])
+        elif mats:
+            np.add(mats[0][r], mats[1][r], out=block)
+            for m in mats[2:]:
+                block += m[r]
+        if t != 0.0:
+            block *= np.multiply.outer(ph[r], ph_conj, out=phase)
+
+    blocks.rows(phase_block, mat)
+    return data
+
+
+@dataclass(frozen=True)
+class EvolvedKernel:
+    """U0(t) applied to the dense kernel base, whose array it shares; free
+    evolution only moves t.  matrix_rows and materialize() both multiply
+    the base's rows by P[r, None] * conj(P), so they agree bitwise."""
+
+    base: MarginalKernel
+    t: float
+    grid = property(lambda self: self.base.grid)
+    k = property(lambda self: self.base.k)
+
+    def free_evolved(self, t: float) -> "EvolvedKernel":
+        return EvolvedKernel(self.base, self.t + t)
+
+    def materialize(self, budget=None) -> MarginalKernel:
+        check_budget(self.grid.kernel_bytes(self.k), budget, what=f"k={self.k} kernel")
+        return MarginalKernel(self.grid, self.k, apply_free_phase(
+            np.empty_like(self.base.data), self.grid, self.k, self.t, self.base.data))
+
+
+def matrix_rows(kernel):
+    """read(r, out): rows r of the (unprimed x primed) matrix of a dense,
+    evolved or low-rank kernel, written into out (r's rows by all columns):
+    U[r] V^H, or at t != 0 the base's rows times P[r, None] * conj(P); a
+    dense kernel's, or an evolved one's at t = 0, are a view instead."""
+    if isinstance(kernel, LowRankKernel):
+        vh = np.conj(kernel.V.T)
+        return lambda r, out: np.matmul(kernel.U[r], vh, out=out)
+    base, t = (kernel.base, kernel.t) if isinstance(kernel, EvolvedKernel) else (kernel, 0.0)
+    R = kernel.grid.M ** (kernel.k * kernel.grid.n)
+    mat = base.data.reshape(R, R)
+    if t == 0.0:
+        return lambda r, out: mat[r]
+    ph = free_phase_vector(kernel.grid, kernel.k, t)
+    ph_conj = np.conj(ph)
+
+    def read(r, out):
+        np.multiply.outer(ph[r], ph_conj, out=out)
+        return np.multiply(mat[r], out, out=out)
+
+    return read
+
+
 @dataclass(frozen=True)
 class LowRankKernel:
     """Kernel whose (unprimed x primed) matrix is U @ V.conj().T.
@@ -259,7 +336,7 @@ class LowRankLevel:
 
 def as_dense(kernel, budget=None) -> MarginalKernel:
     """The kernel itself if dense, else its materialized copy."""
-    if isinstance(kernel, (FactorizedKernel, LowRankKernel)):
+    if isinstance(kernel, (FactorizedKernel, LowRankKernel, EvolvedKernel)):
         return kernel.materialize(budget)
     return kernel
 
@@ -639,7 +716,7 @@ def trace(kernel) -> complex:
         diagonal = np.einsum("ic,ic->i", kernel.U, np.conj(kernel.V))
         return complex(np.sum(diagonal) * kernel.grid.measure_weight ** kernel.k)
     size = kernel.grid.lattice_size ** kernel.k
-    flat = kernel.data.reshape(size, size)
+    flat = as_dense(kernel).data.reshape(size, size)
     return complex(np.trace(flat) * kernel.grid.measure_weight ** kernel.k)
 
 
@@ -708,10 +785,11 @@ _HEADER = struct.Struct("<idii")  # n, L, M, k (k = 0 marks a rank-1 array)
 
 
 def save_momentum_array(path, arr: np.ndarray, grid: GridSpec, k: int):
-    """Flat binary layout: header (n, L, M, k) then row-major '<c16' payload."""
+    """Flat binary layout: header (n, L, M, k) then row-major '<c16' payload,
+    written from the array's buffer, not a copy."""
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(grid.n, grid.L, grid.M, k))
-        fh.write(np.ascontiguousarray(arr, dtype="<c16").tobytes())
+        fh.write(np.ascontiguousarray(arr, dtype="<c16").data)
 
 
 def load_momentum_array(path, budget=None):

@@ -25,6 +25,12 @@ def _fft_psq(n: int, L: float, M: int) -> np.ndarray:
     return axis_sum([(2.0 * np.pi * np.fft.fftfreq(M, d=L / M)) ** 2] * n)
 
 
+@lru_cache(maxsize=32)
+def _kinetic_half(n: int, L: float, M: int, dt: float) -> np.ndarray:
+    """exp(-0.5i dt |p|^2), the kinetic half step, made once per step size."""
+    return np.exp(-0.5j * dt * _fft_psq(n, L, M))
+
+
 def _power(interaction: Interaction) -> int:
     return 1 if interaction.kind == CUBIC else 2
 
@@ -32,12 +38,12 @@ def _power(interaction: Interaction) -> int:
 def split_step(values: np.ndarray, grid: GridSpec, interaction: Interaction,
                dt: float) -> np.ndarray:
     """One Strang step on position-space samples; returns a new array."""
-    psq = _fft_psq(grid.n, grid.L, grid.M)
-    half = np.exp(-0.5j * dt * psq)
+    half = _kinetic_half(grid.n, grid.L, grid.M, dt)
+    fft, ifft = (np.fft.fft, np.fft.ifft) if grid.n == 1 else (np.fft.fftn, np.fft.ifftn)
     s = _power(interaction)
-    out = np.fft.ifftn(half * np.fft.fftn(values))
+    out = ifft(half * fft(values))
     out *= np.exp(-1j * dt * interaction.mu * np.abs(out) ** (2 * s))
-    return np.fft.ifftn(half * np.fft.fftn(out))
+    return ifft(half * fft(out))
 
 
 def evolve(values: np.ndarray, grid: GridSpec, interaction: Interaction,

@@ -13,10 +13,11 @@ factorized kernels reduce to one-particle inner products.
 The norm of a low-rank kernel U V^H is ||(D U)(D V)^H|| with D the
 square root of the row weight, taken from a Householder QR of D U
 (kernels.product_norm): a product of inner dimension r, never the
-M^(kn) x M^(kn) matrix.  Every other norm or distance (dense, low-rank
-or factorized sides) is one reduction over the row blocks of blocks.rows
-of the (unprimed x primed) matrix: each side's rows (a view of dense
-data, or the product of low-rank or rank-one factors) are subtracted
+M^(kn) x M^(kn) matrix.  Every other norm or distance (dense, evolved,
+low-rank or factorized sides) is one reduction over the row blocks of
+blocks.rows of the (unprimed x primed) matrix: each side's rows
+(kernels.matrix_rows: a view of dense data, an evolved kernel's phased
+rows, or the product of low-rank or rank-one factors) are subtracted
 entry by entry, and |a - b|^2 is weighted along rows and columns by the
 weight of one variable group and summed per block; the block sums are
 fsum'ed in row order.  No level-sized temporary is built, and the total
@@ -42,6 +43,7 @@ from .kernels import (
     LowRankKernel,
     MarginalKernel,
     bracket_envelope,
+    matrix_rows,
     product_norm,
 )
 from .spectral import GridSpec, variable_bracket
@@ -91,23 +93,15 @@ def profile_inner(phi_hat: np.ndarray, psi_hat: np.ndarray, grid: GridSpec,
 def _streamed_norm(alpha: float, *pair) -> float:
     """||a - b||_{H^alpha} of a pair of level-k kernels in any representation,
     not both factorized, or ||a|| of one: the row-block reduction of the
-    module docstring.  Per block, a side multiplied out fills a complex
-    buffer of its own, the difference goes into a complex buffer and
+    module docstring.  Per block, a side multiplied out or phased fills a
+    complex buffer of its own, the difference goes into a complex buffer and
     |a - b|^2 into a real one, which is weighted in place and summed."""
     grid, k = pair[0].grid, pair[0].k
     R = grid.M ** (k * grid.n)
     w = bracket_envelope(grid, k, 2.0 * alpha).reshape(-1)
 
-    def rows_of(kern):
-        if isinstance(kern, MarginalKernel):
-            mat = kern.data.reshape(R, R)
-            return lambda r, out: mat[r]
-        if isinstance(kern, FactorizedKernel):
-            kern = LowRankKernel.from_factorized(kern)
-        U, vh = kern.U, np.conj(kern.V.T)
-        return lambda r, out: np.matmul(U[r], vh, out=out)
-
-    sides = [rows_of(kern) for kern in pair]
+    sides = [matrix_rows(LowRankKernel.from_factorized(kern)
+                         if isinstance(kern, FactorizedKernel) else kern) for kern in pair]
     # a complex buffer per side multiplied out, at least one for a difference
     ncomplex = max(sum(not isinstance(kern, MarginalKernel) for kern in pair),
                    len(sides) - 1)

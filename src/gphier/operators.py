@@ -24,7 +24,7 @@ total shift c, shift-adds each contraction C_c into the output for every
 term (contraction order first, then term order) and scales by the measure
 weight once at the end.
 
-The three kernel representations (kernels: dense, factorized, low rank)
+The kernel representations of kernels (dense, evolved, factorized, low rank)
 flow through these operators as follows.  Factorized kernels take a fast
 path that never materializes the input level.  Each collapse term of
 prod phi phi' replaces one factor by a modified one-particle profile h, a
@@ -41,23 +41,20 @@ too: each factor's rows are summed over the contracted variables of one
 lattice-index sum sigma (U_bar, V_bar), and the shift of particle j by
 tau - sigma acts on U_bar (unprimed terms) or V_bar (primed terms), with
 2 T r output columns for T index sums (_collapse_low_rank); no
-level-sized array is built.  free_evolve keeps the representation: it
-scales the profile of a factorized kernel, the rows of both factors of a
-low-rank one and the whole array of a dense one.
+level-sized array is built.  free_evolve writes none either: it scales
+the profile of a factorized kernel or the rows of both factors of a
+low-rank one, and wraps a dense one in an EvolvedKernel.
 
-Full-size passes (the free phase) run over the (unprimed x primed) matrix
-view of a kernel in the row blocks of blocks.rows, spread over the block
-pool.  The free phase can first write a sum of arrays into its target in
-the same pass, so a Duhamel node or a free-evolved copy is written once.
-The dense collapse builds each contraction C_c plane by plane, adding
-t[.., p, .., p - c] over ascending p (the order np.trace adds in), in one
-trace pass (cubic_contractions): row groups of the matrix view, whole
-runs of the contracted variable, over the pool.  A group of the kernel's
-rows is a view, one per pool run; a group damped on the way (the
-collapse-constant battery) is a copy of about 1/GROUPS of the level.  The
+The dense collapse (of a dense or an evolved kernel) builds each
+contraction C_c plane by plane, adding t[.., p, .., p - c] over ascending
+p (the order np.trace adds in), in one trace pass (cubic_contractions)
+over row groups of the matrix view, one chunk of a group per pool run.
+A dense kernel's rows are one group of views.  Rows phased on the way
+(an evolved kernel) or damped (the collapse-constant battery) are copied
+a group of about 1/GROUPS of the level at a time into one buffer.  The
 quintic pass then traces each cubic output, one per pool item.  The
 shift-adds into the output are made serially in shift order.  Every
-output is bitwise that of one worker.
+output is bitwise that of one worker and of the kernel multiplied out.
 """
 
 from __future__ import annotations
@@ -69,10 +66,11 @@ import numpy as np
 
 from . import blocks
 from .kernels import (
+    EvolvedKernel,
     FactorizedKernel,
     LowRankKernel,
     MarginalKernel,
-    free_phase_vector,
+    matrix_rows,
     prefix_products,
 )
 from .spectral import GridSpec
@@ -102,45 +100,12 @@ class Interaction:
 
 # -- free evolution -----------------------------------------------------------
 
-def apply_free_phase(data: np.ndarray, grid: GridSpec, k: int, t: float,
-                     *terms: np.ndarray) -> np.ndarray:
-    """Free-evolution phase on a C-contiguous raw kernel array; returns data.
-
-    One pass over the (unprimed x primed) matrix view: row block r is first
-    set to the sum of the terms' blocks (in term order) if terms are given,
-    then multiplied by P[r, None] * conj(P) with P the phase vector of k
-    particle variables.  Without terms data is phased in place.
-    """
-    if t == 0.0 and not terms:
-        return data
-    rows = grid.M ** (k * grid.n)
-    mat = data.reshape(rows, rows, copy=False)
-    mats = [term.reshape(rows, rows) for term in terms]
-    ph = free_phase_vector(grid, k, t)
-    ph_conj = np.conj(ph)
-
-    def phase_block(r, phase):
-        block = mat[r]
-        if len(mats) == 1:
-            np.copyto(block, mats[0][r])
-        elif mats:
-            np.add(mats[0][r], mats[1][r], out=block)
-            for m in mats[2:]:
-                block += m[r]
-        if t != 0.0:
-            block *= np.multiply.outer(ph[r], ph_conj, out=phase)
-
-    blocks.rows(phase_block, mat)
-    return data
-
-
 def free_evolve(kernel, t: float):
-    """U0(t) applied to a kernel of any representation (new object, same
-    representation)."""
-    if isinstance(kernel, (FactorizedKernel, LowRankKernel)):
-        return kernel.free_evolved(t)
-    out = apply_free_phase(np.empty_like(kernel.data), kernel.grid, kernel.k, t, kernel.data)
-    return MarginalKernel(kernel.grid, kernel.k, out)
+    """U0(t) of a kernel as a new object: an EvolvedKernel over a dense
+    kernel, the same representation otherwise."""
+    if isinstance(kernel, MarginalKernel):
+        return EvolvedKernel(kernel, t)
+    return kernel.free_evolved(t)
 
 
 # -- dense collapse machinery ---------------------------------------------------
@@ -199,75 +164,76 @@ def _contracted(shape: tuple, pairs: int, n: int) -> np.ndarray:
     return np.empty(shape[:len(shape) - 2 * pairs * n], dtype=np.complex128)
 
 
-GROUPS = 16  # a damped row group of cubic_contractions holds about 1/GROUPS of a level
+GROUPS = 16  # a copied row group of cubic_contractions holds about 1/GROUPS of a level
 
 
-def _row_groups(grid: GridSpec, kp: int, damped: bool) -> tuple:
-    """(R, rows): the level-kp matrix is R x R, and a row group of
-    cubic_contractions is rows rows, whole runs of the last unprimed
-    variable (M^n rows).  A damped group, copied into its run's buffer, is
-    the smallest multiple of M^n at least R/GROUPS and BLOCK/R (so a small
-    level stays one group), or all R.  An undamped group is a view, so
-    each run of blocks.deal takes all of its rows as one group."""
+def _row_groups(grid: GridSpec, kp: int, copied: bool) -> tuple:
+    """(R, rows, step): the level-kp matrix is R x R; cubic_contractions
+    walks it in groups of rows rows, each cut into chunks of step rows, one
+    per blocks.deal run, all whole runs of the last unprimed variable (M^n
+    rows).  A group of views is all R rows; a copied group is the smallest
+    multiple of M^n at least R/GROUPS and BLOCK/R, or all R."""
     R, unit = grid.M ** (kp * grid.n), grid.M ** grid.n
-    if damped:
-        least = max(R // GROUPS, blocks.BLOCK // R)
-    else:
-        least = -(-R // len(blocks.deal(range(R // unit), R * R)))
-    return R, min(R, -(-least // unit) * unit)
+    rows = min(R, -(-max(R // GROUPS, blocks.BLOCK // R) // unit) * unit) if copied else R
+    runs = len(blocks.deal(range(rows // unit), R * R))
+    return R, rows, -(-(rows // unit) // runs) * unit
 
 
-def cubic_contractions(kernel: MarginalKernel, half: np.ndarray = None) -> list:
+def cubic_contractions(kernel, half: np.ndarray = None) -> list:
     """[(c, C_c)] over all shift vectors for the last-pair contraction of a
-    dense kernel, for several collapse terms to share; given half (an
-    envelope of kernels.bracket_envelope), those of the kernel damped by
-    half on both sides, bitwise, without building it.
+    dense or evolved kernel, for several collapse terms to share; given
+    half (an envelope of kernels.bracket_envelope), those of the kernel
+    damped by half on both sides, bitwise, without building it.
 
-    The contractions are the expensive part of a dense cubic collapse; they
-    take about 2/M of the kernel's memory.  The (unprimed x primed) matrix
-    is walked in the row groups of _row_groups over the block pool, and
-    each group is traced into the contractions' rows.  A damped group is
-    first damped into its run's buffer.  A group holds every value of the
-    contracted variable for its rows, so each contraction entry adds its
-    planes in ascending p, as np.trace does.  The outputs and buffers are
-    allocated here, on the calling thread.
+    The contractions are the expensive part of a dense collapse; they take
+    about 2/M of the kernel's memory.  The (unprimed x primed) matrix is
+    walked in the row groups of _row_groups, one chunk per pool run, and
+    each chunk is traced into the contractions' rows: views of a dense
+    kernel, or an evolved kernel's rows at t != 0 (kernels.matrix_rows) or
+    damped rows, written into one group buffer of any worker count.  A
+    chunk holds every value of the contracted variable for its rows, so
+    each contraction entry adds its planes in ascending p, as np.trace
+    does.  The outputs and the buffer are allocated here.
     """
     grid = kernel.grid
     kp, n, M = kernel.k, grid.n, grid.M
-    R, rows = _row_groups(grid, kp, half is not None)
-    src = kernel.data.reshape(R, R)
+    copied = half is not None or (isinstance(kernel, EvolvedKernel) and kernel.t != 0.0)
+    R, rows, step = _row_groups(grid, kp, copied)
+    read = matrix_rows(kernel)
     half = None if half is None else half.reshape(-1)
     shifts = _shifts(M, n)
-    outs = [_contracted(kernel.data.shape, 1, n) for _ in shifts]
+    shape = grid.kernel_shape(kp)
+    outs = [_contracted(shape, 1, n) for _ in shifts]
     out_rows = [out.reshape((R // M**n,) + out.shape[(kp - 1) * n:]) for out in outs]
+    buf = np.empty((rows, R), dtype=np.complex128) if copied else None
+    for g in range(0, R, rows):
+        stop = min(g + rows, R)
 
-    def group(g, buf):
-        r = slice(g, min(g + rows, R))
-        x = src[r]
-        if half is not None:
-            x = np.multiply(x, half[r, None], out=buf[:r.stop - g])
-            x *= half
-        t = x.reshape((-1,) + (M,) * n + kernel.data.shape[kp * n:])
-        lo, hi = g // M**n, r.stop // M**n
-        _trace_last_pairs(t, 1 + n, shifts, [out[lo:hi] for out in out_rows])
+        def chunk(s, _):
+            r = slice(s, min(s + step, stop))
+            out = None if buf is None else buf[s - g:r.stop - g]
+            x = read(r, out)
+            if half is not None:
+                x = np.multiply(x, half[r, None], out=out)
+                x *= half
+            t = x.reshape((-1,) + shape[(kp - 1) * n:])
+            _trace_last_pairs(t, 1 + n, shifts, [o[s // M**n:r.stop // M**n] for o in out_rows])
 
-    blocks.map_items(group, range(0, R, rows), R * R,
-                     lambda: None if half is None else np.empty((rows, R), dtype=np.complex128))
+        blocks.map_items(chunk, range(g, stop, step), R * R)
     return list(zip(shifts, outs))
 
 
-def contraction_bytes(grid: GridSpec, kp: int, offset: int, damped: bool = False) -> int:
+def contraction_bytes(grid: GridSpec, kp: int, offset: int, copied: bool = False) -> int:
     """Transient bytes of a dense collapse of a level-kp kernel: the
     contraction outputs, for n >= 2 the partial traces of leading
-    components (cubic_contractions and _quintic_contractions), and for a
-    damped cubic_contractions each run's group buffer."""
+    components (cubic_contractions and _quintic_contractions), and for
+    copied (damped or phased) rows the group buffer."""
     M = grid.M
     share = sum(((2 * M - 1) / M**2) ** i for i in range(1, grid.n + 1))
     if offset == 2:
         share += ((3 * M * M - 3 * M + 1) / M**4) ** grid.n
-    R, rows = _row_groups(grid, kp, damped)
-    runs = len(blocks.deal(range(0, R, rows), R * R)) if damped else 0
-    return int(share * grid.kernel_bytes(kp)) + runs * 16 * rows * R
+    R, rows, _ = _row_groups(grid, kp, copied)
+    return int(share * grid.kernel_bytes(kp)) + (16 * rows * R if copied else 0)
 
 
 def _shift_add(out: np.ndarray, src: np.ndarray, shifts, sign: int):
@@ -283,7 +249,7 @@ def _shift_add(out: np.ndarray, src: np.ndarray, shifts, sign: int):
         out[tuple(sl_out)] -= src[tuple(sl_src)]
 
 
-def _quintic_contractions(kernel: MarginalKernel) -> list:
+def _quintic_contractions(kernel) -> list:
     """[(c_total, C)] over shift vectors for the double-pair contraction.
 
     The two (q_i, q'_i) pairs are traced one after the other: the first in
@@ -298,12 +264,12 @@ def _quintic_contractions(kernel: MarginalKernel) -> list:
     first = cubic_contractions(kernel)
     second = [[c1 for c1, _ in first if all(abs(a + b) < M for a, b in zip(c1, c2))]
               for c2, _ in first]
-    outs = [[_contracted(kernel.data.shape, 2, n) for _ in c1s] for c1s in second]
+    outs = [[_contracted(grid.kernel_shape(kp), 2, n) for _ in c1s] for c1s in second]
 
     def trace(i, _):
         _trace_last_pairs(first[i][1], (kp - 1) * n, second[i], outs[i])
 
-    blocks.map_items(trace, range(len(first)), kernel.data.size)
+    blocks.map_items(trace, range(len(first)), grid.kernel_entries(kp))
     return [(tuple(a + b for a, b in zip(c1, c2)), C)
             for (c2, _), c1s, Cs in zip(first, second, outs) for c1, C in zip(c1s, Cs)]
 
@@ -318,8 +284,8 @@ def collapse(kernel, interaction: Interaction, terms=None, contractions=None):
     default is B^(k) = sum_j (T1_j - T2_j).  contractions, if given, is
     cubic_contractions(kernel) for a dense kernel and a cubic interaction;
     then only the kernel's grid and k are read, not its array.  A
-    factorized or low-rank kernel gives a LowRankKernel, a dense one a
-    MarginalKernel.
+    factorized or low-rank kernel gives a LowRankKernel, a dense or evolved
+    one a MarginalKernel.
     """
     offset = interaction.source_offset
     k = kernel.k - offset

@@ -27,8 +27,8 @@ start, a zero_top closure) is collapsed once, and each node's integrand is
 copied from that collapse in its own phase pass; any other source is
 collapsed node by node.
 
-Levels come in the three representations of kernels.  Closure levels are
-factorized, or dense when free_top evolves dense initial data.  A sourced
+Levels come in the four representations of kernels.  Closure levels are
+factorized, or evolved when free_top evolves dense initial data.  A sourced
 level is dense or low rank, as plan() decides: low rank when its initial
 data and its source (a closure level) are factorized and its nodes' factors
 stay narrow.  The collapse of a factorized source is then a rank-two
@@ -80,6 +80,7 @@ from .kernels import (
     LowRankKernel,
     LowRankLevel,
     MarginalKernel,
+    apply_free_phase,
     as_dense,
     check_budget,
     frobenius_norm,
@@ -89,8 +90,8 @@ from .kernels import (
 )
 # solve() takes no level_diff_norm; the name stays bound for perfbench/spans.py
 from .norms import NormParams, level_diff_norm, sobolev_norm, weighted_distance, weighted_norm
-from .operators import (CUBIC, QUINTIC, Interaction, apply_btilde, apply_free_phase,
-                        contraction_bytes, free_evolve)
+from .operators import (CUBIC, QUINTIC, Interaction, apply_btilde, contraction_bytes,
+                        free_evolve)
 from .spectral import GridSpec
 
 FREE_TOP = "free_top"
@@ -480,32 +481,33 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
     are narrower than half the M^(kn) rows.  Every other sourced level is
     dense, so dense starts stay on the dense path.
 
-    The closure lists fill their slots first; then each sourced
-    level k, in descending order, is integrated once from the new level
-    k+off, at one collapse for a zero_top source and N_t+1 otherwise, so
-    solve() makes exactly these collapses.  The bytes held are the dense
-    copies of factorized sourced levels of gamma0 that are not low rank,
-    dense closure lists (free_top on dense data) and the node lists of the
-    levels integrated so far.  While a dense level k is integrated its new
-    list grows to N_t+1 nodes, the last one in flight (solve()'s slots
-    start empty).  Beside them are the integrator's buffers (2 trapezoid,
-    6 Simpson) and, at a node's collapse, the collapse output, a dense
-    collapse's contractions and a pass's block buffers, or the node's phase
-    pass (both _pass_bytes).  The collapse of a low-rank source node is
-    low rank, 2 T r columns for T lattice-index sums: its factors, their
-    phased copy and the conjugate V^H that multiplies the dense integrand
-    out.  A low-rank level holds its factors, its integrands' factors and
-    one node in the making; after it, its nodes, whose last one is the
-    column stack its defects are taken from.  The final norms of
-    a dense sourced level, or of a closure level with dense initial data,
-    hold a streamed norm's buffers; the final defects of a low-rank level,
-    one thin QR's workspace on the interleaved stack (_qr_bytes), the
-    widest of its QRs, which run one at a time.  The trajectory's own
-    interpreter objects, about 2 kB per node and level, count at the end,
-    with a 32 kB floor.  Each further pool run over a level of 2^19 entries
-    or more holds up to 1.6 MB of block scratch, or 2.6 MB of norm buffers,
-    that the plan leaves out, so that the plan does not depend on the
-    worker count.
+    The closure lists fill their slots first; then each sourced level k,
+    in descending order, is integrated once from the new level k+off, at
+    one collapse for a zero_top source and N_t+1 otherwise, so solve()
+    makes exactly these collapses.  The bytes held are the dense copies of
+    factorized sourced levels of gamma0 that are not low rank and the node
+    lists of the levels integrated so far (a free_top list over dense data
+    holds no array).  While a dense level k is integrated its new list
+    grows to N_t+1 nodes, the last one in flight (solve()'s slots start
+    empty).  Beside them are the integrator's buffers (2 trapezoid, 6
+    Simpson) and, at a node's collapse, the collapse output, a dense
+    collapse's contractions and a pass's block buffers (with the group
+    buffer an evolved source's rows are phased into), or the node's phase
+    pass (both _pass_bytes).  The collapse of a low-rank source node is low
+    rank, 2 T r columns for T lattice-index sums: its factors, their phased
+    copy and the conjugate V^H that multiplies the dense integrand out.  A
+    low-rank level holds its factors, its integrands' factors and one node
+    in the making; after it, its nodes, whose last one is the column stack
+    its defects are taken from.  The final norms of a dense sourced level,
+    or of a closure level with dense initial data, hold a streamed norm's
+    buffers (with a complex one for an evolved node); the final defects of
+    a low-rank level, one thin QR's workspace on the interleaved stack
+    (_qr_bytes), the widest of its QRs, which run one at a time.  The
+    trajectory's own interpreter objects, about 2 kB per node and level,
+    count at the end, with a 32 kB floor.  Each further pool run over a
+    level of 2^19 entries or more holds up to 1.6 MB of block scratch, or
+    2.6 MB of norm buffers, that the plan leaves out, so that the plan does
+    not depend on the worker count.
     """
     grid, off, nodes = config.grid, config.offset, config.N_t + 1
     size = grid.kernel_bytes
@@ -528,8 +530,7 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
 
     dense_closure = {k for k in closure if config.closure.kind == FREE_TOP and dense(k)}
     buffers = 2 if config.quadrature == TRAPEZOID else 6  # kept integrands, prefixes
-    held = (sum(size(k) for k in sourced if not dense(k) and k not in low_rank)
-            + nodes * sum(size(k) for k in dense_closure))
+    held = sum(size(k) for k in sourced if not dense(k) and k not in low_rank)
     peak, collapses = held, 0
     for k in sorted(sourced, reverse=True):
         src = k + off
@@ -547,8 +548,10 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
             # the conjugate V^H the dense integrand is multiplied out with
             work = 5 * factors(k, 2 * groups * widest) // 2 + _pass_bytes(grid, k)
         elif src in sourced | dense_closure:
-            # a dense collapse passes over the source level
-            work = _pass_bytes(grid, src) + contraction_bytes(grid, src, off)
+            # a dense collapse passes over the source level, an evolved
+            # one phasing its rows into the group buffer
+            work = (_pass_bytes(grid, src, int(src not in dense_closure))
+                    + contraction_bytes(grid, src, off, src in dense_closure))
         else:
             work = _pass_bytes(grid, k)
         # the buffers and the growing new list, then each node's passes
@@ -566,7 +569,7 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
     # level's defects) and the low-rank levels' defects, one level at a time
     objects = 2048 * config.K * nodes  # the trajectory's interpreter objects
     peak = max(peak, held + objects + 32_768,
-               *(held + _pass_bytes(grid, k, int(k in sourced))
+               *(held + _pass_bytes(grid, k, int(k in sourced | dense_closure))
                  for k in range(1, config.K + 1)
                  if (k in sourced or dense(k)) and k not in low_rank),
                *(held + objects + _qr_bytes(rows(k), 2 * widest) for k in low_rank))

@@ -198,11 +198,11 @@ SAFETY_FACTOR = 1.5
 def _battery_bytes(grid: GridSpec, kp: int) -> int:
     """What the battery holds at most for level-kp draws: the draw being
     measured and the next one, the contractions of the damped draw with
-    each run's row group (contraction_bytes), the three collapse outputs,
+    its row-group buffer (contraction_bytes), the three collapse outputs,
     a streamed norm's block buffer with 256 kB of numpy's iterator buffers,
     and 1 MiB for numpy.random, which numpy imports on the first draw of
     a process (0.75 MB traced with numpy 2.4)."""
-    return (2 * grid.kernel_bytes(kp) + contraction_bytes(grid, kp, 1, damped=True)
+    return (2 * grid.kernel_bytes(kp) + contraction_bytes(grid, kp, 1, copied=True)
             + 3 * grid.kernel_bytes(kp - 1) + 8 * blocks.BLOCK + 2**18 + 2**20)
 
 
@@ -219,7 +219,7 @@ def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
     skipped.  Each alpha takes the contractions of D_alpha g in one pass
     over the projected draw (operators.cubic_contractions with the
     envelope: the row-group trace pass of every dense collapse, each
-    group damped into its run's buffer), which never builds the damped
+    group damped into the group buffer), which never builds the damped
     kernel; they serve the j=1 pair of terms and the full collapse.
     While a draw is measured, the next one is made ahead on the block pool
     (blocks.ahead; unprojected, so one array), and it is projected only

@@ -17,6 +17,7 @@ from math import factorial
 import numpy as np
 
 from gphier.kernels import (
+    EvolvedKernel,
     FactorizedKernel,
     LowRankKernel,
     MarginalKernel,
@@ -181,9 +182,12 @@ def partial_trace_last(kernel):
 
 def bitwise_equal(a, b) -> bool:
     """Same representation and bitwise the same arrays: the profile of a
-    factorized kernel, both factors of a low-rank one, a dense one's data."""
+    factorized kernel, both factors of a low-rank one, a dense one's data,
+    an evolved one's time and base."""
     if type(a) is not type(b):
         return False
+    if isinstance(a, EvolvedKernel):
+        return a.t == b.t and bitwise_equal(a.base, b.base)
     if isinstance(a, FactorizedKernel):
         return np.array_equal(a.phi_hat, b.phi_hat)
     if isinstance(a, LowRankKernel):

@@ -156,7 +156,7 @@ class TestLowRankKernel:
             got = free_evolve(lr, t)
             assert isinstance(got, LowRankKernel) and got.rank == 4
             np.testing.assert_allclose(got.materialize().data,
-                                       free_evolve(lr.materialize(), t).data,
+                                       as_dense(free_evolve(lr.materialize(), t)).data,
                                        rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("grid, k", GRIDS)
@@ -653,6 +653,15 @@ class TestSerialization:
         assert back.grid == GRID
         assert back.k == 2
         np.testing.assert_array_equal(back.data, kern.data)
+
+    def test_evolved_kernel_is_written_from_one_copy(self, tmp_path):
+        # the payload is written from the one array as_dense makes
+        grid = GridSpec(1, 2 * np.pi, 8)
+        evolved = free_evolve(random_test_kernel(grid, 3, 0.5, seed=6), 0.3)
+        path = tmp_path / "k3.bin"
+        _, peak = traced_peak(lambda: save_kernel(path, evolved))
+        np.testing.assert_array_equal(load_kernel(path).data, as_dense(evolved).data)
+        assert peak < 1.5 * grid.kernel_bytes(3)
 
     def test_wavefunction_round_trip(self, tmp_path):
         phihat = forward_transform(gaussian_phi(GRID), GRID)

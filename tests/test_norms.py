@@ -11,6 +11,7 @@ from gphier.kernels import (
     HierarchySequence,
     LowRankKernel,
     MarginalKernel,
+    as_dense,
     random_test_kernel,
 )
 from gphier.norms import (
@@ -247,6 +248,37 @@ class TestStreamedReduction:
                     got, level_diff_norm(dense_lazy, a, alpha), rtol=1e-13)
                 mixed.setdefault(alpha, []).append(got)
         assert all(one == two for one, two in mixed.values())
+
+
+class TestEvolvedSides:
+    """An evolved kernel's norms and distances are bitwise those of its
+    materialized copy: its rows are phased block by block into a complex
+    buffer, as apply_free_phase writes them."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("t", [0.0, 0.37])
+    @pytest.mark.parametrize("n, M, k", [(1, 6, 3), (1, 8, 3), (2, 4, 2)])
+    def test_equal_to_the_materialized_kernel(self, monkeypatch, workers, t, n, M, k):
+        monkeypatch.setattr(blocks, "WORKERS", workers)
+        monkeypatch.setattr(blocks, "MIN_POOLED", 0)
+        grid = GridSpec(n=n, L=2 * np.pi, M=M)
+        evolved = free_evolve(random_dense(grid, k, seed=30), t)
+        dense = as_dense(evolved)
+        rng = np.random.default_rng(31)
+        profile = rng.standard_normal((M,) * n) + 1j * rng.standard_normal((M,) * n)
+        rows = M ** (k * n)
+        factors = [rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))
+                   for _ in range(2)]
+        other = free_evolve(random_dense(grid, k, seed=32), -0.21)
+        partners = [random_dense(grid, k, seed=33), FactorizedKernel(grid, k, profile),
+                    LowRankKernel(grid, k, *factors), other, as_dense(other)]
+        for alpha in (0.0, 1.0):
+            assert sobolev_norm(evolved, alpha) == sobolev_norm(dense, alpha)
+            for partner in partners:
+                assert level_diff_norm(evolved, partner, alpha) == level_diff_norm(
+                    dense, as_dense(partner) if partner is other else partner, alpha)
+                assert level_diff_norm(partner, evolved, alpha) == level_diff_norm(
+                    as_dense(partner) if partner is other else partner, dense, alpha)
 
 
 def long_double_norm(mat, grid, k, alpha):

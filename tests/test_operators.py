@@ -11,11 +11,15 @@ import pytest
 
 from gphier import blocks
 from gphier.kernels import (
+    EvolvedKernel,
     FactorizedKernel,
     MarginalKernel,
+    ResourceBudgetError,
+    apply_free_phase,
     as_dense,
     bracket_envelope,
     damp,
+    free_phase_vector,
     hermitize,
     random_test_kernel,
     symmetrize,
@@ -29,7 +33,6 @@ from gphier.operators import (
     _row_groups,
     _trace_last_pairs,
     apply_btilde,
-    apply_free_phase,
     collapse,
     collapse_b1,
     collapse_b2,
@@ -83,7 +86,7 @@ class TestInteraction:
 class TestFreeEvolve:
     def test_t_zero_identity(self):
         gamma = random_dense(GRID, 2, seed=3)
-        out = free_evolve(gamma, 0.0)
+        out = as_dense(free_evolve(gamma, 0.0))
         np.testing.assert_array_equal(out.data, gamma.data)
 
     def test_matches_explicit_phase_matrix(self):
@@ -92,23 +95,23 @@ class TestFreeEvolve:
         p = GRID.momenta
         phase = np.exp(-1j * t * (p[:, None] ** 2 - p[None, :] ** 2))
         np.testing.assert_allclose(
-            free_evolve(gamma, t).data, gamma.data * phase, rtol=1e-13
+            as_dense(free_evolve(gamma, t)).data, gamma.data * phase, rtol=1e-13
         )
 
     def test_isometry(self):
         gamma = random_dense(GRID, 2, seed=5)
-        out = free_evolve(gamma, 0.8)
+        out = as_dense(free_evolve(gamma, 0.8))
         np.testing.assert_allclose(
             np.linalg.norm(out.data), np.linalg.norm(gamma.data), rtol=1e-13
         )
 
     def test_group_law(self):
         gamma = random_dense(GRID, 2, seed=6)
-        once = free_evolve(gamma, 0.7)
+        once = as_dense(free_evolve(gamma, 0.7))
         np.testing.assert_allclose(
-            free_evolve(free_evolve(gamma, 0.3), 0.4).data, once.data, rtol=1e-12
+            as_dense(free_evolve(free_evolve(gamma, 0.3), 0.4)).data, once.data, rtol=1e-12
         )
-        back = free_evolve(once, -0.7)
+        back = as_dense(free_evolve(once, -0.7))
         np.testing.assert_allclose(back.data, gamma.data, rtol=1e-12)
 
     def test_factorized_matches_dense(self):
@@ -117,15 +120,15 @@ class TestFreeEvolve:
         t = 0.21
         np.testing.assert_allclose(
             free_evolve(lazy, t).materialize().data,
-            free_evolve(lazy.materialize(), t).data,
+            as_dense(free_evolve(lazy.materialize(), t)).data,
             rtol=1e-12,
         )
 
     def test_commutes_with_partial_trace(self):
         gamma = random_test_kernel(GRID, 2, alpha=1.0, seed=8)
         t = 0.45
-        a = partial_trace_last(free_evolve(gamma, t))
-        b = free_evolve(partial_trace_last(gamma), t)
+        a = partial_trace_last(as_dense(free_evolve(gamma, t)))
+        b = as_dense(free_evolve(partial_trace_last(gamma), t))
         np.testing.assert_allclose(a.data, b.data, rtol=1e-12, atol=1e-14)
 
     def test_preserves_trace(self):
@@ -144,8 +147,77 @@ class TestFreeEvolve:
             -1j * t * (psq[:, :, None, None] - psq[None, None, :, :])
         )
         np.testing.assert_allclose(
-            free_evolve(gamma, t).data, gamma.data * phase, rtol=1e-13
+            as_dense(free_evolve(gamma, t)).data, gamma.data * phase, rtol=1e-13
         )
+
+
+def phase_pass(kernel, t):
+    """U0(t) of a dense kernel as one pass over blocks.rows writes it into a
+    new array: each row block copied, then multiplied by P[r, None] *
+    conj(P)."""
+    grid, k = kernel.grid, kernel.k
+    rows = grid.M ** (k * grid.n)
+    src = kernel.data.reshape(rows, rows)
+    out = np.empty_like(src)
+    ph = free_phase_vector(grid, k, t)
+    ph_conj = np.conj(ph)
+
+    def block(r, phase):
+        np.copyto(out[r], src[r])
+        if t != 0.0:
+            out[r] *= np.multiply.outer(ph[r], ph_conj, out=phase)
+
+    blocks.rows(block, out)
+    return out.reshape(kernel.data.shape)
+
+
+class TestEvolvedKernel:
+    """free_evolve of a dense kernel writes no array; whatever reads it sees
+    bitwise the array the phase pass would have written."""
+
+    def test_free_evolve_only_moves_t(self):
+        gamma = random_dense(GRID, 2, seed=11)
+        evolved = free_evolve(free_evolve(gamma, 0.3), 0.4)
+        assert isinstance(evolved, EvolvedKernel)
+        assert evolved.base is gamma and evolved.t == 0.3 + 0.4
+        assert (evolved.grid, evolved.k) == (GRID, 2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("t", [0.0, 0.37, -0.21])
+    @pytest.mark.parametrize("grid, k", [
+        (GridSpec(n=1, L=2 * np.pi, M=6), 3), (GridSpec(n=1, L=2 * np.pi, M=10), 3),
+        (GridSpec(n=2, L=3.0, M=4), 2)])
+    def test_materialize_is_the_phase_pass(self, monkeypatch, workers, t, grid, k):
+        monkeypatch.setattr(blocks, "WORKERS", workers)
+        monkeypatch.setattr(blocks, "MIN_POOLED", 0)
+        gamma = random_dense(grid, k, seed=12)
+        got = as_dense(free_evolve(gamma, t))
+        assert got.data is not gamma.data
+        assert np.array_equal(got.data, phase_pass(gamma, t))
+
+    def test_materialize_checks_the_budget(self):
+        evolved = free_evolve(random_dense(GRID, 2, seed=13), 0.5)
+        with pytest.raises(ResourceBudgetError):
+            evolved.materialize(budget=GRID.kernel_bytes(2) - 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("t", [0.0, 0.37])
+    @pytest.mark.parametrize("n, M, kp, interactions", [
+        (1, 6, 3, (CUBIC, QUINTIC)), (1, 6, 4, (CUBIC, QUINTIC)),
+        (1, 8, 3, (CUBIC, QUINTIC)), (2, 4, 2, (CUBIC,))])
+    def test_collapse_is_that_of_the_materialized_kernel(self, monkeypatch, workers, t,
+                                                         n, M, kp, interactions):
+        # the trace pass phases each row group into the group buffer, one
+        # chunk per pool run; quintic n=2 needs a 268 MB level at M=4
+        monkeypatch.setattr(blocks, "WORKERS", workers)
+        monkeypatch.setattr(blocks, "MIN_POOLED", 0)
+        grid = GridSpec(n, 2.0 * np.pi, M)
+        evolved = free_evolve(random_dense(grid, kp, seed=14), t)
+        dense = as_dense(evolved)
+        for interaction in interactions:
+            got = collapse(evolved, interaction)
+            assert isinstance(got, MarginalKernel)
+            assert np.array_equal(got.data, collapse(dense, interaction).data)
 
 
 def brute_b1(data, grid):
@@ -642,24 +714,26 @@ class TestRowGroups:
         (1, 6, 2), (1, 6, 3), (1, 8, 2), (1, 8, 3), (1, 10, 2), (1, 10, 3), (1, 12, 2),
         (1, 12, 3), (1, 16, 2), (1, 16, 3), (1, 16, 4), (2, 4, 2), (2, 4, 3), (2, 6, 2)])
     def test_damped_groups_are_whole_runs_near_a_sixteenth(self, n, M, kp):
-        R, rows = _row_groups(GridSpec(n, 2.0 * np.pi, M), kp, True)
+        R, rows, _ = _row_groups(GridSpec(n, 2.0 * np.pi, M), kp, True)
         least = max(R // GROUPS, blocks.BLOCK // R)
         assert R == M ** (kp * n)
         assert rows == R or rows % M**n == 0
         assert min(R, blocks.BLOCK // R) <= rows < least + M**n
 
     def test_damped_groups_at_m12(self):
-        assert _row_groups(GridSpec(1, 2.0 * np.pi, 12), 3, True) == (1728, 108)
+        assert _row_groups(GridSpec(1, 2.0 * np.pi, 12), 3, True)[:2] == (1728, 108)
 
     @pytest.mark.parametrize("workers, min_pooled", [(1, 0), (2, 1 << 30), (2, 0), (3, 0)])
     @pytest.mark.parametrize("n, M, kp", [(1, 8, 3), (1, 10, 3), (1, 12, 3), (2, 4, 3)])
     def test_undamped_group_is_one_deal_run(self, monkeypatch, workers, min_pooled, n, M, kp):
-        # a view needs no buffer, so each run of blocks.deal traces all of
-        # its rows at once: all R on one worker or below MIN_POOLED
+        # a view needs no buffer, so the rows are one group and each run of
+        # blocks.deal traces all of its rows at once: all R on one worker or
+        # below MIN_POOLED
         monkeypatch.setattr(blocks, "WORKERS", workers)
         monkeypatch.setattr(blocks, "MIN_POOLED", min_pooled)
-        R, rows = _row_groups(GridSpec(n, 2.0 * np.pi, M), kp, False)
+        R, rows, step = _row_groups(GridSpec(n, 2.0 * np.pi, M), kp, False)
         runs = 1 if workers == 1 or R * R < min_pooled else workers
-        starts = range(0, R, rows)
+        starts = range(0, R, step)
+        assert rows == R
         assert len(blocks.deal(starts, R * R)) == len(starts) == runs
-        assert rows == -(-(R // M**n) // runs) * M**n
+        assert step == -(-(R // M**n) // runs) * M**n

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from dataclasses import asdict
 
+from gphier import blocks
 from gphier.kernels import (
+    EvolvedKernel,
     FactorizedKernel,
     HierarchySequence,
     LowRankKernel,
@@ -208,7 +210,7 @@ def direct_duhamel_at_node(gamma0_k, sources, times, i, interaction):
         as_dense(free_evolve(apply_btilde(sources[s], interaction), times[i] - times[s])).data
         for s in range(i + 1)
     ]
-    out = free_evolve(as_dense(gamma0_k), times[i]).data.copy()
+    out = as_dense(free_evolve(as_dense(gamma0_k), times[i])).data
     if i > 0:
         out += np.trapezoid(np.stack(vals), x=times[: i + 1], axis=0)
     return out
@@ -281,7 +283,7 @@ class TestPicardStep:
         for i, t in enumerate(config.times()):
             np.testing.assert_allclose(
                 out.states[i].level(1).data,
-                free_evolve(one, t).data,
+                as_dense(free_evolve(one, t)).data,
                 rtol=1e-13, atol=1e-16,
             )
 
@@ -311,7 +313,7 @@ class TestDuhamelExpansion:
         term = duhamel_term(0, 2, gamma0, config)
         for i, t in enumerate(config.times()):
             np.testing.assert_allclose(
-                as_dense(term[i]).data, free_evolve(gamma0.level(2), t).data,
+                as_dense(term[i]).data, as_dense(free_evolve(gamma0.level(2), t)).data,
                 rtol=1e-13,
             )
 
@@ -900,7 +902,8 @@ class TestLowRankLevels:
 
 def plan_case(name):
     """Initial data and configuration of one tracemalloc bound case (M=8, N_t=8;
-    the README's CLI example has N_t=4)."""
+    the README's CLI example has N_t=4, the dense free_top cases named _m10
+    have M=10, whose level 3 is traced on the block pool)."""
     if name == "readme":
         grid = GridSpec(n=1, L=2 * np.pi, M=8)
         phi_x = 0.6 * np.exp(-grid.positions**2 / (2.0 * 0.8**2))
@@ -914,8 +917,10 @@ def plan_case(name):
         "dense_free": ("cubic", 3, "trapezoid", "free_top", True),
         "dense_zero": ("cubic", 3, "trapezoid", "zero_top", True),
         "dense_factorized": ("cubic", 3, "trapezoid", "factorized_top", True),
+        "dense_free_m10": ("cubic", 3, "trapezoid", "free_top", True),
+        "dense_simpson_m10": ("cubic", 3, "simpson", "free_top", True),
     }[name]
-    grid = GridSpec(n=1, L=2 * np.pi, M=8)
+    grid = GridSpec(n=1, L=2 * np.pi, M=10 if name.endswith("_m10") else 8)
     phi = band_profile(grid, seed=79)
     levels = []
     for k in range(1, K + 1):
@@ -949,10 +954,15 @@ class TestMemoryPlanning:
 
     @pytest.mark.parametrize("name", [
         "cubic_free", "quintic_simpson", "dense_free", "dense_zero",
-        "dense_factorized", "readme", "cubic_k5",
+        "dense_factorized", "readme", "cubic_k5", "dense_free_m10", "dense_simpson_m10",
     ])
-    def test_plan_bounds_traced_peak(self, name):
-        # the plan is an upper bound on what the solve allocates, and tight
+    def test_plan_bounds_traced_peak(self, monkeypatch, name):
+        # the plan is an upper bound on what the solve allocates, and tight.
+        # It counts one pool run's block scratch and norm buffers and leaves
+        # further runs out (plan), so the M=10 cases, whose level-3 passes
+        # are pooled, run on two workers on any machine
+        if name.endswith("_m10"):
+            monkeypatch.setattr(blocks, "WORKERS", 2)
         gamma0, config = plan_case(name)
         tracing = tracemalloc.is_tracing()
         if not tracing:
@@ -967,6 +977,16 @@ class TestMemoryPlanning:
                 tracemalloc.stop()
         assert report.planned_bytes == plan(config, gamma0).peak_bytes
         assert peak <= report.planned_bytes <= 1.25 * peak
+
+    def test_dense_free_top_list_holds_no_array(self):
+        # the closure list is U0(t_i) over gamma0's own level-3 array at
+        # every node; writing the nine copies out took 9.3 level-3 kernels
+        gamma0, config = plan_case("dense_free_m10")
+        (traj, _), peak = traced_peak(lambda: solve(gamma0, config))
+        for t, node in zip(config.times(), traj.level_series(3)):
+            assert isinstance(node, EvolvedKernel)
+            assert node.base is gamma0.level(3) and node.t == t
+        assert peak < config.grid.kernel_bytes(3)
 
 
 class TestSweep:
