@@ -13,13 +13,8 @@ WORKERS is the number of CPUs in the process's affinity mask (so
 with one worker, fewer than two items, or when called from a pool thread
 (a nested wait could deadlock), map_blocks runs serially on the caller.
 deal and map_items keep passes over fewer than MIN_POOLED array entries
-in one run, on the caller.
-
-The pool also makes one thing ahead of the caller: ahead(fn, entries)
-starts fn on a pool thread (the collapse-constant battery's next random
-draw, while the caller measures this one), by deal's rule, and the
-caller joins it later.  Blocks passes that fn makes run serially on its
-pool thread.
+in one run, on the caller.  The pool runs only the blocks of the pass the
+caller is waiting on, never work ahead of it.
 """
 
 from __future__ import annotations
@@ -74,16 +69,6 @@ def map_blocks(fn, items) -> list:
     if WORKERS < 2 or len(items) < 2 or getattr(_local, "in_pool", False):
         return [fn(x) for x in items]
     return list(_executor().map(fn, items))
-
-
-def ahead(fn, entries: int):
-    """fn() started on the pool, a pass over that many array entries: its
-    concurrent.futures.Future, or None where deal would keep the pass on
-    the caller (one worker, below MIN_POOLED entries, or on a pool
-    thread), and the caller then runs fn itself when it needs the value."""
-    if WORKERS < 2 or entries < MIN_POOLED or getattr(_local, "in_pool", False):
-        return None
-    return _executor().submit(fn)
 
 
 def deal(items, entries: int) -> list:

@@ -28,15 +28,19 @@ A kernel has one of four representations:
   the array: the solver's dense integrands, or a kernel saved to a file
   (as_dense).
 
-The projections hermitize and symmetrize work in their argument's array
-(symmetrize with one scratch array of its size) and spread their passes
-over the block pool, so a random_test_kernel draw holds at most two
-kernel-sized arrays.  Every result is bitwise that of the whole-array
+The projections hermitize and symmetrize work in place in their
+argument's array and spread their passes over the block pool: hermitize
+averages pairs of 64 x 64 tiles, and symmetrize works through the
+particle-permutation orbits of boxes of the kernel, one orbit at a time
+per pool run, in two buffers of the orbit's size (symmetrize_bytes; 3 MB
+each at M = 16, k = 3).  So a random_test_kernel draw holds one
+kernel-sized array.  Every result is bitwise that of the whole-array
 passes, on any number of workers.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -433,40 +437,108 @@ def _sigma_axes(sigma, k: int, n: int) -> list:
     return axes
 
 
+def _box_cut(grid: GridSpec, k: int) -> list:
+    """The P contiguous ranges symmetrize cuts each particle's M^n unprimed
+    indices into: the smallest P whose largest box (one range per particle,
+    every primed index) holds at most blocks.BLOCK entries, or P = M^n
+    (a box is one matrix row) when no P does."""
+    side = grid.M ** grid.n
+    parts = next((p for p in range(1, side)
+                  if -(-side // p) ** k * side ** k <= blocks.BLOCK), side)
+    bounds = [side * i // parts for i in range(parts + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _orbit_entries(cut: list, grid: GridSpec, orbit: tuple) -> int:
+    """Entries of an orbit's boxes: its distinct permutations, each box
+    holding the product of its ranges' lengths times every primed index."""
+    boxes = math.factorial(len(orbit)) // math.prod(
+        math.factorial(orbit.count(c)) for c in set(orbit))
+    return boxes * math.prod(cut[c].stop - cut[c].start for c in orbit) * grid.M ** (
+        len(orbit) * grid.n)
+
+
+def _orbits(grid: GridSpec, k: int) -> tuple:
+    """(cut, orbits, entries): _box_cut, the S_k orbits of the boxes as sorted
+    tuples of range indices, and the entries of the largest orbit's boxes."""
+    cut = _box_cut(grid, k)
+    orbits = list(itertools.combinations_with_replacement(range(len(cut)), k))
+    return cut, orbits, max(_orbit_entries(cut, grid, o) for o in orbits)
+
+
+def symmetrize_bytes(grid: GridSpec, k: int) -> int:
+    """What symmetrize holds beside the kernel (nothing for k = 1): per
+    block-pool run two buffers, each the size of the largest orbit's boxes,
+    and numpy's iterator buffer for the transposed adds (128 kB); and 256 kB
+    of interpreter objects, the boxes' index tuples."""
+    if k == 1:
+        return 0
+    _, orbits, entries = _orbits(grid, k)
+    runs = len(blocks.deal(orbits, grid.M ** (2 * k * grid.n)))
+    return runs * (2 * 16 * entries + 2**17) + 2**18
+
+
 def symmetrize(kernel: MarginalKernel) -> MarginalKernel:
-    """Project onto the bosonic (permutation-symmetric) subspace, using the
-    argument's array as scratch: afterwards it holds the result or an
-    intermediate step, so pass a copy to keep the input.
+    """Project onto the bosonic (permutation-symmetric) subspace, in place:
+    overwrites kernel.data and returns kernel.
 
     Uses the coset recursion P_i = (1/i) sum_{j<=i} swap(j,i) P_{i-1}, which
-    needs 2+3+..+k transposed adds instead of k! of them.  The steps
-    ping-pong between the input array and one np.empty_like scratch array,
-    so after an even number of steps (k = 3, 5) the result is back in the
-    input array.  A step is the whole-array adds and division in the same
-    order, one leading-axis slab at a time over the block pool.  k > 6 is
-    refused; beyond that the dense tensors would not fit any reasonable
-    budget anyway.
+    needs 2+3+..+k transposed adds instead of k! of them.  Each particle's
+    unprimed indices are cut into the same ranges (_box_cut); a box takes
+    one range per particle and every primed index.  A particle permutation
+    maps boxes onto boxes, so the boxes fall into disjoint S_k orbits, and
+    every step of the recursion reads and writes within one orbit.  The
+    orbits go to the block pool: each is copied into the run's first
+    buffer, the steps ping-pong between the run's two buffers box by box
+    (swap(j, i) of box b is the box with b's ranges j and i swapped,
+    transposed), and the result is copied back.  A step is the whole-array
+    adds and division, entry by entry in the same order, so the result is
+    bitwise theirs.  k > 6 is refused; beyond that the dense tensors would
+    not fit any reasonable budget anyway.
     """
-    k, n = kernel.k, kernel.grid.n
+    k, grid = kernel.k, kernel.grid
     if k > 6:
         raise ResourceBudgetError("symmetrize supports k <= 6")
-    src, dst = kernel.data, np.empty_like(kernel.data) if k > 1 else None
-    for i in range(1, k):
-        views = []
-        for j in range(i):
-            sigma = list(range(k))
-            sigma[j], sigma[i] = sigma[i], sigma[j]
-            views.append(src.transpose(_sigma_axes(sigma, k, n)))
+    if k == 1:
+        return kernel
+    side = grid.M ** grid.n
+    data = kernel.data.reshape((side,) * (2 * k))
+    cut, orbits, entries = _orbits(grid, k)
 
-        def slab(a, _):
-            np.add(src[a], views[0][a], out=dst[a])
-            for view in views[1:]:
-                dst[a] += view[a]
-            dst[a] /= i + 1
+    def swapped(b, j, i):
+        b = list(b)
+        b[j], b[i] = b[i], b[j]
+        return tuple(b)
 
-        blocks.map_items(slab, range(src.shape[0]), src.size)
-        src, dst = dst, src
-    return MarginalKernel(kernel.grid, kernel.k, src)
+    # a box has one axis per particle variable, as data has
+    swap_axes = {(j, i): _sigma_axes(swapped(range(k), j, i), k, 1)
+                 for i in range(1, k) for j in range(i)}
+
+    def run_orbit(orbit, bufs):
+        boxes = sorted(set(itertools.permutations(orbit)))
+        index = {b: x for x, b in enumerate(boxes)}
+        size = _orbit_entries(cut, grid, orbit) // len(boxes)
+        src, dst = ([buf[x * size:(x + 1) * size].reshape(
+            tuple(cut[c].stop - cut[c].start for c in b) + (side,) * k)
+            for x, b in enumerate(boxes)] for buf in bufs)
+        for b, box in zip(boxes, src):
+            np.copyto(box, data[tuple(cut[c] for c in b)])
+        for i in range(1, k):
+            for b, box, out in zip(boxes, src, dst):
+                views = [src[index[swapped(b, j, i)]].transpose(swap_axes[j, i])
+                         for j in range(i)]
+                np.add(box, views[0], out=out)
+                for view in views[1:]:
+                    out += view
+                out /= i + 1
+            src, dst = dst, src
+        for b, box in zip(boxes, src):
+            data[tuple(cut[c] for c in b)] = box
+
+    blocks.map_items(run_orbit, orbits, data.size,
+                     lambda: (np.empty(entries, dtype=data.dtype),
+                              np.empty(entries, dtype=data.dtype)))
+    return kernel
 
 
 def _sq_norm(a: np.ndarray, out: np.ndarray) -> float:
@@ -753,8 +825,10 @@ def random_draw(grid: GridSpec, k: int, alpha: float, seed: int,
                 budget=None) -> MarginalKernel:
     """random_test_kernel before its projection: independent complex
     Gaussians, damped in place by prod <p_j>^-(alpha+s) <p'_j>^-(alpha+s)
-    (s = DRAW_DECAY).  One kernel-sized array, checked against the budget."""
-    check_budget(grid.kernel_bytes(k), budget, what=f"k={k} test kernel")
+    (s = DRAW_DECAY).  One kernel-sized array; the budget check covers it
+    and the buffers symmetrize takes to project it (symmetrize_bytes)."""
+    check_budget(grid.kernel_bytes(k) + symmetrize_bytes(grid, k), budget,
+                 what=f"k={k} test kernel")
     rng = np.random.default_rng(seed)
     shape = grid.kernel_shape(k)
     data = rng.standard_normal(shape + (2,)).view(np.complex128).reshape(shape)
@@ -763,8 +837,7 @@ def random_draw(grid: GridSpec, k: int, alpha: float, seed: int,
 
 
 def project_draw(kernel: MarginalKernel) -> MarginalKernel:
-    """hermitize, then symmetrize, in the kernel's array (symmetrize's
-    scratch is freed on return)."""
+    """hermitize, then symmetrize, in the kernel's array."""
     return symmetrize(hermitize(kernel))
 
 
@@ -773,8 +846,8 @@ def random_test_kernel(grid: GridSpec, k: int, alpha: float, seed: int,
     """Seeded random kernel with enough momentum decay to have finite H^alpha norms.
 
     The projected draw project_draw(random_draw(...)): damped Gaussians,
-    hermitized and symmetrized in place, so the draw holds at most two
-    kernel-sized arrays.
+    hermitized and symmetrized in place, so the draw holds one kernel-sized
+    array and symmetrize's orbit buffers.
     """
     return project_draw(random_draw(grid, k, alpha, seed, budget))
 
@@ -784,12 +857,19 @@ def random_test_kernel(grid: GridSpec, k: int, alpha: float, seed: int,
 _HEADER = struct.Struct("<idii")  # n, L, M, k (k = 0 marks a rank-1 array)
 
 
+def _write_momentum_file(path, grid: GridSpec, k: int, parts):
+    """Header (n, L, M, k), then each array of parts in turn, row-major
+    '<c16', written from its buffer (not a copy) before the next is taken."""
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(grid.n, grid.L, grid.M, k))
+        for part in parts:
+            fh.write(np.ascontiguousarray(part, dtype="<c16").data)
+
+
 def save_momentum_array(path, arr: np.ndarray, grid: GridSpec, k: int):
     """Flat binary layout: header (n, L, M, k) then row-major '<c16' payload,
     written from the array's buffer, not a copy."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(grid.n, grid.L, grid.M, k))
-        fh.write(np.ascontiguousarray(arr, dtype="<c16").data)
+    _write_momentum_file(path, grid, k, (arr,))
 
 
 def load_momentum_array(path, budget=None):
@@ -815,8 +895,21 @@ def load_momentum_array(path, budget=None):
 
 
 def save_kernel(path, kernel, budget=None):
-    dense = as_dense(kernel, budget)
-    save_momentum_array(path, dense.data, dense.grid, dense.k)
+    """save_momentum_array of the kernel's dense array.  An evolved or
+    low-rank kernel is written one row slice of blocks.rows' size at a
+    time (matrix_rows), never multiplied out whole; it is refused where
+    as_dense would refuse it, and the file is the same byte for byte."""
+    if not isinstance(kernel, (EvolvedKernel, LowRankKernel)):
+        dense = as_dense(kernel, budget)
+        save_momentum_array(path, dense.data, dense.grid, dense.k)
+        return
+    grid, k = kernel.grid, kernel.k
+    check_budget(grid.kernel_bytes(k), budget, what=f"k={k} kernel")
+    rows = grid.M ** (k * grid.n)
+    step = max(1, blocks.BLOCK // rows)
+    read, buf = matrix_rows(kernel), np.empty((min(step, rows), rows), dtype=np.complex128)
+    _write_momentum_file(path, grid, k, (read(slice(s, s + step), buf[:min(step, rows - s)])
+                                         for s in range(0, rows, step)))
 
 
 def load_kernel(path, budget=None) -> MarginalKernel:

@@ -17,22 +17,21 @@ A sample is gamma = D_alpha g, a random kernel g damped by <p>^-alpha on
 every variable, so ||gamma||_{H^alpha} = ||g||_{L^2}: one norm per draw
 serves every alpha.  gamma itself is never built: operators.cubic_contractions
 damps each row group of g as it traces it, in the trace pass that every
-dense collapse takes.
+dense collapse takes.  The draws are made one at a time, and g is
+projected in its own array, so the battery holds one level-sized array.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent import futures
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import blocks
 # the battery draws through random_draw; random_test_kernel stays bound for perfbench/spans.py
 from .kernels import (bracket_envelope, check_budget, project_draw, random_draw,
-                      random_test_kernel)
+                      random_test_kernel, symmetrize_bytes)
 from .norms import sobolev_norm
 from .operators import (Interaction, collapse, collapse_b1, collapse_b2, contraction_bytes,
                         cubic_contractions)
@@ -196,14 +195,17 @@ SAFETY_FACTOR = 1.5
 
 
 def _battery_bytes(grid: GridSpec, kp: int) -> int:
-    """What the battery holds at most for level-kp draws: the draw being
-    measured and the next one, the contractions of the damped draw with
-    its row-group buffer (contraction_bytes), the three collapse outputs,
-    a streamed norm's block buffer with 256 kB of numpy's iterator buffers,
-    and 1 MiB for numpy.random, which numpy imports on the first draw of
-    a process (0.75 MB traced with numpy 2.4)."""
-    return (2 * grid.kernel_bytes(kp) + contraction_bytes(grid, kp, 1, copied=True)
-            + 3 * grid.kernel_bytes(kp - 1) + 8 * blocks.BLOCK + 2**18 + 2**20)
+    """What the battery holds at most for level-kp draws: the one draw, and
+    beside it the larger of symmetrize's buffers (symmetrize_bytes) and
+    what measuring it takes: the contractions of the damped draw with its
+    row-group buffer (contraction_bytes), three collapse outputs (one is
+    held at a time, with the collapse's own transients), a streamed norm's
+    block buffer with 256 kB of numpy's iterator buffers; and 1 MiB for
+    numpy.random, which numpy imports on the first draw of a process (0.75
+    MB traced with numpy 2.4)."""
+    measuring = (contraction_bytes(grid, kp, 1, copied=True) + 3 * grid.kernel_bytes(kp - 1)
+                 + 8 * blocks.BLOCK + 2**18)
+    return grid.kernel_bytes(kp) + max(symmetrize_bytes(grid, kp), measuring) + 2**20
 
 
 def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
@@ -221,12 +223,11 @@ def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
     envelope: the row-group trace pass of every dense collapse, each
     group damped into the group buffer), which never builds the damped
     kernel; they serve the j=1 pair of terms and the full collapse.
-    While a draw is measured, the next one is made ahead on the block pool
-    (blocks.ahead; unprojected, so one array), and it is projected only
-    after the measured draw is released: at most two level-sized arrays
-    are held.  Once per k, before the first draw, that footprint
-    (_battery_bytes) is checked against the budget.  The draws are where
-    most of the estimation time goes for k = 3.  Entries equal the
+    One draw is held at a time: drawn, projected in place, measured and
+    released before the next is drawn, so one level-sized array is held.
+    Once per k, before the first draw, that footprint (_battery_bytes) is
+    checked against the budget.  The draws are where most of the
+    estimation time goes for k = 3.  Entries equal the
     single-alpha estimates bit for bit.  The ks must be distinct: rows of
     a repeated k would pool its draws.
     """
@@ -244,33 +245,20 @@ def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
                      what=f"the k={k} collapse-constant battery")
         halves = {a: bracket_envelope(grid, k + 1, -a) for a in alphas}
 
-        def draw(trial):
-            return random_draw(grid, k + 1, 0.0, int(draw_seeds[ki * trials + trial]), budget)
-
-        drawn = draw(0)  # the first draw is made on the caller
         for trial in range(trials):
-            gamma = project_draw(drawn)
-            del drawn
-            more = trial + 1 < trials
-            ahead = blocks.ahead(partial(draw, trial + 1), gamma.data.size) if more else None
-            try:
-                denom = sobolev_norm(gamma, 0.0)  # ||D_a g||_{H^a} for every alpha a
-                for a in (alphas if denom != 0.0 else ()):
-                    shared = cubic_contractions(gamma, halves[a])
-                    term1 = collapse_b1(1, gamma, shared)
-                    term2 = collapse_b2(1, gamma, shared)
-                    full = collapse(gamma, Interaction(), contractions=shared)
-                    del shared
-                    acc[a][k]["term"].append(sobolev_norm(term1, a) / denom)
-                    acc[a][k]["term"].append(sobolev_norm(term2, a) / denom)
-                    acc[a][k]["full"].append(sobolev_norm(full, a) / (k * denom))
-            except BaseException:
-                if ahead is not None:
-                    futures.wait([ahead])
-                raise
-            del gamma  # release this draw before the next one is projected
-            if more:
-                drawn = draw(trial + 1) if ahead is None else ahead.result()
+            gamma = project_draw(random_draw(grid, k + 1, 0.0,
+                                             int(draw_seeds[ki * trials + trial]), budget))
+            denom = sobolev_norm(gamma, 0.0)  # ||D_a g||_{H^a} for every alpha a
+            for a in (alphas if denom != 0.0 else ()):
+                # each collapse output is released once its norm is taken
+                shared = cubic_contractions(gamma, halves[a])
+                acc[a][k]["term"] += [sobolev_norm(term(1, gamma, shared), a) / denom
+                                      for term in (collapse_b1, collapse_b2)]
+                full = collapse(gamma, Interaction(), contractions=shared)
+                del shared
+                acc[a][k]["full"].append(sobolev_norm(full, a) / (k * denom))
+                del full
+            del gamma  # release this draw before the next one is made
     out = {}
     for a in alphas:
         rows = []

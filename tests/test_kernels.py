@@ -34,6 +34,7 @@ from gphier.kernels import (
     save_kernel,
     save_wavefunction,
     symmetrize,
+    symmetrize_bytes,
     symmetry_defect,
     thin_r,
     trace,
@@ -267,7 +268,7 @@ class TestSymmetryOps:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_projections_in_place_match_whole_array_passes(self, monkeypatch, workers):
-        # 216 rows (ragged tiles) and 256; k = 4 ends in the scratch array
+        # 216 rows (ragged tiles) and 256
         monkeypatch.setattr(blocks, "WORKERS", workers)
         monkeypatch.setattr(blocks, "MIN_POOLED", 0)
         for grid, k in ((GridSpec(1, 2 * np.pi, 6), 3), (GridSpec(2, 2 * np.pi, 4), 2)):
@@ -276,13 +277,38 @@ class TestSymmetryOps:
             got = hermitize(kern)
             assert np.shares_memory(got.data, kern.data)
             assert np.array_equal(got.data, want)
-        for k, in_input in ((2, False), (3, True), (4, False)):
+        for k in (2, 3, 4):
             grid = GridSpec(1, 2 * np.pi, 6 if k < 4 else 4)
             kern = random_kernel_raw(grid, k, 13 + k)
             want = symmetrize_whole(copied(kern)).data
             got = symmetrize(kern)
-            assert np.shares_memory(got.data, kern.data) is in_input
+            assert np.shares_memory(got.data, kern.data)
             assert np.array_equal(got.data, want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n, M, k", [(1, 6, 1), (1, 6, 2), (1, 6, 3), (1, 6, 4),
+                                         (1, 10, 3), (1, 4, 5), (1, 4, 6), (2, 4, 2),
+                                         (2, 4, 3), (2, 6, 2)])
+    def test_symmetrize_over_orbits_is_in_place_and_bitwise(self, monkeypatch, workers,
+                                                            n, M, k):
+        # M=10, k=3 cuts 10 indices into ranges of 3, 3 and 4; (1, 4, 5)
+        # into two ranges, and (2, 4, 3) into 8 of the 16 per particle
+        monkeypatch.setattr(blocks, "WORKERS", workers)
+        monkeypatch.setattr(blocks, "MIN_POOLED", 0)
+        grid = GridSpec(n, 2 * np.pi, M)
+        shape = grid.kernel_shape(k)
+        rng = np.random.default_rng(10 * M + k)
+        kern = MarginalKernel(grid, k, rng.standard_normal(shape + (2,)).view(np.complex128)
+                              .reshape(shape))
+        want = symmetrize_whole(kern).data
+        brute = symmetrize_bruteforce(kern).data if M ** (2 * k * n) <= 2**20 else None
+        got, peak = traced_peak(lambda: symmetrize(kern))
+        assert np.shares_memory(got.data, kern.data)
+        assert np.array_equal(got.data, want)
+        if brute is not None:
+            np.testing.assert_allclose(got.data, brute, rtol=1e-12, atol=1e-14)
+        if k > 1:  # k = 1 allocates nothing; the peak is the call's own frame
+            assert peak <= symmetrize_bytes(grid, k)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_random_test_kernel_matches_whole_array_passes(self, monkeypatch, workers):
@@ -293,12 +319,24 @@ class TestSymmetryOps:
             got = random_test_kernel(grid, k, alpha=1.0, seed=31)
             assert np.array_equal(got.data, random_test_kernel_whole(grid, k, 1.0, 31).data)
 
-    def test_random_test_kernel_holds_two_kernels(self):
-        # the draw, then one symmetrize scratch array: the whole-array
-        # passes held about four
-        grid = GridSpec(1, 2 * np.pi, 8)
+    @pytest.mark.parametrize("n, M, k", [(1, 8, 3), (1, 10, 3), (2, 4, 2)])
+    def test_random_test_kernel_budget_check_covers_the_traced_peak(self, n, M, k):
+        # the check counted the draw alone, while symmetrize allocated a
+        # second kernel-sized array beside it
+        grid = GridSpec(n, 2 * np.pi, M)
+        checked = grid.kernel_bytes(k) + symmetrize_bytes(grid, k)
+        with pytest.raises(ResourceBudgetError):
+            random_test_kernel(grid, k, alpha=1.0, seed=3, budget=checked - 1)
+        _, peak = traced_peak(lambda: random_test_kernel(grid, k, 1.0, seed=3, budget=checked))
+        assert peak <= checked
+
+    def test_random_test_kernel_holds_one_kernel(self, monkeypatch):
+        # the draw and two runs' orbit buffers (0.375 kernels); a scratch
+        # copy of the draw took 2.2 kernels
+        monkeypatch.setattr(blocks, "WORKERS", 2)
+        grid = GridSpec(1, 2 * np.pi, 12)
         _, peak = traced_peak(lambda: random_test_kernel(grid, 3, alpha=1.0, seed=3))
-        assert peak <= 2.2 * grid.kernel_bytes(3)
+        assert peak <= 1.4 * grid.kernel_bytes(3)
 
     def test_permute_particles_swap(self):
         kern = random_kernel_raw(GRID, 3, 11)
@@ -654,14 +692,19 @@ class TestSerialization:
         assert back.k == 2
         np.testing.assert_array_equal(back.data, kern.data)
 
-    def test_evolved_kernel_is_written_from_one_copy(self, tmp_path):
-        # the payload is written from the one array as_dense makes
-        grid = GridSpec(1, 2 * np.pi, 8)
-        evolved = free_evolve(random_test_kernel(grid, 3, 0.5, seed=6), 0.3)
-        path = tmp_path / "k3.bin"
-        _, peak = traced_peak(lambda: save_kernel(path, evolved))
-        np.testing.assert_array_equal(load_kernel(path).data, as_dense(evolved).data)
-        assert peak < 1.5 * grid.kernel_bytes(3)
+    @pytest.mark.parametrize("kind", ["evolved", "low_rank"])
+    def test_lazy_kernel_is_written_row_slice_by_row_slice(self, tmp_path, kind):
+        # as_dense's copy took 1.2 kernels (evolved) and 1.0 (low rank)
+        grid = GridSpec(1, 2 * np.pi, 10)
+        lazy = (free_evolve(random_test_kernel(grid, 3, 0.5, seed=6), 0.3) if kind == "evolved"
+                else random_low_rank(grid, 3, 5, seed=6).free_evolved(0.3))
+        path, dense_path = tmp_path / "k3.bin", tmp_path / "dense.bin"
+        _, peak = traced_peak(lambda: save_kernel(path, lazy))
+        save_kernel(dense_path, as_dense(lazy))
+        assert path.read_bytes() == dense_path.read_bytes()
+        assert peak <= 0.1 * grid.kernel_bytes(3)
+        with pytest.raises(ResourceBudgetError):
+            save_kernel(tmp_path / "refused.bin", lazy, budget=grid.kernel_bytes(3) - 1)
 
     def test_wavefunction_round_trip(self, tmp_path):
         phihat = forward_transform(gaussian_phi(GRID), GRID)

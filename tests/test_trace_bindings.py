@@ -65,8 +65,8 @@ def test_traced_calls_stay_on_the_calling_thread(monkeypatch):
                 grid=grid, interaction=Interaction(kind, 1),
                 params=norms.NormParams(alpha=1.0, xi=0.5), K=K, T=0.05, N_t=4)
             solver.solve(gamma0, config)
-        # two trials: the second draw is made ahead on the pool, and only
-        # projected (kernels.hermitize, kernels.symmetrize) on this thread
+        # two trials, each drawn and projected (kernels.hermitize,
+        # kernels.symmetrize) on this thread
         verify.estimate_collapse_battery((1.0,), grid, k_range=(2,), trials=2, seed=3)
 
     names = {name for name, _ in calls}
