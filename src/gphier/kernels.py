@@ -30,12 +30,13 @@ A kernel has one of four representations:
 
 The projections hermitize and symmetrize work in place in their
 argument's array and spread their passes over the block pool: hermitize
-averages pairs of 64 x 64 tiles, and symmetrize works through the
-particle-permutation orbits of boxes of the kernel, one orbit at a time
-per pool run, in two buffers of the orbit's size (symmetrize_bytes; 3 MB
-each at M = 16, k = 3).  So a random_test_kernel draw holds one
-kernel-sized array.  Every result is bitwise that of the whole-array
-passes, on any number of workers.
+averages pairs of 64 x 64 tiles in one tile buffer per pool run, and
+symmetrize works through the particle-permutation orbits of boxes of the
+kernel, one orbit at a time per pool run, in two buffers of the orbit's
+size (symmetrize_bytes; 3 MB each at M = 16, k = 3).  So a
+random_test_kernel draw holds one kernel-sized array and the larger of
+the two projections' buffers (draw_bytes).  Every result is bitwise that
+of the whole-array passes, on any number of workers.
 """
 
 from __future__ import annotations
@@ -804,52 +805,49 @@ def bracket_envelope(grid: GridSpec, k: int, exponent: float) -> np.ndarray:
     return half
 
 
-def damp(src: np.ndarray, half: np.ndarray, out: np.ndarray) -> None:
-    """out = src damped by the weight half (a bracket_envelope) on both
+def damp(data: np.ndarray, half: np.ndarray) -> None:
+    """data damped in place by the weight half (a bracket_envelope) on both
     variable groups: the rows of the (unprimed x primed) matrix scaled by
-    half, then its columns, in one blocks.rows pass.  out may be src."""
+    half, then its columns, in one blocks.rows pass."""
     half = half.reshape(-1)
-    a, b = src.reshape(half.size, half.size), out.reshape(half.size, half.size)
+    mat = data.reshape(half.size, half.size)
 
     def rows(r):
-        np.multiply(a[r], half[r, None], out=b[r])
-        b[r] *= half
+        block = mat[r]
+        block *= half[r, None]
+        block *= half
 
-    blocks.rows(rows, b, lambda shape: ())
+    blocks.rows(rows, mat, lambda shape: ())
 
 
 DRAW_DECAY = 1.0  # s: random_test_kernel's extra decay beyond H^alpha
 
 
-def random_draw(grid: GridSpec, k: int, alpha: float, seed: int,
-                budget=None) -> MarginalKernel:
-    """random_test_kernel before its projection: independent complex
-    Gaussians, damped in place by prod <p_j>^-(alpha+s) <p'_j>^-(alpha+s)
-    (s = DRAW_DECAY).  One kernel-sized array; the budget check covers it
-    and the buffers symmetrize takes to project it (symmetrize_bytes)."""
-    check_budget(grid.kernel_bytes(k) + symmetrize_bytes(grid, k), budget,
-                 what=f"k={k} test kernel")
-    rng = np.random.default_rng(seed)
-    shape = grid.kernel_shape(k)
-    data = rng.standard_normal(shape + (2,)).view(np.complex128).reshape(shape)
-    damp(data, bracket_envelope(grid, k, -(alpha + DRAW_DECAY)), data)
-    return MarginalKernel(grid, k, data)
-
-
-def project_draw(kernel: MarginalKernel) -> MarginalKernel:
-    """hermitize, then symmetrize, in the kernel's array."""
-    return symmetrize(hermitize(kernel))
+def draw_bytes(grid: GridSpec, k: int) -> int:
+    """What random_test_kernel holds: the draw, and beside it the larger of
+    symmetrize_bytes and what hermitize holds (the projections run one after
+    the other): per block-pool run its tile buffer and numpy's iterator
+    buffers for the two transposed tiles, and 32 kB of interpreter objects."""
+    rows = grid.M ** (k * grid.n)
+    runs = len(blocks.deal(range(0, rows, _TILE), rows * rows))
+    return grid.kernel_bytes(k) + max(runs * 48 * _TILE**2 + 2**15, symmetrize_bytes(grid, k))
 
 
 def random_test_kernel(grid: GridSpec, k: int, alpha: float, seed: int,
                        budget=None) -> MarginalKernel:
     """Seeded random kernel with enough momentum decay to have finite H^alpha norms.
 
-    The projected draw project_draw(random_draw(...)): damped Gaussians,
-    hermitized and symmetrized in place, so the draw holds one kernel-sized
-    array and symmetrize's orbit buffers.
+    Independent complex Gaussians, damped in place by prod <p_j>^-(alpha+s)
+    <p'_j>^-(alpha+s) (s = DRAW_DECAY), then hermitized and symmetrized in
+    place, so the draw holds one kernel-sized array and the projections'
+    buffers; the budget check covers all of it (draw_bytes).
     """
-    return project_draw(random_draw(grid, k, alpha, seed, budget))
+    check_budget(draw_bytes(grid, k), budget, what=f"k={k} test kernel")
+    rng = np.random.default_rng(seed)
+    shape = grid.kernel_shape(k)
+    data = rng.standard_normal(shape + (2,)).view(np.complex128).reshape(shape)
+    damp(data, bracket_envelope(grid, k, -(alpha + DRAW_DECAY)))
+    return symmetrize(hermitize(MarginalKernel(grid, k, data)))
 
 
 # -- serialization ------------------------------------------------------------

@@ -5,11 +5,9 @@ The Duhamel map takes a trajectory gamma to
     gamma^(k)(t) = U0(t) gamma0^(k)
                    + int_0^t U0(t-s) Btilde^(k) gamma^(k+off)(s) ds
 
-level by level; its Picard iterates start from the convention trajectory
-gamma_0^(k)(t) == gamma0^(k) (constant in t).  Sourced levels are
-k <= K - off (off = 1 cubic, 2 quintic); the top off levels follow the
-closure rule: free evolution of the initial data, identically zero, or the
-factorized NLS trajectory.
+level by level.  Sourced levels are k <= K - off (off = 1 cubic, 2
+quintic); the top off levels follow the closure rule: free evolution of the
+initial data, identically zero, or the factorized NLS trajectory.
 
 The integral is evaluated by composite quadrature over the stored nodes.
 Writing g(s) = U0(-s) Btilde gamma^(k+off)(s), the prefix integrals of g
@@ -22,10 +20,8 @@ trapezoid, 3 for Simpson).
 Quadrature updates run in the row blocks of blocks.rows on the block pool,
 bitwise as on one worker.  Each node is written once, by the free phase
 pass that also sums gamma0 and the prefix into it (apply_free_phase's
-terms).  A source that is the same object at every node (the convention
-start, a zero_top closure) is collapsed once, and each node's integrand is
-copied from that collapse in its own phase pass; any other source is
-collapsed node by node.
+terms).  Every node's source is collapsed as it arrives, and its integrand
+is phased in the collapse output's own array.
 
 Levels come in the four representations of kernels.  Closure levels are
 factorized, or evolved when free_top evolves dense initial data.  A sourced
@@ -46,11 +42,11 @@ The collapse is lower triangular and nilpotent, so the fixed point of the
 Duhamel map is a back substitution: level k = D_k(level k+off), from the
 closure down to level 1.  solve() is that one sweep (_step), which fills
 the levels in descending order: the closure lists first, then each
-sourced level k integrates the new level k+off (a Gauss-Seidel sweep).  Its levels are bitwise those that full Duhamel
-steps (picard_step, the Jacobi map, which reads every source from the
-previous iterate) reach after about K/off steps.  A sweep has no
-successive iterates, so solve() measures no distance between them; the
-contraction estimates are checked on picard_step's iterates instead.
+sourced level k integrates the new level k+off (a Gauss-Seidel sweep).
+Its levels are bitwise those that full Duhamel steps (the Jacobi map, which
+reads every source from the previous iterate; the tests' picard_step runs
+_step that way) reach after about K/off steps.  A sweep has no successive
+iterates, so solve() measures no distance between them.
 plan() is the one resource model: it walks the same sweep without arrays,
 picking each sourced level's representation from the initial data, and
 yields the collapse count, the peak bytes and the low-rank levels.
@@ -195,9 +191,6 @@ class Trajectory:
     def K(self) -> int:
         return self.states[0].K
 
-    def level_series(self, k: int) -> list:
-        return [state.level(k) for state in self.states]
-
 
 @dataclass
 class BoundReport:
@@ -331,29 +324,22 @@ class _PrefixIntegrator:
 def _integrands(sources, times, interaction, dense: bool):
     """Yields g_i = U0(-t_i) Btilde src_i, node by node: a dense array if
     dense, else the LowRankKernel of a factorized source (any other source
-    is a TypeError, raised as it arrives).  A list source that is the same
-    object at every node is collapsed once."""
-    constant = None
-    if isinstance(sources, list) and all(src is sources[0] for src in sources):
-        constant = apply_btilde(sources[0], interaction)
+    is a TypeError, raised as it arrives)."""
     for i, src in enumerate(sources):
         if not (dense or isinstance(src, FactorizedKernel)):
             raise TypeError("a low-rank level needs a factorized source at every node")
         # no local holds a collapse output or its phased copy through the
         # next node's collapse
-        yield _integrand(constant if constant is not None else apply_btilde(src, interaction),
-                         -times[i], constant is not None, dense)
+        yield _integrand(apply_btilde(src, interaction), -times[i], dense)
 
 
-def _integrand(out, t: float, shared: bool, dense: bool):
+def _integrand(out, t: float, dense: bool):
     """U0(t) of a collapse output: the factors' rows phased (then multiplied
-    out if dense), or a dense array phased in place (into a copy if shared)."""
+    out if dense), or a dense array phased in place."""
     if isinstance(out, LowRankKernel):
         g = free_evolve(out, t)
         return g.dense() if dense else g
-    if not shared:
-        return apply_free_phase(out.data, out.grid, out.k, t)
-    return apply_free_phase(np.empty_like(out.data), out.grid, out.k, t, out.data)
+    return apply_free_phase(out.data, out.grid, out.k, t)
 
 
 def _duhamel_nodes(sources, times, rule, start, grid, k, interaction):
@@ -404,7 +390,7 @@ def _zero(grid: GridSpec, k: int) -> FactorizedKernel:
 
 
 def _closure_states(gamma0: HierarchySequence, config: SolverConfig) -> dict:
-    """Node lists for every closure level, shared by all iterates."""
+    """Node lists for every closure level."""
     grid, times = config.grid, config.times()
     out = {}
     if config.closure.kind == ZERO_TOP:
@@ -476,22 +462,21 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
     This is the one place that picks a level's representation.  A sourced
     level k is stored low rank when its initial data are factorized, its
     source level k+off is a closure level with factorized initial data (so
-    every source the level sees is factorized: the closure list or the
-    convention start), and its nodes' factors, at most 2N_t+3 columns each,
-    are narrower than half the M^(kn) rows.  Every other sourced level is
-    dense, so dense starts stay on the dense path.
+    every source the level sees is factorized), and its nodes' factors, at
+    most 2N_t+3 columns each, are narrower than half the M^(kn) rows.
+    Every other sourced level is dense, so dense starts stay on the dense
+    path.
 
-    The closure lists fill their slots first; then each sourced level k,
-    in descending order, is integrated once from the new level k+off, at
-    one collapse for a zero_top source and N_t+1 otherwise, so solve()
-    makes exactly these collapses.  The bytes held are the dense copies of
-    factorized sourced levels of gamma0 that are not low rank and the node
-    lists of the levels integrated so far (a free_top list over dense data
-    holds no array).  While a dense level k is integrated its new list
-    grows to N_t+1 nodes, the last one in flight (solve()'s slots start
-    empty).  Beside them are the integrator's buffers (2 trapezoid, 6
-    Simpson) and, at a node's collapse, the collapse output, a dense
-    collapse's contractions and a pass's block buffers (with the group
+    The closure lists fill their slots first; then each sourced level k, in
+    descending order, is integrated once from the new level k+off, at N_t+1
+    collapses, so solve() makes exactly these collapses.  The bytes held are
+    the dense copies of factorized sourced levels of gamma0 that are not low
+    rank and the node lists of the levels integrated so far (a free_top list
+    over dense data holds no array).  While a dense level k is integrated
+    its new list grows to N_t+1 nodes, the last one in flight (solve()'s
+    slots start empty).  Beside them are the integrator's buffers (2
+    trapezoid, 6 Simpson) and, at a node's collapse, the collapse output, a
+    dense collapse's contractions and a pass's block buffers (with the group
     buffer an evolved source's rows are phased into), or the node's phase
     pass (both _pass_bytes).  The collapse of a low-rank source node is low
     rank, 2 T r columns for T lattice-index sums: its factors, their phased
@@ -500,8 +485,8 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
     in the making; after it, its nodes, whose last one is the column stack
     its defects are taken from.  The final norms of a dense sourced level,
     or of a closure level with dense initial data, hold a streamed norm's
-    buffers (with a complex one for an evolved node); the final defects of
-    a low-rank level, one thin QR's workspace on the interleaved stack
+    buffers (with a complex one for an evolved node); the final defects of a
+    low-rank level, one thin QR's workspace on the interleaved stack
     (_qr_bytes), the widest of its QRs, which run one at a time.  The
     trajectory's own interpreter objects, about 2 kB per node and level,
     count at the end, with a 32 kB floor.  Each further pool run over a
@@ -534,7 +519,7 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
     peak, collapses = held, 0
     for k in sorted(sourced, reverse=True):
         src = k + off
-        collapses += 1 if config.closure.kind == ZERO_TOP and src in closure else nodes
+        collapses += nodes
         if k in low_rank:
             kept = factors(k, 1 + sum(2 * i + 3 for i in range(1, nodes)))
             # the list and integrands, then a node built and phased
@@ -555,13 +540,7 @@ def plan(config: SolverConfig, gamma0: HierarchySequence) -> SolvePlan:
         else:
             work = _pass_bytes(grid, k)
         # the buffers and the growing new list, then each node's passes
-        body = (buffers + nodes) * size(k)
-        if config.closure.kind == ZERO_TOP and src in closure:
-            # collapsed once, then copied per node
-            top = size(k) + max(work, body + _pass_bytes(grid, k))
-        else:
-            top = body + max(work, _pass_bytes(grid, k))
-        peak = max(peak, held + top)
+        peak = max(peak, held + (buffers + nodes) * size(k) + max(work, _pass_bytes(grid, k)))
         held += nodes * size(k)
     # the final norms of the solution and of gamma0 (a dense norm needs no
     # complex buffer; closure levels of factorized data stay factorized, in
@@ -620,21 +599,6 @@ def _trajectory(times: np.ndarray, levels: dict, config: SolverConfig) -> Trajec
         )
         for i in range(len(times))
     ])
-
-
-def picard_step(prev: Trajectory, gamma0: HierarchySequence,
-                config: SolverConfig) -> Trajectory:
-    """One application of the Duhamel map to a stored trajectory: every
-    level reads its source from prev (Jacobi), never from the new levels."""
-    if len(prev.times) != config.N_t + 1 or not np.allclose(
-        prev.times, config.times(), rtol=1e-12, atol=1e-15
-    ):
-        raise ValueError("trajectory nodes do not match the configuration")
-    sources = {k: prev.level_series(k) for k in range(1, config.K + 1)}
-    levels = {k: list(nodes) for k, nodes in sources.items()}
-    start = _initial_data(gamma0, config, plan(config, gamma0).low_rank)
-    _step(levels, sources, prev.times, start, _closure_states(gamma0, config), config)
-    return _trajectory(prev.times, levels, config)
 
 
 # -- Duhamel expansion terms -----------------------------------------------------

@@ -17,8 +17,9 @@ A sample is gamma = D_alpha g, a random kernel g damped by <p>^-alpha on
 every variable, so ||gamma||_{H^alpha} = ||g||_{L^2}: one norm per draw
 serves every alpha.  gamma itself is never built: operators.cubic_contractions
 damps each row group of g as it traces it, in the trace pass that every
-dense collapse takes.  The draws are made one at a time, and g is
-projected in its own array, so the battery holds one level-sized array.
+dense collapse takes.  Each g is a random_test_kernel draw, made one at a
+time and projected in its own array, so the battery holds one level-sized
+array.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blocks
-# the battery draws through random_draw; random_test_kernel stays bound for perfbench/spans.py
-from .kernels import (bracket_envelope, check_budget, project_draw, random_draw,
-                      random_test_kernel, symmetrize_bytes)
+from .kernels import bracket_envelope, check_budget, draw_bytes, random_test_kernel
 from .norms import sobolev_norm
 from .operators import (Interaction, collapse, collapse_b1, collapse_b2, contraction_bytes,
                         cubic_contractions)
@@ -195,17 +194,17 @@ SAFETY_FACTOR = 1.5
 
 
 def _battery_bytes(grid: GridSpec, kp: int) -> int:
-    """What the battery holds at most for level-kp draws: the one draw, and
-    beside it the larger of symmetrize's buffers (symmetrize_bytes) and
-    what measuring it takes: the contractions of the damped draw with its
-    row-group buffer (contraction_bytes), three collapse outputs (one is
-    held at a time, with the collapse's own transients), a streamed norm's
-    block buffer with 256 kB of numpy's iterator buffers; and 1 MiB for
+    """What the battery holds at most for level-kp draws: the larger of
+    what the draw takes (draw_bytes) and the one draw with what measuring
+    it takes: the contractions of the damped draw with its row-group
+    buffer (contraction_bytes), three collapse outputs (one is held at a
+    time, with the collapse's own transients), a streamed norm's block
+    buffer with 256 kB of numpy's iterator buffers; and 1 MiB for
     numpy.random, which numpy imports on the first draw of a process (0.75
     MB traced with numpy 2.4)."""
     measuring = (contraction_bytes(grid, kp, 1, copied=True) + 3 * grid.kernel_bytes(kp - 1)
                  + 8 * blocks.BLOCK + 2**18)
-    return grid.kernel_bytes(kp) + max(symmetrize_bytes(grid, kp), measuring) + 2**20
+    return max(draw_bytes(grid, kp), grid.kernel_bytes(kp) + measuring) + 2**20
 
 
 def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
@@ -246,8 +245,8 @@ def estimate_collapse_battery(alphas, grid: GridSpec, k_range=(1, 2, 3),
         halves = {a: bracket_envelope(grid, k + 1, -a) for a in alphas}
 
         for trial in range(trials):
-            gamma = project_draw(random_draw(grid, k + 1, 0.0,
-                                             int(draw_seeds[ki * trials + trial]), budget))
+            gamma = random_test_kernel(grid, k + 1, 0.0, int(draw_seeds[ki * trials + trial]),
+                                       budget)
             denom = sobolev_norm(gamma, 0.0)  # ||D_a g||_{H^a} for every alpha a
             for a in (alphas if denom != 0.0 else ()):
                 # each collapse output is released once its norm is taken

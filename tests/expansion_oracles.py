@@ -1,16 +1,26 @@
-"""Duhamel expansion terms that only the tests use.
+"""The Picard iteration and the Duhamel expansion terms that only the tests use.
 
-The convention trajectory (the Picard iteration's start), the expansion
-terms Xi_j and the convention-start remainder R_m, each a level of the
-solver's own sweep below a top level (gphier.solver._expansion).  The
-partial sums of the terms plus the remainder reproduce each Picard iterate
-to rounding, which the tests use as a cross-check of the whole pipeline.
+The convention trajectory (the Picard iteration's start), the Jacobi
+Duhamel map picard_step, the expansion terms Xi_j and the convention-start
+remainder R_m, each a level of the solver's own sweep below a top level
+(gphier.solver._expansion).  The partial sums of the terms plus the
+remainder reproduce each Picard iterate to rounding, which the tests use as
+a cross-check of the whole pipeline.  solve() runs none of this: its one
+descending sweep lands on the fixed point the iteration approaches.
 """
+
+import numpy as np
 
 from gphier.kernels import HierarchySequence
 from gphier.operators import free_evolve
-from gphier.solver import FREE_TOP, SolverConfig, Trajectory, _expansion
+from gphier.solver import (FREE_TOP, SolverConfig, Trajectory, _closure_states, _expansion,
+                           _initial_data, _step, _trajectory, plan)
 from kernel_oracles import zeros
+
+
+def level_series(traj: Trajectory, k: int) -> list:
+    """The level-k node list of a trajectory."""
+    return [state.level(k) for state in traj.states]
 
 
 def convention_trajectory(gamma0: HierarchySequence, config: SolverConfig) -> Trajectory:
@@ -21,6 +31,21 @@ def convention_trajectory(gamma0: HierarchySequence, config: SolverConfig) -> Tr
     )
     times = config.times()
     return Trajectory(times, [state] * len(times))
+
+
+def picard_step(prev: Trajectory, gamma0: HierarchySequence,
+                config: SolverConfig) -> Trajectory:
+    """One application of the Duhamel map to a stored trajectory: every
+    level reads its source from prev (Jacobi), never from the new levels."""
+    if len(prev.times) != config.N_t + 1 or not np.allclose(
+        prev.times, config.times(), rtol=1e-12, atol=1e-15
+    ):
+        raise ValueError("trajectory nodes do not match the configuration")
+    sources = {k: level_series(prev, k) for k in range(1, config.K + 1)}
+    levels = {k: list(nodes) for k, nodes in sources.items()}
+    start = _initial_data(gamma0, config, plan(config, gamma0).low_rank)
+    _step(levels, sources, prev.times, start, _closure_states(gamma0, config), config)
+    return _trajectory(prev.times, levels, config)
 
 
 def duhamel_term(j: int, k: int, gamma0: HierarchySequence,

@@ -37,7 +37,6 @@ from gphier.solver import (
     apriori_bound_check,
     contraction_factor_check,
     duhamel_bound_rows,
-    picard_step,
     solve,
 )
 from gphier.spectral import GridSpec, inverse_transform
@@ -48,7 +47,7 @@ from gphier.verify import (
     lemma31_divergence_check,
     lemma31_sup_check,
 )
-from expansion_oracles import convention_trajectory
+from expansion_oracles import convention_trajectory, picard_step
 from kernel_oracles import factorized
 from spectral_oracles import kernel_to_momentum, mass
 

@@ -22,6 +22,7 @@ from gphier.kernels import (
     _symmetry_defects,
     as_dense,
     bracket_envelope,
+    draw_bytes,
     factorized_sequence,
     frobenius_norm,
     product_norm,
@@ -328,6 +329,20 @@ class TestSymmetryOps:
         with pytest.raises(ResourceBudgetError):
             random_test_kernel(grid, k, alpha=1.0, seed=3, budget=checked - 1)
         _, peak = traced_peak(lambda: random_test_kernel(grid, k, 1.0, seed=3, budget=checked))
+        assert peak <= checked
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n, M", [(1, 8), (1, 16), (2, 4)])
+    def test_random_test_kernel_budget_check_covers_hermitize_at_k1(self, monkeypatch,
+                                                                   workers, n, M):
+        # symmetrize holds nothing at k = 1, and the check counted the draw
+        # alone (1-4 kB) while hermitize's tile buffers took about 70 kB
+        monkeypatch.setattr(blocks, "WORKERS", workers)
+        grid = GridSpec(n, 2 * np.pi, M)
+        checked = draw_bytes(grid, 1)
+        with pytest.raises(ResourceBudgetError):
+            random_test_kernel(grid, 1, alpha=1.0, seed=3, budget=checked - 1)
+        _, peak = traced_peak(lambda: random_test_kernel(grid, 1, 1.0, seed=3, budget=checked))
         assert peak <= checked
 
     def test_random_test_kernel_holds_one_kernel(self, monkeypatch):

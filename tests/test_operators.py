@@ -686,7 +686,7 @@ class TestPlaneWiseContractions:
         draw = random_test_kernel(grid, kp, alpha=0.0, seed=M + kp)
         half = bracket_envelope(grid, kp, -0.6)
         got = cubic_contractions(draw, half)
-        damp(draw.data, half, draw.data)  # in place: one level-sized array at M=16
+        damp(draw.data, half)  # in place: one level-sized array at M=16
         assert [c for c, _ in got] == all_shifts(grid)
         for c, C in got:
             assert np.array_equal(C, np_trace_last_pair(draw.data, kp * n, c))

@@ -23,7 +23,7 @@ PACKAGE = ROOT / "src" / "gphier"
 
 # the paper's contraction and horizon experiments (acceptance tests 07 and
 # 08), kept in the library although only tests run them
-ALLOWED = {"picard_step", "apriori_bound_check", "contraction_factor_check"}
+ALLOWED = {"apriori_bound_check", "contraction_factor_check"}
 
 
 def _trees():

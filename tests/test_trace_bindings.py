@@ -65,14 +65,14 @@ def test_traced_calls_stay_on_the_calling_thread(monkeypatch):
                 grid=grid, interaction=Interaction(kind, 1),
                 params=norms.NormParams(alpha=1.0, xi=0.5), K=K, T=0.05, N_t=4)
             solver.solve(gamma0, config)
-        # two trials, each drawn and projected (kernels.hermitize,
-        # kernels.symmetrize) on this thread
+        # two trials, each drawn (verify.random_test_kernel) and projected
+        # (kernels.hermitize, kernels.symmetrize) on this thread
         verify.estimate_collapse_battery((1.0,), grid, k_range=(2,), trials=2, seed=3)
 
     names = {name for name, _ in calls}
     for expected in ("gphier.solver.apply_btilde", "gphier.solver.apply_free_phase",
                      "gphier.solver.sobolev_norm", "gphier.solver.hermiticity_defect",
-                     "gphier.verify.collapse_b1", "gphier.kernels.hermitize",
-                     "gphier.kernels.symmetrize"):
+                     "gphier.verify.collapse_b1", "gphier.verify.random_test_kernel",
+                     "gphier.kernels.hermitize", "gphier.kernels.symmetrize"):
         assert expected in names
     assert {ident for _, ident in calls} == {threading.get_ident()}

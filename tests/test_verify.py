@@ -265,7 +265,7 @@ class TestConstantEstimate:
     def test_battery_budget_check_covers_the_traced_peak(self, monkeypatch, workers,
                                                          n, M, k):
         # the bytes checked once per k bound everything the battery holds,
-        # not only the one draw that random_draw checks
+        # not only the one draw that random_test_kernel checks
         monkeypatch.setattr(blocks, "WORKERS", workers)
         monkeypatch.setattr(blocks, "MIN_POOLED", 0)
         checked = []
@@ -308,7 +308,7 @@ class TestConstantEstimate:
         grid = GridSpec(n, 2.0 * np.pi, M)
         g = random_test_kernel(grid, kp, alpha=0.0, seed=M + kp)
         want = sobolev_norm(g, 0.0)
-        damp(g.data, bracket_envelope(grid, kp, -a), g.data)  # in place: one level at M=16
+        damp(g.data, bracket_envelope(grid, kp, -a))  # in place: one level at M=16
         assert sobolev_norm(g, a) == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("k,seed", [(2, 21), (3, 22)])
